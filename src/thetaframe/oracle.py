@@ -9,14 +9,15 @@ time-frequency series
 
 whose infimum/supremum over the unit square reproduce the closed-form
 frame bounds; the sum is real and is folded onto k, l >= 0 cosines.
+
+numpy is imported on first use, so importing thetaframe does not pay for
+it unless the lattice oracle runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .frame import FrameBounds, LatticeParams
@@ -87,6 +88,8 @@ def auto_k_max(params: LatticeParams) -> int:
 
 
 def _coefficients(params: LatticeParams, k_max: int | None):
+    import numpy as np
+
     if k_max is None:
         k_max = auto_k_max(params)
     elif not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
@@ -111,6 +114,8 @@ def janssen_F(x: float, omega: float, params: LatticeParams,
         raise DomainError(f"(x, omega)=({x!r}, {omega!r}) outside [0, 1]^2")
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
+    import numpy as np
+
     w, kk = _coefficients(params, k_max)
     k = np.arange(kk + 1)
     cx = np.cos(2.0 * math.pi * k * x)
@@ -130,6 +135,8 @@ def grid_extrema_F(params: LatticeParams, grid_steps: int = 128,
     if (not isinstance(grid_steps, int) or isinstance(grid_steps, bool)
             or grid_steps < 8):
         raise DomainError(f"grid_steps={grid_steps!r} must be an int >= 8")
+    import numpy as np
+
     w, kk = _coefficients(params, k_max)
     k = np.arange(kk + 1)
     xs = np.arange(grid_steps) / grid_steps
@@ -156,6 +163,8 @@ def frame_bounds_via_F(params: LatticeParams, grid_steps: int = 128,
     error_bound combines the neglected series tail with a Lipschitz
     grid-resolution term, so it is much looser than the closed forms.
     """
+    import numpy as np
+
     rep = grid_extrema_F(params, grid_steps, k_max)
     kk = rep.truncation_K
     mb = 0.5 * math.pi / params.beta ** 2

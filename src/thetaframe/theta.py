@@ -13,13 +13,24 @@ absolute error bound covering both series truncation and floating-point
 rounding, so downstream inequality checks can demand margins that beat the
 bound honestly.
 
-Small arguments are accelerated through the modular relations
+Below s = SMALL_S_CUTOFF every family and every order is routed through a
+modular relation of the form g(s) = c s^{-1/2} h(lam/s):
 
-    theta3(s)    = s^{-1/2} theta3(1/s)
-    theta4(s)    = s^{-1/2} theta_odd(1/(4s))
-    theta_odd(s) = (1/2) s^{-1/2} theta4(1/(4s))
+    theta3(s)    = s^{-1/2} theta3(1/s)                    c = 1,   lam = 1
+    theta4(s)    = s^{-1/2} theta_odd(1/(4s))              c = 1,   lam = 1/4
+    theta_odd(s) = (1/2) s^{-1/2} theta4(1/(4s))           c = 1/2, lam = 1/4
+    Theta(z, is) = s^{-1/2} P_z(1/s),
+                   P_z(u) = sum_k exp(-pi (k+z)^2 u)       c = 1,   lam = 1
 
-for order 0 and 1; second derivatives always run the direct series.
+With u = lam/s, its s-derivatives are
+
+    g'  = -c [(1/2) s^{-3/2} h(u) + lam s^{-5/2} h'(u)]
+    g'' =  c [(3/4) s^{-5/2} h(u) + 3 lam s^{-7/2} h'(u)
+              + lam^2 s^{-9/2} h''(u)]
+
+so each order costs a few rapidly converging series at the large argument
+u instead of O(s^{-1/2}) terms of the direct series. P_z is a sum over the
+shifted indices k + z, certified like the other series.
 """
 
 from __future__ import annotations
@@ -193,6 +204,52 @@ def _series_odd(s: float, order: DerivativeOrder, target: float):
     return value, bound, j + 1
 
 
+def _series_shifted(z: float, s: float, order: DerivativeOrder,
+                    target: float):
+    """P_z(s) = sum_k e^{-pi (k+z)^2 s} and its s-derivatives, z in [0, 1).
+
+    The indices |k + z| form the two progressions n + z and n + 1 - z
+    (n >= 0); along each, term ratios shrink, so each progression is
+    truncated with the same next-term/(1-q) tail as the other series.
+    The rounding slack doubles the exponent factor of _series_square to
+    cover the rounded shifts.
+    """
+    m = int(order)
+    shifts = (z, 1.0 - z)
+    terms = []
+    slack = 0.0
+    n = -1
+    while True:
+        n += 1
+        if n > TERM_CAP:
+            raise ConvergenceError(
+                f"shifted series at s={s} not certified within "
+                f"{TERM_CAP} terms")
+        tail = 0.0
+        for a in shifts:
+            x = n + a
+            p = math.pi * (x * x)
+            y = p * s
+            e = math.exp(-y)
+            w = (1.0, -p, p * p)[m]
+            terms.append(w * e)
+            slack += abs(w) * e * (4.0 * y + 10.0) * _EPS
+            x1 = x + 1.0
+            q = ((x1 + 1.0) / x1) ** (2 * m) * math.exp(
+                -math.pi * (2.0 * x1 + 1.0) * s)
+            if q >= 1.0:
+                tail = math.inf
+                break
+            w1 = (math.pi * (x1 * x1)) ** m
+            e1 = math.exp(-math.pi * (x1 * x1) * s)
+            tail += w1 * (e1 if e1 > 0.0 else _TINY) / (1.0 - q)
+        if tail <= target:
+            break
+    value = math.fsum(terms)
+    bound = tail + slack + _EPS * abs(value)
+    return value, bound, len(terms)
+
+
 def _direct(kind: str, s: float, order: DerivativeOrder, target: float,
             z: float | None = None):
     if kind == "theta3":
@@ -201,50 +258,50 @@ def _direct(kind: str, s: float, order: DerivativeOrder, target: float,
         return _series_square(s, order, target, alternating=True)
     if kind == "theta_odd":
         return _series_odd(s, order, target)
-    return _series_square(s, order, target, alternating=False, z=z)
+    if kind == "theta_general":
+        return _series_square(s, order, target, alternating=False, z=z)
+    return _series_shifted(z, s, order, target)
 
 
-def _transform(kind: str, s: float, order: DerivativeOrder, tol: float):
-    """Small-s evaluation through the modular relations.
+# kind -> (c, lam, inner kind) of g(s) = c s^{-1/2} h(lam/s); "poisson"
+# is the inner P_z of Theta(z, is), evaluated only through _direct
+_REFLECTIONS = {
+    "theta3": (1.0, 1.0, "theta3"),
+    "theta4": (1.0, 0.25, "theta_odd"),
+    "theta_odd": (0.5, 0.25, "theta4"),
+    "theta_general": (1.0, 1.0, "poisson"),
+}
 
-    Order 0 uses the relation verbatim; order 1 uses its s-derivative,
-    e.g. theta3'(s) = -(1/2) s^{-3/2} theta3(u) - s^{-5/2} theta3'(u)
-    with u = 1/s (the theta4/theta_odd analogues replace u by 1/(4s) and
-    pick up factors 1/4 and 1/8 on the inner derivative).
+# a[m][j]: g^{(m)} = c sum_j a[m][j] lam^j s^{-1/2-m-j} h^{(j)}(lam/s)
+_ORDER_WEIGHTS = ((1.0,), (-0.5, -1.0), (0.75, 3.0, 1.0))
+
+
+def _transform(kind: str, s: float, order: DerivativeOrder, tol: float,
+               z: float | None = None):
+    """Small-s evaluation through the modular relation of the family.
+
+    Sums the inner series h^{(j)} at u = lam/s with the coefficients of
+    the differentiated relation (module docstring), splitting half of tol
+    evenly over the inner truncations. Coefficient numerators are exact;
+    a denominator s^{m+j} sqrt(s), the division and the product with the
+    inner value round at most seven times by half an ulp, inside the
+    4 ulp slack per part.
     """
+    c, lam, inner_kind = _REFLECTIONS[kind]
     rs = math.sqrt(s)
-    if kind == "theta3":
-        arg = 1.0 / s
-        inner_kind = "theta3"
-    else:
-        arg = 1.0 / (4.0 * s)
-        inner_kind = "theta_odd" if kind == "theta4" else "theta4"
-    if order == DerivativeOrder.VALUE:
-        c = 1.0 / rs
-        if kind == "theta_odd":
-            c *= 0.5
-        plan = [(c, DerivativeOrder.VALUE)]
-        share = 0.5
-    else:
-        c0 = -0.5 / (s * rs)        # -(1/2) s^{-3/2}
-        c1 = -1.0 / (s * s * rs)    # -s^{-5/2}
-        if kind == "theta3":
-            plan = [(c0, DerivativeOrder.VALUE), (c1, DerivativeOrder.FIRST)]
-        elif kind == "theta4":
-            plan = [(c0, DerivativeOrder.VALUE),
-                    (0.25 * c1, DerivativeOrder.FIRST)]
-        else:
-            plan = [(0.5 * c0, DerivativeOrder.VALUE),
-                    (0.125 * c1, DerivativeOrder.FIRST)]
-        share = 0.25
+    arg = lam / s
+    weights = _ORDER_WEIGHTS[order]
+    share = 0.5 / len(weights)
+    sp = (1.0, s, s * s)[order]
     parts = []
     bound = 0.0
     terms = 0
-    for c, inner_order in plan:
-        inner_target = share * tol / abs(c)
-        v, b, n = _direct(inner_kind, arg, inner_order, inner_target)
-        parts.append(c * v)
-        bound += abs(c) * b + 4.0 * _EPS * abs(c * v)
+    for j, a in enumerate(weights):
+        coef = c * a * lam ** j / (sp * rs)
+        sp *= s
+        v, b, n = _direct(inner_kind, arg, j, share * tol / abs(coef), z)
+        parts.append(coef * v)
+        bound += abs(coef) * b + 4.0 * _EPS * abs(coef * v)
         terms += n
     value = math.fsum(parts)
     bound += _EPS * abs(value)
@@ -289,16 +346,14 @@ def eval_theta(family: ThetaFamily, s: float,
     s = float(s)
     tol = float(tol)
     _check_domain(s, tol)
+    z = None
     if family.kind == "theta_general":
         if family.z is None or not math.isfinite(family.z):
             raise DomainError("theta_general requires a finite z")
         z = family.z - math.floor(family.z)
-        v, b, n = _series_square(s, order, tol, alternating=False, z=z)
-        return ThetaValue(v, b, n, EvalMethod.DIRECT)
-    if (not force_direct and s < SMALL_S_CUTOFF
-            and order <= DerivativeOrder.FIRST):
-        return _transform(family.kind, s, order, tol)
-    v, b, n = _direct(family.kind, s, order, tol)
+    if not force_direct and s < SMALL_S_CUTOFF:
+        return _transform(family.kind, s, order, tol, z)
+    v, b, n = _direct(family.kind, s, order, tol, z)
     return ThetaValue(v, b, n, EvalMethod.DIRECT)
 
 

@@ -197,8 +197,9 @@ def check_refined_inequalities(grid: GridSpec,
             e1 = u5 * e1u + 5.0 * _EPS * abs(m1)
         track.add(m1, e1, s)
         track.add(m2, e2, s)
-        # theta4 chain (signs flipped; second derivative is direct even at
-        # small s, where theta4 itself is tiny and scales the slack down)
+        # theta4 chain (signs flipped; below the cutoff all three orders
+        # come from the modular transform, so the bounds stay relative
+        # even where theta4 itself is tiny)
         c4, ec4 = _chain_core(THETA4, s, tol)
         p4, ep4 = _neg_dlog_product(THETA4, s, tol)
         track.add(-c4, ec4, s)     # m1 - m2 gap: -(C4 + theta4'theta4/s)

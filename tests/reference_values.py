@@ -12,6 +12,8 @@ Theta conventions used by the oracle:
     Theta(z, i s)  = jtheta(3, pi z, exp(-pi s))
 
 and s-derivatives by mpmath numeric differentiation at 50 digits.
+theta_reference() recomputes any family and order at a given s from the
+Gaussian sums themselves, with the derivatives in closed form.
 """
 
 import math
@@ -51,6 +53,60 @@ COMB3_AT_1 = 1.1654010571620689  # theta3(1)^2 - 2 theta_odd(1)^2
 COMB4_AT_1 = 0.8196872998200459  # theta4(1)^2 - 2 theta_odd(1)^2
 
 SQRT2 = math.sqrt(2.0)
+
+_REF_K = 12  # neglected terms sit below 1e-90 relative on both sides
+
+
+def theta_reference(kind, s, order, z=None):
+    """50-digit value of a family (or its s-derivative) at s, as an mpf.
+
+    From s = 1/2 upward the direct series over k in [-K, K] is summed.
+    Below it the dual (Poisson) form is used, where every family is a sum
+    of Gaussians in k + z:
+
+        Theta(z, is) = s^{-1/2} sum_k exp(-pi (k + z)^2 / s)
+
+    with theta3 at z = 0, theta4 at z = 1/2 and theta_odd as the half
+    difference of the two. Requires mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        s = mp.mpf(s)
+        k_range = range(-_REF_K, _REF_K + 1)
+        if s >= mp.mpf(1) / 2:
+            total = mp.mpf(0)
+            for k in k_range:
+                if kind == "theta_odd" and k % 2 == 0:
+                    continue
+                p = mp.pi * k * k
+                t = (1, -p, p * p)[order] * mp.exp(-p * s)
+                if kind == "theta4" and k % 2:
+                    t = -t
+                elif kind == "theta_general":
+                    t *= mp.cos(2 * mp.pi * k * mp.mpf(z))
+                total += t
+            return total
+
+        def dual(shift):
+            total = mp.mpf(0)
+            for k in k_range:
+                a = mp.pi * (k + shift) ** 2
+                g = mp.exp(-a / s) / mp.sqrt(s)
+                h = a / s ** 2 - 1 / (2 * s)  # (log g)'
+                total += (g, g * h,
+                          g * (h * h + 1 / (2 * s ** 2) - 2 * a / s ** 3)
+                          )[order]
+            return total
+
+        half = mp.mpf(1) / 2
+        if kind == "theta3":
+            return dual(0)
+        if kind == "theta4":
+            return dual(half)
+        if kind == "theta_odd":
+            return (dual(0) - dual(half)) / 2
+        return dual(mp.mpf(z))
 
 
 def regenerate():  # pragma: no cover - manual tool

@@ -117,28 +117,61 @@ def test_general_containment():
     mp.mp.dps = 50
 
 
+def test_containment_full_domain():
+    """Every family and order 0-2 at seeded s over the whole domain.
+
+    z is drawn from [0, 1), where the mod-1 reduction is exact, so the
+    reference sees the same argument as the evaluator.
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(20160112)
+    lo, hi = math.log(1e-6), math.log(1e6)
+    families = [THETA3, THETA4, THETA_ODD]
+    for _ in range(8):
+        families += [general_family(0.0), general_family(0.5),
+                     general_family(rng.random())]
+    for fam in families:
+        for order in (0, 1, 2):
+            for _ in range(24 if fam.z is None else 3):
+                s = math.exp(rng.uniform(lo, hi))
+                tv = eval_theta(fam, s, order)
+                true = ref.theta_reference(fam.kind, s, order, fam.z)
+                with mp.workdps(50):
+                    err = abs(mp.mpf(tv.value) - true)
+                    assert err <= mp.mpf(tv.error_bound), \
+                        (fam, s, order, tv, true)
+
+
 class TestMethodSelection:
     def test_transform_below_cutoff(self):
-        for fam in (THETA3, THETA4, THETA_ODD):
-            assert eval_theta(fam, 0.1).method is EvalMethod.TRANSFORM
-            assert eval_theta(fam, 0.1, 1).method is EvalMethod.TRANSFORM
-            # second derivatives always run the series
-            assert eval_theta(fam, 0.1, 2).method is EvalMethod.DIRECT
-            assert eval_theta(fam, 0.3).method is EvalMethod.DIRECT
-            assert eval_theta(
-                fam, 0.1, force_direct=True).method is EvalMethod.DIRECT
+        for fam in (THETA3, THETA4, THETA_ODD, general_family(0.3)):
+            for order in (0, 1, 2):
+                assert eval_theta(fam, 0.1, order).method is \
+                    EvalMethod.TRANSFORM
+                assert eval_theta(fam, 0.3, order).method is \
+                    EvalMethod.DIRECT
+                assert eval_theta(fam, 0.1, order, force_direct=True
+                                  ).method is EvalMethod.DIRECT
 
     def test_transform_matches_direct(self):
-        for fam in (THETA3, THETA4, THETA_ODD):
+        families = (THETA3, THETA4, THETA_ODD, general_family(0.0),
+                    general_family(0.3), general_family(0.5))
+        for fam in families:
             for s in GridSpec(0.01, 0.24, 15, "log").points():
-                for order in (0, 1):
+                for order in (0, 1, 2):
                     t = eval_theta(fam, s, order)
                     d = eval_theta(fam, s, order, force_direct=True)
                     assert abs(t.value - d.value) <= \
-                        t.error_bound + d.error_bound
+                        t.error_bound + d.error_bound, (fam, s, order)
 
     def test_general_is_direct(self):
-        assert eval_theta_general(0.3, 0.05).method is EvalMethod.DIRECT
+        # Theta(z, is) runs the direct series from the cutoff up, and
+        # below it whenever the transform is switched off
+        assert eval_theta_general(0.3, 0.25).method is EvalMethod.DIRECT
+        for order in (0, 1, 2):
+            tv = eval_theta(general_family(0.3), 0.05, order,
+                            force_direct=True)
+            assert tv.method is EvalMethod.DIRECT
 
 
 class TestSeriesStructure:
@@ -187,17 +220,15 @@ class TestSeriesStructure:
             loose.error_bound + tight.error_bound
 
     def test_error_bound_meets_target(self):
-        # bound <= tol * max(1, |value|) wherever no sign cancellation
-        # inflates the rounding slack (alternating theta4 second
-        # derivative below s ~ 0.1 is the known exception)
-        for fam in (THETA3, THETA4, THETA_ODD):
+        # bound <= tol * max(1, |value|) over the whole routing range
+        families = (THETA3, THETA4, THETA_ODD, general_family(0.3),
+                    general_family(0.5))
+        for fam in families:
             for order in (0, 1, 2):
-                for s in GridSpec(0.05, 1e4, 40, "log").points():
-                    if fam.kind == "theta4" and order == 2 and s < 0.1:
-                        continue
+                for s in GridSpec(1e-6, 1e4, 80, "log").points():
                     tv = eval_theta(fam, s, order, 1e-12)
                     assert tv.error_bound <= 1e-12 * max(1.0, abs(tv.value)), \
-                        (fam.kind, order, s, tv)
+                        (fam, order, s, tv)
 
     def test_value_positive_families(self):
         for s in GridSpec(1e-4, 1e4, 30, "log").points():
