@@ -18,11 +18,8 @@ from .frame import frame_bounds, lattice_params
 from .grids import GridSpec
 from .oracle import grid_extrema_F
 from .sweep import emit_csv, emit_plot, sweep_beta
-from .theta import (THETA3, THETA4, THETA_ODD, DerivativeOrder, ThetaValue,
-                    eval_theta, general_family)
+from .theta import FAMILIES, DerivativeOrder, ThetaValue, eval_theta
 from .verify import SUITE_NAMES, VerifyConfig, all_passed, run_all
-
-_FAMILIES = ("theta3", "theta4", "theta_odd", "theta_general")
 
 
 def _add_format(p):
@@ -43,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("eval", help="evaluate a theta function")
-    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
     p.add_argument("--s", type=float, required=True,
                    help="argument s > 0")
     p.add_argument("--z", type=float, default=None,
@@ -153,11 +150,9 @@ def _print_theta(tv: ThetaValue, args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.family == "theta_general":
-        family = general_family(args.z)
-    else:
-        family = {"theta3": THETA3, "theta4": THETA4,
-                  "theta_odd": THETA_ODD}[args.family]
+    family = FAMILIES[args.family]
+    if callable(family):  # theta_general is built from --z
+        family = family(args.z)
     tv = eval_theta(family, args.s, DerivativeOrder(args.order), args.tol)
     return _print_theta(tv, args)
 

@@ -10,7 +10,8 @@ Odd  n:  A = n (theta4(a) theta4(b) - 2 theta_odd(a) theta_odd(b)),
          B = n (theta3(a) theta3(b) - 2 theta_odd(a) theta_odd(b)).
 
 Error bounds on the theta factors are propagated through the products and
-differences so callers can trust inequalities between bounds.
+differences with the rules of ball.py, the one place where rounding is
+accounted for, so callers can trust inequalities between bounds.
 """
 
 from __future__ import annotations
@@ -18,11 +19,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .ball import mul, scale, sub
 from .errors import DomainError
 from .theta import (DEFAULT_TOL, S_MAX, S_MIN, THETA3, THETA4, THETA_ODD,
-                    DerivativeOrder, eval_theta)
+                    eval_theta)
 
-_EPS = math.ulp(1.0)
+
+def _check_lattice(n, beta=None, parity=None):
+    """Validate density n (of the given parity, if any) and beta.
+
+    Returns beta as a float (None when beta is not given).
+    """
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"n={n!r} must be a positive integer")
+    if parity is not None and parity != ("even" if n % 2 == 0 else "odd"):
+        raise DomainError(f"parity {parity!r} does not match n={n}")
+    if beta is None:
+        return None
+    beta = float(beta)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise DomainError(f"beta={beta!r} must be positive")
+    return beta
 
 
 @dataclass(frozen=True)
@@ -38,16 +55,9 @@ class LatticeParams:
     parity: str
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError(f"n={self.n!r} must be a positive integer")
+        _check_lattice(self.n, self.beta, self.parity)
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise DomainError(f"alpha={self.alpha!r} must be positive")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(f"beta={self.beta!r} must be positive")
-        expected = "even" if self.n % 2 == 0 else "odd"
-        if self.parity != expected:
-            raise DomainError(
-                f"parity {self.parity!r} does not match n={self.n}")
         if abs(self.alpha * self.beta * self.n - 1.0) > 1e-12:
             raise DomainError(
                 f"alpha*beta*n = {self.alpha * self.beta * self.n!r} "
@@ -57,11 +67,7 @@ class LatticeParams:
 def lattice_params(n: int, beta: float, alpha: float | None = None
                    ) -> LatticeParams:
     """Build LatticeParams, deriving alpha = 1/(n beta) when omitted."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n={n!r} must be a positive integer")
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta={beta!r} must be positive")
+    beta = _check_lattice(n, beta)
     if alpha is None:
         alpha = 1.0 / (n * beta)
     return LatticeParams(float(alpha), beta, n,
@@ -95,70 +101,39 @@ def _theta_args(n: int, beta: float) -> tuple[float, float]:
     return a, b
 
 
-def _product(x, ex, y, ey):
-    """(value, error) of x*y given absolute errors ex, ey."""
-    v = x * y
-    return v, abs(x) * ey + abs(y) * ex + ex * ey + _EPS * abs(v)
+def _frame_bounds(n: int, beta: float, tol: float) -> FrameBounds:
+    """Closed-form bounds for a validated lattice of either parity."""
+    a, b = _theta_args(n, beta)
+    lo = mul(eval_theta(THETA4, a, tol=tol), eval_theta(THETA4, b, tol=tol))
+    hi = mul(eval_theta(THETA3, a, tol=tol), eval_theta(THETA3, b, tol=tol))
+    if n % 2:
+        odd = scale(mul(eval_theta(THETA_ODD, a, tol=tol),
+                        eval_theta(THETA_ODD, b, tol=tol)), 2.0)
+        lo = sub(lo, odd)
+        hi = sub(hi, odd)
+    lower = scale(lo, n)
+    upper = scale(hi, n)
+    error_bound = max(lower.error_bound, upper.error_bound)
+    ratio = upper.value / lower.value if lower.value > 0.0 else math.inf
+    return FrameBounds(lower.value, upper.value, ratio, error_bound,
+                       lower.value > error_bound)
 
 
 def frame_bounds_even(n: int, beta: float,
                       tol: float = DEFAULT_TOL) -> FrameBounds:
     """Closed-form bounds for even density n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2 or n % 2:
-        raise DomainError(f"n={n!r} must be a positive even integer")
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta={beta!r} must be positive")
-    a, b = _theta_args(n, beta)
-    t4a = eval_theta(THETA4, a, DerivativeOrder.VALUE, tol)
-    t4b = eval_theta(THETA4, b, DerivativeOrder.VALUE, tol)
-    t3a = eval_theta(THETA3, a, DerivativeOrder.VALUE, tol)
-    t3b = eval_theta(THETA3, b, DerivativeOrder.VALUE, tol)
-    lo, elo = _product(t4a.value, t4a.error_bound, t4b.value, t4b.error_bound)
-    hi, ehi = _product(t3a.value, t3a.error_bound, t3b.value, t3b.error_bound)
-    return _assemble(n, lo, elo, hi, ehi)
+    return _frame_bounds(n, _check_lattice(n, beta, "even"), tol)
 
 
 def frame_bounds_odd(n: int, beta: float,
                      tol: float = DEFAULT_TOL) -> FrameBounds:
     """Closed-form bounds for odd density n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1 or n % 2 == 0:
-        raise DomainError(f"n={n!r} must be a positive odd integer")
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta={beta!r} must be positive")
-    a, b = _theta_args(n, beta)
-    t4a = eval_theta(THETA4, a, DerivativeOrder.VALUE, tol)
-    t4b = eval_theta(THETA4, b, DerivativeOrder.VALUE, tol)
-    t3a = eval_theta(THETA3, a, DerivativeOrder.VALUE, tol)
-    t3b = eval_theta(THETA3, b, DerivativeOrder.VALUE, tol)
-    toa = eval_theta(THETA_ODD, a, DerivativeOrder.VALUE, tol)
-    tob = eval_theta(THETA_ODD, b, DerivativeOrder.VALUE, tol)
-    p4, e4 = _product(t4a.value, t4a.error_bound, t4b.value, t4b.error_bound)
-    p3, e3 = _product(t3a.value, t3a.error_bound, t3b.value, t3b.error_bound)
-    po, eo = _product(toa.value, toa.error_bound, tob.value, tob.error_bound)
-    lo = p4 - 2.0 * po
-    elo = e4 + 2.0 * eo + _EPS * (abs(p4) + 2.0 * abs(po))
-    hi = p3 - 2.0 * po
-    ehi = e3 + 2.0 * eo + _EPS * (abs(p3) + 2.0 * abs(po))
-    return _assemble(n, lo, elo, hi, ehi)
-
-
-def _assemble(n: int, lo: float, elo: float, hi: float, ehi: float
-              ) -> FrameBounds:
-    lower = n * lo
-    upper = n * hi
-    error_bound = n * max(elo, ehi) + _EPS * max(abs(lower), abs(upper))
-    valid = lower > error_bound
-    ratio = upper / lower if lower > 0.0 else math.inf
-    return FrameBounds(lower, upper, ratio, error_bound, valid)
+    return _frame_bounds(n, _check_lattice(n, beta, "odd"), tol)
 
 
 def frame_bounds(params: LatticeParams,
                  tol: float = DEFAULT_TOL) -> FrameBounds:
-    """Dispatch on lattice parity."""
+    """Bounds of a lattice; its LatticeParams were validated on creation."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    if params.parity == "even":
-        return frame_bounds_even(params.n, params.beta, tol)
-    return frame_bounds_odd(params.n, params.beta, tol)
+    return _frame_bounds(params.n, params.beta, tol)

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .frame import frame_bounds, lattice_params
+from .frame import _check_lattice, frame_bounds, lattice_params
 from .grids import GridSpec
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -68,12 +68,6 @@ def sweep_beta(n: int, grid: GridSpec, tol: float = 1e-12) -> list[SweepRow]:
     return rows
 
 
-def _check_n(n):
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"redundancy n must be a positive integer, "
-                          f"got {n!r}")
-
-
 def _golden(f, a, b, resolution, maximize):
     """Golden-section search on [a, b]; returns (argopt, opt, width)."""
     c = b - (b - a) * INV_PHI
@@ -103,7 +97,7 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     golden-section then shrinks the bracket to the requested resolution.
     The range must contain 1/sqrt(n), where both optima provably lie.
     """
-    _check_n(n)
+    _check_lattice(n)
     lo, hi = float(beta_range[0]), float(beta_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
         raise DomainError(f"invalid beta range ({lo!r}, {hi!r})")

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
+from . import ball
 from .errors import ConvergenceError, DomainError
 
 S_MIN = 1e-6
@@ -81,8 +82,6 @@ THETA3 = ThetaFamily("theta3")
 THETA4 = ThetaFamily("theta4")
 THETA_ODD = ThetaFamily("theta_odd")
 
-FAMILY_KINDS = ("theta3", "theta4", "theta_odd", "theta_general")
-
 
 def general_family(z: float) -> ThetaFamily:
     """Family for the two-variable series Theta(z, is); z is reduced mod 1."""
@@ -90,6 +89,13 @@ def general_family(z: float) -> ThetaFamily:
     if not math.isfinite(z):
         raise DomainError(f"z={z!r} must be finite")
     return ThetaFamily("theta_general", z - math.floor(z))
+
+
+# name -> family: the one-variable families are constants, and
+# theta_general maps to the constructor taking z
+FAMILIES = {"theta3": THETA3, "theta4": THETA4, "theta_odd": THETA_ODD,
+            "theta_general": general_family}
+FAMILY_KINDS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -123,154 +129,97 @@ def _check_domain(s: float, tol: float) -> None:
         raise DomainError(f"tol={tol!r} outside (0, 1)")
 
 
-def _series_square(s: float, order: DerivativeOrder, target: float,
-                   alternating: bool, z: float | None = None):
-    """Direct series over integer indices k, truncated with a certified tail.
-
-    Sums w_m(k) e^{-pi k^2 s} folded onto k >= 0 (factor 2 for k >= 1),
-    where w_m is 1, -pi k^2 or pi^2 k^4. For theta4 the k-th term carries
-    (-1)^k; for the general family it carries cos(2 pi k z) instead.
-
-    Returns (value, error_bound, terms_used). The loop stops at the first
-    K >= 1 whose geometric tail bound drops below the absolute target.
-    """
-    m = int(order)
-    two_pi_z = None if z is None else 2.0 * math.pi * z
-    terms = [1.0 if m == 0 else 0.0]  # k = 0 contributes only at order 0
-    slack = 0.0
-    k = 0
-    while True:
-        k += 1
-        if k > TERM_CAP:
-            raise ConvergenceError(
-                f"series at s={s} not certified within {TERM_CAP} terms")
-        p = math.pi * (k * k)
-        x = p * s
-        e = math.exp(-x)
-        w = (1.0, -p, p * p)[m]
-        t = 2.0 * w * e
-        if alternating and (k & 1):
-            t = -t
-        cos_pen = 0.0
-        if two_pi_z is not None:
-            t *= math.cos(two_pi_z * k)
-            cos_pen = 30.0 * k
-        terms.append(t)
-        slack += 2.0 * abs(w) * e * (2.0 * x + 10.0 + cos_pen) * _EPS
-        # tail after K = k: next term times 1/(1-q), q bounding every
-        # later term ratio (exponent gaps grow, weight ratios shrink)
-        k1 = k + 1
-        q = ((k + 2) / k1) ** (2 * m) * math.exp(-math.pi * (2 * k + 3) * s)
-        if q < 1.0:
-            w1 = (math.pi * (k1 * k1)) ** m
-            e1 = math.exp(-math.pi * (k1 * k1) * s)
-            tail = 2.0 * w1 * (e1 if e1 > 0.0 else _TINY) / (1.0 - q)
-            if tail <= target:
-                break
-    value = math.fsum(terms)
-    bound = tail + slack + _EPS * abs(value)
-    return value, bound, k + 1
-
-
-def _series_odd(s: float, order: DerivativeOrder, target: float):
-    """Direct series over odd indices 2j+1, same certification scheme."""
-    m = int(order)
-    terms = []
-    slack = 0.0
-    j = -1
-    while True:
-        j += 1
-        if j > TERM_CAP:
-            raise ConvergenceError(
-                f"odd series at s={s} not certified within {TERM_CAP} terms")
-        idx = 2 * j + 1
-        p = math.pi * (idx * idx)
-        x = p * s
-        e = math.exp(-x)
-        w = (1.0, -p, p * p)[m]
-        terms.append(2.0 * w * e)
-        slack += 2.0 * abs(w) * e * (2.0 * x + 10.0) * _EPS
-        n1 = 2 * j + 3
-        q = ((2 * j + 5) / n1) ** (2 * m) * math.exp(
-            -math.pi * (8 * j + 16) * s)
-        if q < 1.0:
-            w1 = (math.pi * (n1 * n1)) ** m
-            e1 = math.exp(-math.pi * (n1 * n1) * s)
-            tail = 2.0 * w1 * (e1 if e1 > 0.0 else _TINY) / (1.0 - q)
-            if tail <= target:
-                break
-    value = math.fsum(terms)
-    bound = tail + slack + _EPS * abs(value)
-    return value, bound, j + 1
-
-
-def _series_shifted(z: float, s: float, order: DerivativeOrder,
-                    target: float):
-    """P_z(s) = sum_k e^{-pi (k+z)^2 s} and its s-derivatives, z in [0, 1).
-
-    The indices |k + z| form the two progressions n + z and n + 1 - z
-    (n >= 0); along each, term ratios shrink, so each progression is
-    truncated with the same next-term/(1-q) tail as the other series.
-    The rounding slack doubles the exponent factor of _series_square to
-    cover the rounded shifts.
-    """
-    m = int(order)
-    shifts = (z, 1.0 - z)
-    terms = []
-    slack = 0.0
-    n = -1
-    while True:
-        n += 1
-        if n > TERM_CAP:
-            raise ConvergenceError(
-                f"shifted series at s={s} not certified within "
-                f"{TERM_CAP} terms")
-        tail = 0.0
-        for a in shifts:
-            x = n + a
-            p = math.pi * (x * x)
-            y = p * s
-            e = math.exp(-y)
-            w = (1.0, -p, p * p)[m]
-            terms.append(w * e)
-            slack += abs(w) * e * (4.0 * y + 10.0) * _EPS
-            x1 = x + 1.0
-            q = ((x1 + 1.0) / x1) ** (2 * m) * math.exp(
-                -math.pi * (2.0 * x1 + 1.0) * s)
-            if q >= 1.0:
-                tail = math.inf
-                break
-            w1 = (math.pi * (x1 * x1)) ** m
-            e1 = math.exp(-math.pi * (x1 * x1) * s)
-            tail += w1 * (e1 if e1 > 0.0 else _TINY) / (1.0 - q)
-        if tail <= target:
-            break
-    value = math.fsum(terms)
-    bound = tail + slack + _EPS * abs(value)
-    return value, bound, len(terms)
-
-
-def _direct(kind: str, s: float, order: DerivativeOrder, target: float,
-            z: float | None = None):
-    if kind == "theta3":
-        return _series_square(s, order, target, alternating=False)
-    if kind == "theta4":
-        return _series_square(s, order, target, alternating=True)
-    if kind == "theta_odd":
-        return _series_odd(s, order, target)
-    if kind == "theta_general":
-        return _series_square(s, order, target, alternating=False, z=z)
-    return _series_shifted(z, s, order, target)
-
-
 # kind -> (c, lam, inner kind) of g(s) = c s^{-1/2} h(lam/s); "poisson"
-# is the inner P_z of Theta(z, is), evaluated only through _direct
+# is the inner P_z of Theta(z, is), evaluated only as a direct series
 _REFLECTIONS = {
     "theta3": (1.0, 1.0, "theta3"),
     "theta4": (1.0, 0.25, "theta_odd"),
     "theta_odd": (0.5, 0.25, "theta4"),
     "theta_general": (1.0, 1.0, "poisson"),
 }
+
+# kind -> (first indices, step, weight, slack factor, sign) of the direct
+# series weight * sum_i w_m(i) e^{-pi i^2 s} over the index progressions
+# first + n step. First index 0 stands for the k = 0 term, counted once;
+# None stands for the shifts (z, 1 - z) of P_z, whose rounded indices
+# double the slack factor. sign is (-1)^i or cos(2 pi z i) when set.
+_ALTERNATING, _COSINE = 1, 2
+_SERIES = {
+    "theta3": ((0,), 1, 2.0, 2.0, None),
+    "theta4": ((0,), 1, 2.0, 2.0, _ALTERNATING),
+    "theta_odd": ((1,), 2, 2.0, 2.0, None),
+    "theta_general": ((0,), 1, 2.0, 2.0, _COSINE),
+    "poisson": (None, 1, 1.0, 4.0, None),
+}
+
+
+def _series(kind: str, s: float, order: DerivativeOrder, target: float,
+            z: float | None = None):
+    """Direct series of a family (or of P_z), with a certified tail.
+
+    Sums weight * w_m(i) e^{-pi i^2 s} over the family's index
+    progressions, where w_m is 1, -pi i^2 or pi^2 i^4. Along each
+    progression term ratios shrink, so after each step the rest is bounded
+    by the next term times 1/(1-q), q bounding every later term ratio
+    (exponent gaps grow, weight ratios shrink). The loop stops at the first
+    step whose summed tail bound drops below the absolute target; q is
+    computed only once the next term alone is within the target.
+
+    Returns (value, error_bound, terms_used).
+    """
+    first, step, weight, expo, sign = _SERIES[kind]
+    m = int(order)
+    terms = []
+    if first is None:
+        first = (z, 1.0 - z)
+    elif first == (0,):
+        terms.append(1.0 if m == 0 else 0.0)
+        first = (step,)
+    alternating = sign == _ALTERNATING
+    cosine = sign == _COSINE
+    two_pi_z = 2.0 * math.pi * z if cosine else 0.0
+    exp = math.exp
+    pi = math.pi
+    slack = 0.0
+    n = -1
+    while True:
+        n += 1
+        if n >= TERM_CAP:
+            raise ConvergenceError(
+                f"{kind} series at s={s} not certified within "
+                f"{TERM_CAP} terms")
+        tail = 0.0
+        for a in first:
+            i = a + n * step
+            p = pi * (i * i)
+            x = p * s
+            e = exp(-x)
+            w = (weight, -weight * p, weight * p * p)[m]
+            t = w * e
+            if cosine:
+                terms.append(t * math.cos(two_pi_z * i))
+                slack += abs(w) * e * (expo * x + 10.0 + 30.0 * i) * _EPS
+            else:
+                terms.append(-t if alternating and i & 1 else t)
+                slack += abs(w) * e * (expo * x + 10.0) * _EPS
+            i1 = i + step
+            p1 = pi * (i1 * i1)
+            nxt = weight * p1 ** m * (exp(-p1 * s) or _TINY)
+            if nxt > target:
+                tail = math.inf
+                continue
+            q = ((i1 + step) / i1) ** (2 * m) * exp(
+                -pi * (2 * step * i1 + step * step) * s)
+            if q >= 1.0:
+                tail = math.inf
+                continue
+            tail += nxt / (1.0 - q)
+        if tail <= target:
+            break
+    value = math.fsum(terms)
+    bound = tail + slack + _EPS * abs(value)
+    return value, bound, len(terms)
+
 
 # a[m][j]: g^{(m)} = c sum_j a[m][j] lam^j s^{-1/2-m-j} h^{(j)}(lam/s)
 _ORDER_WEIGHTS = ((1.0,), (-0.5, -1.0), (0.75, 3.0, 1.0))
@@ -299,7 +248,7 @@ def _transform(kind: str, s: float, order: DerivativeOrder, tol: float,
     for j, a in enumerate(weights):
         coef = c * a * lam ** j / (sp * rs)
         sp *= s
-        v, b, n = _direct(inner_kind, arg, j, share * tol / abs(coef), z)
+        v, b, n = _series(inner_kind, arg, j, share * tol / abs(coef), z)
         parts.append(coef * v)
         bound += abs(coef) * b + 4.0 * _EPS * abs(coef * v)
         terms += n
@@ -341,7 +290,7 @@ def eval_theta(family: ThetaFamily, s: float,
         certification failed within the term cap.
     """
     order = _coerce_order(order)
-    if not isinstance(family, ThetaFamily) or family.kind not in FAMILY_KINDS:
+    if not isinstance(family, ThetaFamily) or family.kind not in FAMILIES:
         raise DomainError(f"unknown theta family {family!r}")
     s = float(s)
     tol = float(tol)
@@ -353,7 +302,7 @@ def eval_theta(family: ThetaFamily, s: float,
         z = family.z - math.floor(family.z)
     if not force_direct and s < SMALL_S_CUTOFF:
         return _transform(family.kind, s, order, tol, z)
-    v, b, n = _direct(family.kind, s, order, tol, z)
+    v, b, n = _series(family.kind, s, order, tol, z)
     return ThetaValue(v, b, n, EvalMethod.DIRECT)
 
 
@@ -368,7 +317,9 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
 
     theta4(s) = prod_{k>=1} (1 - e^{-2 k pi s}) (1 - e^{-(2k-1) pi s})^2.
     Factors use expm1 to stay accurate near 1; the neglected factors are
-    bounded through |log(1-x)| <= x/(1-x) summed geometrically.
+    bounded through |log(1-x)| <= x/(1-x) summed geometrically. Below the
+    normal range rounding is absolute, so each of the 3k rounded
+    multiplications adds one subnormal ulp.
     """
     s = float(s)
     tol = float(tol)
@@ -388,7 +339,7 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
         delta = 3.0 * qq / ((1.0 - q) * (1.0 - qq))
         if delta <= 0.25 * tol:
             break
-    bound = prod * (delta + 15.0 * k * _EPS + _EPS)
+    bound = prod * (delta + 15.0 * k * _EPS + _EPS) + 3 * k * _TINY
     return ThetaValue(prod, bound, k, EvalMethod.PRODUCT)
 
 
@@ -402,7 +353,7 @@ def log_deriv_ratio_bounds(family: ThetaFamily, s: float,
                            tol: float = DEFAULT_TOL, *,
                            force_direct: bool = False) -> tuple[float, float]:
     """Like log_deriv_ratio but returns (value, propagated error bound)."""
-    if family.kind not in ("theta3", "theta4", "theta_odd"):
+    if not isinstance(FAMILIES.get(family.kind), ThetaFamily):
         raise DomainError(
             "log_deriv_ratio needs theta3, theta4 or theta_odd")
     s = float(s)
@@ -410,10 +361,8 @@ def log_deriv_ratio_bounds(family: ThetaFamily, s: float,
                    force_direct=force_direct)
     d = eval_theta(family, s, DerivativeOrder.FIRST, tol,
                    force_direct=force_direct)
-    g = s * d.value / f.value
-    err = ((s * d.error_bound + abs(g) * f.error_bound) / abs(f.value)
-           + 3.0 * _EPS * abs(g))
-    return g, err
+    g = ball.div(ball.scale(d, s), f)
+    return g.value, g.error_bound
 
 
 def jacobi_identity_residual(s: float, tol: float = DEFAULT_TOL) -> float:

@@ -16,6 +16,10 @@ floating-point evaluation would drown genuine but tiny margins in noise:
 
 Both identities follow from differentiating the theta3 reflection formula;
 their own correctness is covered by the identity-residual checks.
+
+Margins and their errors are balls propagated with the rules of ball.py,
+the one place where rounding is accounted for. Only the exp-sum check
+keeps its own per-term rounding model.
 """
 
 from __future__ import annotations
@@ -23,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .ball import Ball, add, div, fsum, mul, neg, scale, sub
 from .errors import DomainError
 from .grids import GridSpec
-from .theta import (THETA3, THETA4, THETA_ODD, DerivativeOrder, ThetaFamily,
-                    eval_theta, log_deriv_ratio_bounds)
+from .theta import (FAMILIES, THETA3, THETA4, THETA_ODD, DerivativeOrder,
+                    ThetaFamily, eval_theta, log_deriv_ratio_bounds)
 
 _EPS = math.ulp(1.0)
 _TINY = 5e-324
@@ -63,26 +68,34 @@ class _Tracker:
         self.location = None
         self.low = False
 
-    def add(self, margin, err, location, scale=None):
-        slack = margin - err
+    def add(self, margin, location, magnitude=None):
+        """Record a margin ball; magnitude sets a relative low-margin test."""
+        m, err = margin.value, margin.error_bound
+        slack = m - err
         if slack < self.worst:
             self.worst = slack
             self.location = location
-        if scale is not None and scale > 0.0 and margin / scale < 1e-6:
+        if magnitude is not None and magnitude > 0.0 and m / magnitude < 1e-6:
             self.low = True
-        elif scale is None and err > 0.0 and margin < 1e3 * err:
+        elif magnitude is None and err > 0.0 and m < 1e3 * err:
             self.low = True
 
     def result(self, name, points, informational=False):
-        worst = self.worst if self.worst != math.inf else math.inf
-        return CheckResult(name, worst > 0.0, worst, self.location,
+        return CheckResult(name, self.worst > 0.0, self.worst, self.location,
                            points, self.low, informational)
+
+
+def _exact(x):
+    return Ball(x, 0.0)
+
+
+_HALF = _exact(0.5)
 
 
 def _g(family, s, tol, cache):
     r = cache.get(s)
     if r is None:
-        r = log_deriv_ratio_bounds(family, s, tol)
+        r = Ball(*log_deriv_ratio_bounds(family, s, tol))
         cache[s] = r
     return r
 
@@ -101,74 +114,51 @@ def check_monotone_log_ratio(family: ThetaFamily, grid: GridSpec,
     pts = grid.points()
     name = f"{family.kind}-log-ratio-monotone"
     track = _Tracker()
-    cache: dict[float, tuple[float, float]] = {}
+    cache: dict[float, Ball] = {}
 
     if family.kind == "theta3":
         for i in range(len(pts) - 1):
             a, b = pts[i], pts[i + 1]
             if b <= 1.0:
-                ga, ea = _g(family, 1.0 / a, tol, cache)
-                gb, eb = _g(family, 1.0 / b, tol, cache)
-                margin = ga - gb
+                ga = _g(family, 1.0 / a, tol, cache)
+                gb = _g(family, 1.0 / b, tol, cache)
+                margin = sub(ga, gb)
             elif a >= 1.0:
-                ga, ea = _g(family, a, tol, cache)
-                gb, eb = _g(family, b, tol, cache)
-                margin = gb - ga
+                ga = _g(family, a, tol, cache)
+                gb = _g(family, b, tol, cache)
+                margin = sub(gb, ga)
             else:
-                gb, eb = _g(family, b, tol, cache)
-                ga, ea = _g(family, 1.0 / a, tol, cache)
-                margin = gb + 0.5 + ga
-            track.add(margin, ea + eb + _EPS * abs(margin), (a, b),
-                      scale=abs(ga) + abs(gb) + 1e-300)
+                gb = _g(family, b, tol, cache)
+                ga = _g(family, 1.0 / a, tol, cache)
+                margin = add(add(gb, _HALF), ga)
+            track.add(margin, (a, b),
+                      magnitude=abs(ga.value) + abs(gb.value) + 1e-300)
         for s in pts:
-            if s >= 1.0:
-                g, e = _g(family, s, tol, cache)
-                track.add(-g, e, s)
-                track.add(g + 0.5, e + 0.5 * _EPS, s)
-            else:
-                gr, er = _g(family, 1.0 / s, tol, cache)
-                track.add(0.5 + gr, er + 0.5 * _EPS, s)
-                track.add(-gr, er, s)
+            g = _g(family, s if s >= 1.0 else 1.0 / s, tol, cache)
+            track.add(neg(g), s)
+            track.add(add(g, _HALF), s)
     else:
         for i in range(len(pts) - 1):
             a, b = pts[i], pts[i + 1]
-            ga, ea = _g(family, a, tol, cache)
-            gb, eb = _g(family, b, tol, cache)
-            margin = ga - gb
-            track.add(margin, ea + eb + _EPS * abs(margin), (a, b),
-                      scale=abs(ga) + abs(gb) + 1e-300)
+            ga = _g(family, a, tol, cache)
+            gb = _g(family, b, tol, cache)
+            track.add(sub(ga, gb), (a, b),
+                      magnitude=abs(ga.value) + abs(gb.value) + 1e-300)
         for s in pts:
-            g, e = _g(family, s, tol, cache)
-            track.add(g, e, s)
+            track.add(_g(family, s, tol, cache), s)
     return track.result(name, len(pts))
 
 
-def _chain_core(family, s, tol):
-    """theta''theta - theta'^2 + theta'theta/s with propagated error."""
-    v = eval_theta(family, s, DerivativeOrder.VALUE, tol)
-    d = eval_theta(family, s, DerivativeOrder.FIRST, tol)
-    w = eval_theta(family, s, DerivativeOrder.SECOND, tol)
-    t1 = w.value * v.value
-    t2 = -(d.value * d.value)
-    t3 = d.value * v.value / s
-    m = math.fsum((t1, t2, t3))
-    e = (abs(w.value) * v.error_bound + abs(v.value) * w.error_bound
-         + w.error_bound * v.error_bound
-         + 2.0 * abs(d.value) * d.error_bound + d.error_bound ** 2
-         + (abs(d.value) * v.error_bound + abs(v.value) * d.error_bound
-            + d.error_bound * v.error_bound) / s
-         + _EPS * (abs(t1) + abs(t2) + abs(t3)) + _EPS * abs(m))
-    return m, e
+def _dlog_product(v, d, s):
+    """theta'theta/s as a ball, from theta and theta' at s."""
+    return div(mul(d, v), _exact(s))
 
 
-def _neg_dlog_product(family, s, tol):
-    """-theta' theta / s with propagated error (positive for theta3)."""
-    v = eval_theta(family, s, DerivativeOrder.VALUE, tol)
-    d = eval_theta(family, s, DerivativeOrder.FIRST, tol)
-    p = -(d.value * v.value) / s
-    e = ((abs(d.value) * v.error_bound + abs(v.value) * d.error_bound
-          + d.error_bound * v.error_bound) / s + 2.0 * _EPS * abs(p))
-    return p, e
+def _chain(family, s, tol):
+    """theta''theta - theta'^2 + theta'theta/s and theta'theta/s as balls."""
+    v, d, w = (eval_theta(family, s, m, tol) for m in DerivativeOrder)
+    dv = _dlog_product(v, d, s)
+    return fsum((mul(w, v), neg(mul(d, d)), dv)), dv
 
 
 def check_refined_inequalities(grid: GridSpec,
@@ -186,24 +176,22 @@ def check_refined_inequalities(grid: GridSpec,
     track = _Tracker()
     for s in pts:
         # theta3 chain
-        m2, e2 = _neg_dlog_product(THETA3, s, tol)
         if s >= 1.0:
-            m1, e1 = _chain_core(THETA3, s, tol)
+            m1, dv = _chain(THETA3, s, tol)
         else:
-            u = 1.0 / s
-            m1u, e1u = _chain_core(THETA3, u, tol)
-            u5 = u ** 5
-            m1 = u5 * m1u
-            e1 = u5 * e1u + 5.0 * _EPS * abs(m1)
-        track.add(m1, e1, s)
-        track.add(m2, e2, s)
+            u = _exact(1.0 / s)  # m1(1/u) = u^5 m1(u) at the rounded u
+            u2 = mul(u, u)
+            m1 = mul(mul(mul(u2, u2), u), _chain(THETA3, u.value, tol)[0])
+            dv = _dlog_product(eval_theta(THETA3, s, 0, tol),
+                               eval_theta(THETA3, s, 1, tol), s)
+        track.add(m1, s)
+        track.add(neg(dv), s)
         # theta4 chain (signs flipped; below the cutoff all three orders
         # come from the modular transform, so the bounds stay relative
         # even where theta4 itself is tiny)
-        c4, ec4 = _chain_core(THETA4, s, tol)
-        p4, ep4 = _neg_dlog_product(THETA4, s, tol)
-        track.add(-c4, ec4, s)     # m1 - m2 gap: -(C4 + theta4'theta4/s)
-        track.add(-p4, ep4, s)     # -theta4'theta4/s < 0
+        m1, dv = _chain(THETA4, s, tol)
+        track.add(neg(m1), s)  # the m1 - m2 gap
+        track.add(dv, s)
     return track.result("refined-log-convexity-concavity", len(pts))
 
 
@@ -212,17 +200,13 @@ def _center_index(pts):
 
 
 def _pair_values(family, r, pts, tol):
-    vals = []
-    errs = []
-    for s in pts:
-        va = eval_theta(family, r * s, DerivativeOrder.VALUE, tol)
-        vb = eval_theta(family, r / s, DerivativeOrder.VALUE, tol)
-        f = va.value * vb.value
-        e = (abs(va.value) * vb.error_bound + abs(vb.value) * va.error_bound
-             + va.error_bound * vb.error_bound + _EPS * abs(f))
-        vals.append(f)
-        errs.append(e)
-    return vals, errs
+    return [mul(eval_theta(family, r * s, DerivativeOrder.VALUE, tol),
+                eval_theta(family, r / s, DerivativeOrder.VALUE, tol))
+            for s in pts]
+
+
+def _argpick(pick, vals):
+    return pick(range(len(vals)), key=lambda i: vals[i].value)
 
 
 def check_product_inequality(family: ThetaFamily, r_values, s_grid: GridSpec,
@@ -243,40 +227,48 @@ def check_product_inequality(family: ThetaFamily, r_values, s_grid: GridSpec,
     track = _Tracker()
     for r in r_values:
         f = eval_theta(family, r, DerivativeOrder.VALUE, tol)
-        rhs = f.value * f.value
-        rhs_e = (2.0 * abs(f.value) * f.error_bound + f.error_bound ** 2
-                 + _EPS * abs(rhs))
-        vals, errs = _pair_values(family, r, pts, tol)
-        track.add(EQUALITY_TOL - abs(vals[center] - rhs), 0.0,
+        rhs = mul(f, f)
+        vals = _pair_values(family, r, pts, tol)
+        track.add(_exact(EQUALITY_TOL - abs(vals[center].value - rhs.value)),
                   (r, pts[center]))
         for i, s in enumerate(pts):
             if i == center:
                 continue
-            margin = (vals[i] - rhs) if minimum else (rhs - vals[i])
-            track.add(margin, errs[i] + rhs_e, (r, s))
-        pick = min if minimum else max
-        idx = pick(range(len(pts)), key=vals.__getitem__)
+            margin = sub(vals[i], rhs) if minimum else sub(rhs, vals[i])
+            track.add(margin, (r, s))
+        idx = _argpick(min if minimum else max, vals)
         if idx != center:
-            track.add(-abs(vals[center] - vals[idx]), 0.0, (r, pts[idx]))
+            track.add(_exact(-abs(vals[center].value - vals[idx].value)),
+                      (r, pts[idx]))
         for i in range(len(pts) // 2):
             j = len(pts) - 1 - i
-            track.add(SYMMETRY_TOL - abs(vals[i] - vals[j]), 0.0,
+            track.add(_exact(SYMMETRY_TOL - abs(vals[i].value
+                                                - vals[j].value)),
                       (r, pts[i]))
     return track.result(name, len(r_values) * len(pts))
 
 
-def _extremum_at_center(track, vals, errs, pts, center, r, maximum):
+def _extremum_at_center(track, vals, pts, center, r, maximum):
     """Assert the grid extremum sits at the center, with real gaps."""
-    pick = max if maximum else min
-    idx = pick(range(len(pts)), key=vals.__getitem__)
+    idx = _argpick(max if maximum else min, vals)
     if idx != center:
-        track.add(-abs(vals[center] - vals[idx]), 0.0, (r, pts[idx]))
+        track.add(_exact(-abs(vals[center].value - vals[idx].value)),
+                  (r, pts[idx]))
         return
     for i in range(len(pts)):
         if i == center:
             continue
-        gap = (vals[center] - vals[i]) if maximum else (vals[i] - vals[center])
-        track.add(gap, errs[i] + errs[center], (r, pts[i]))
+        gap = (sub(vals[center], vals[i]) if maximum
+               else sub(vals[i], vals[center]))
+        track.add(gap, (r, pts[i]))
+
+
+def _odd_combination(family, r, pts, tol):
+    """f(rs) f(r/s) - 2 theta_odd(rs) theta_odd(r/s) and the theta_odd part."""
+    odd = _pair_values(THETA_ODD, r, pts, tol)
+    comb = [sub(a, scale(b, 2.0))
+            for a, b in zip(_pair_values(family, r, pts, tol), odd)]
+    return comb, odd
 
 
 def check_odd_upper(r_values, s_grid: GridSpec,
@@ -290,13 +282,9 @@ def check_odd_upper(r_values, s_grid: GridSpec,
     center = _center_index(pts)
     track = _Tracker()
     for r in r_values:
-        v3, e3 = _pair_values(THETA3, r, pts, tol)
-        vo, eo = _pair_values(THETA_ODD, r, pts, tol)
-        comb = [a - 2.0 * b for a, b in zip(v3, vo)]
-        errs = [ea + 2.0 * eb + _EPS * (abs(a) + 2.0 * abs(b))
-                for a, b, ea, eb in zip(v3, vo, e3, eo)]
-        _extremum_at_center(track, comb, errs, pts, center, r, maximum=False)
-        _extremum_at_center(track, vo, eo, pts, center, r, maximum=True)
+        comb, odd = _odd_combination(THETA3, r, pts, tol)
+        _extremum_at_center(track, comb, pts, center, r, maximum=False)
+        _extremum_at_center(track, odd, pts, center, r, maximum=True)
     return track.result("odd-combination-minimum", len(r_values) * len(pts))
 
 
@@ -314,12 +302,8 @@ def check_odd_lower(r_values, s_grid: GridSpec,
     center = _center_index(pts)
     track = _Tracker()
     for r in r_values:
-        v4, e4 = _pair_values(THETA4, r, pts, tol)
-        vo, eo = _pair_values(THETA_ODD, r, pts, tol)
-        comb = [a - 2.0 * b for a, b in zip(v4, vo)]
-        errs = [ea + 2.0 * eb + _EPS * (abs(a) + 2.0 * abs(b))
-                for a, b, ea, eb in zip(v4, vo, e4, eo)]
-        _extremum_at_center(track, comb, errs, pts, center, r, maximum=True)
+        comb, _ = _odd_combination(THETA4, r, pts, tol)
+        _extremum_at_center(track, comb, pts, center, r, maximum=True)
     return track.result("odd-combination-maximum", len(r_values) * len(pts))
 
 
@@ -335,20 +319,18 @@ def check_lemma_odd_ratio(s_grid: GridSpec,
         raise DomainError("grid must span [1e-3, 10]")
     pts = s_grid.points()
     track = _Tracker()
-    cache: dict[float, tuple[float, float]] = {}
-    g1, e1 = _g(THETA_ODD, 1.0, tol, cache)
+    cache: dict[float, Ball] = {}
+    g1 = _g(THETA_ODD, 1.0, tol, cache)
     upper = [s for s in pts if s >= 0.25]
     for a, b in zip(upper, upper[1:]):
-        ga, ea = _g(THETA_ODD, a, tol, cache)
-        gb, eb = _g(THETA_ODD, b, tol, cache)
-        margin = ga - gb
-        track.add(margin, ea + eb + _EPS * abs(margin), (a, b))
+        track.add(sub(_g(THETA_ODD, a, tol, cache),
+                      _g(THETA_ODD, b, tol, cache)), (a, b))
     for s in pts:
         if s <= 0.25:
-            g, e = _g(THETA_ODD, s, tol, cache)
-            track.add(g - g1, e + e1, s)
-    glim, elim = _g(THETA_ODD, 1e-3, tol, cache)
-    track.add(0.05 - abs(glim + 0.5), elim, 1e-3)
+            track.add(sub(_g(THETA_ODD, s, tol, cache), g1), s)
+    gap = add(_g(THETA_ODD, 1e-3, tol, cache), _HALF)
+    # |x| has the radius of x
+    track.add(sub(_exact(0.05), Ball(abs(gap.value), gap.error_bound)), 1e-3)
     return track.result("odd-log-ratio", len(pts))
 
 
@@ -397,7 +379,7 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec,
                     + 2.0 * abs(d) * ed + ed * ed
                     + _EPS * (abs(w * f) + d * d) + _EPS * abs(resid)
                     + _EPS * f * f + _TINY)
-        track.add(resid + eps_prop, 0.0, s)
+        track.add(_exact(resid + eps_prop), s)
     return track.result("exp-sum-log-convexity", len(pts))
 
 
@@ -411,22 +393,15 @@ def check_theta4_ratio_conjecture(grid: GridSpec,
     if grid.scale != "linear":
         raise DomainError("conjecture check expects a linear grid")
     pts = grid.points()
-    hs = []
-    es = []
-    cache: dict[float, tuple[float, float]] = {}
-    for s in pts:
-        g, e = _g(THETA4, s, tol, cache)
-        hs.append(s * g)
-        es.append(s * e + _EPS * abs(s * g))
+    cache: dict[float, Ball] = {}
+    hs = [scale(_g(THETA4, s, tol, cache), s) for s in pts]
     track = _Tracker()
     for i in range(len(pts) - 1):
-        margin = hs[i] - hs[i + 1]
-        track.add(margin, es[i] + es[i + 1] + _EPS * abs(margin),
-                  (pts[i], pts[i + 1]))
+        track.add(sub(hs[i], hs[i + 1]), (pts[i], pts[i + 1]))
     for i in range(1, len(pts) - 1):
-        second = hs[i + 1] - 2.0 * hs[i] + hs[i - 1]
-        err = es[i - 1] + 2.0 * es[i] + es[i + 1]
-        track.add(second + err, 0.0, pts[i])
+        # convexity up to the error: second difference >= -its radius
+        second = add(sub(hs[i + 1], scale(hs[i], 2.0)), hs[i - 1])
+        track.add(_exact(second.value + second.error_bound), pts[i])
     return track.result("theta4-ratio-conjecture", len(pts),
                         informational=True)
 
@@ -444,7 +419,8 @@ class VerifyConfig:
     """
 
     suites: tuple[str, ...] | None = None
-    families: frozenset[str] = frozenset(("theta3", "theta4", "theta_odd"))
+    families: frozenset[str] = frozenset(
+        k for k, f in FAMILIES.items() if isinstance(f, ThetaFamily))
     tol: float = 1e-12
     monotone_grid: GridSpec = GridSpec(0.05, 20.0, 1000, "log")
     refined_grid: GridSpec = GridSpec(0.05, 10.0, 500, "log")

@@ -1,0 +1,123 @@
+"""Ball propagation rules checked against exact rational arithmetic.
+
+For + - * and / (divisor ball away from 0) the image of the operand box
+takes its extremes at the box corners, so a result ball that contains the
+exact value at every corner contains the whole image.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from thetaframe import THETA3, eval_theta
+from thetaframe.ball import Ball, add, div, fsum, mul, neg, scale, sub
+
+DRAWS = 1000
+
+
+def _midpoint(rng):
+    pick = rng.random()
+    if pick < 0.1:
+        return 0.0
+    if pick < 0.25:  # subnormal
+        return rng.choice((-1, 1)) * rng.randint(1, 2 ** 40) * 5e-324
+    if pick < 0.4:  # tiny, just above the subnormal range
+        exponent = rng.randint(-1020, -900)
+    elif pick < 0.55:  # huge, but products stay finite
+        exponent = rng.randint(400, 500)
+    else:
+        exponent = rng.randint(-40, 40)
+    return rng.uniform(-1.0, 1.0) * 2.0 ** exponent
+
+
+def _ball(rng):
+    m = _midpoint(rng)
+    pick = rng.random()
+    if pick < 0.2:
+        r = 0.0
+    elif pick < 0.3:
+        r = rng.randint(1, 2 ** 20) * 5e-324
+    elif pick < 0.4:  # radius far beyond the midpoint
+        r = abs(m) * 2.0 ** rng.randint(1, 40) + 5e-324
+    else:
+        r = abs(m) * 2.0 ** rng.randint(-60, 0)
+    return Ball(m, r)
+
+
+def _corners(b):
+    m, r = Fraction(b.value), Fraction(b.error_bound)
+    return (m - r, m + r)
+
+
+def _contains(result, exact_values):
+    if math.isinf(result.error_bound):
+        return True
+    m, r = Fraction(result.value), Fraction(result.error_bound)
+    return all(abs(e - m) <= r for e in exact_values)
+
+
+@pytest.mark.parametrize("rule,op", [(add, lambda a, b: a + b),
+                                     (sub, lambda a, b: a - b),
+                                     (mul, lambda a, b: a * b)])
+def test_binary_rules_contain_corners(rule, op):
+    rng = random.Random(f"ball-{rule.__name__}")
+    for _ in range(DRAWS):
+        x, y = _ball(rng), _ball(rng)
+        got = rule(x, y)
+        exact = [op(a, b) for a in _corners(x) for b in _corners(y)]
+        assert _contains(got, exact), (x.value, x.error_bound,
+                                       y.value, y.error_bound)
+
+
+def test_div_contains_corners():
+    rng = random.Random("ball-div")
+    for _ in range(DRAWS):
+        x, y = _ball(rng), _ball(rng)
+        if y.value == 0.0:
+            continue
+        # keep the divisor ball away from 0
+        y = Ball(y.value, min(y.error_bound, abs(y.value) / 2.0))
+        exact = [a / b for a in _corners(x) for b in _corners(y)]
+        if max(map(abs, exact)) > 2 ** 1000:
+            continue  # the quotient overflows float64
+        got = div(x, y)
+        assert math.isfinite(got.error_bound)
+        assert _contains(got, exact), (x.value, x.error_bound,
+                                       y.value, y.error_bound)
+
+
+def test_div_by_ball_containing_zero_is_unbounded():
+    assert div(Ball(1.0, 0.0), Ball(1e-3, 1e-3)).error_bound == math.inf
+    with pytest.raises(ZeroDivisionError):
+        div(Ball(1.0, 0.0), Ball(0.0, 0.0))
+
+
+def test_scale_and_neg_contain_corners():
+    rng = random.Random("ball-scale")
+    for _ in range(DRAWS):
+        x = _ball(rng)
+        c = _midpoint(rng)
+        for got, exact in ((scale(x, c), [Fraction(c) * a
+                                          for a in _corners(x)]),
+                           (neg(x), [-a for a in _corners(x)])):
+            assert _contains(got, exact), (x.value, x.error_bound, c)
+
+
+def test_fsum_contains_corners():
+    rng = random.Random("ball-fsum")
+    for _ in range(DRAWS // 3):
+        balls = [_ball(rng) for _ in range(rng.randint(1, 6))]
+        got = fsum(balls)
+        # a sum takes its extremes with every operand at the same end
+        exact = [sum(c[k] for c in map(_corners, balls)) for k in (0, 1)]
+        assert _contains(got, exact), [(b.value, b.error_bound)
+                                       for b in balls]
+
+
+def test_theta_values_are_operands():
+    t = eval_theta(THETA3, 1.0)
+    p = mul(t, t)
+    assert p.value == t.value * t.value
+    assert p.error_bound >= 2.0 * t.value * t.error_bound

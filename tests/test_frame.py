@@ -1,6 +1,7 @@
 """Closed-form frame bound tests against frozen references."""
 
 import math
+import random
 
 import pytest
 
@@ -89,6 +90,35 @@ class TestStructure:
         via_dispatch = frame_bounds(lattice_params(3, 0.7))
         direct = frame_bounds_odd(3, 0.7)
         assert via_dispatch == direct
+
+
+def test_containment_against_reference():
+    """lower/upper +- error_bound contain the closed forms at 50 digits.
+
+    Seeded n in 1..8 with beta log-uniform over the span where both theta
+    arguments lie in [1e-6, 1e6]. The reference uses the arguments a, b
+    as the library rounds them, since the bound certifies the evaluation
+    at those arguments.
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(20170301)
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        lo = max(math.sqrt(2e-6) / n, math.sqrt(0.5e-6)) * (1 + 1e-12)
+        hi = min(math.sqrt(2e6) / n, math.sqrt(0.5e6)) * (1 - 1e-12)
+        beta = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        fb = frame_bounds(lattice_params(n, beta))
+        a = 0.5 * (n * beta) * (n * beta)
+        b = 0.5 / (beta * beta)
+        with mp.workdps(50):
+            def theta(kind):
+                return (ref.theta_reference(kind, a, 0)
+                        * ref.theta_reference(kind, b, 0))
+            odd = 2 * theta("theta_odd") if n % 2 else 0
+            lower, upper = theta("theta4") - odd, theta("theta3") - odd
+            for got, true in ((fb.lower, n * lower), (fb.upper, n * upper)):
+                assert abs(mp.mpf(got) - true) <= mp.mpf(fb.error_bound), \
+                    (n, beta, fb, true)
 
 
 class TestLatticeParams:

@@ -266,6 +266,16 @@ class TestTripleProduct:
         tv = theta4_triple_product(1.0)
         assert abs(tv.value - ref.THETA4_AT_1) <= tv.error_bound
 
+    @pytest.mark.parametrize("s", [1e-3, 1.05e-3, 1.1e-3, 1.2e-3, 1e-2])
+    def test_contains_reference_below_normal_range(self, s):
+        # theta4 drops below 2^-1022 near s = 1.1e-3, where rounding in
+        # the product turns absolute
+        mp = pytest.importorskip("mpmath")
+        tv = theta4_triple_product(s)
+        true = ref.theta_reference("theta4", s, 0)
+        with mp.workdps(50):
+            assert abs(mp.mpf(tv.value) - true) <= mp.mpf(tv.error_bound), tv
+
 
 class TestResiduals:
     def test_jacobi(self):
