@@ -23,7 +23,6 @@ from .errors import ConvergenceError, DomainError
 from .frame import FrameBounds, LatticeParams
 from .theta import FAMILIES, ThetaFamily
 
-_EPS = math.ulp(1.0)
 _TAIL_TARGET = 1e-13
 
 

@@ -96,8 +96,12 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     on the boundary of the range, since no interior bracket exists);
     golden-section then shrinks the bracket to the requested resolution.
     The range must contain 1/sqrt(n), where both optima provably lie.
+    n = 1 is rejected: there A vanishes identically (critical density), so
+    it has no maximum to locate.
     """
     _check_lattice(n)
+    if n == 1:
+        raise DomainError("n=1 has A = 0 at every beta: no maximum")
     lo, hi = float(beta_range[0]), float(beta_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
         raise DomainError(f"invalid beta range ({lo!r}, {hi!r})")

@@ -36,6 +36,7 @@ shifted indices k + z, certified like the other series.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -95,7 +96,6 @@ def general_family(z: float) -> ThetaFamily:
 # theta_general maps to the constructor taking z
 FAMILIES = {"theta3": THETA3, "theta4": THETA4, "theta_odd": THETA_ODD,
             "theta_general": general_family}
-FAMILY_KINDS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,13 @@ class ThetaValue:
     method: EvalMethod
 
 
+_ORDERS = {int(m): m for m in DerivativeOrder}
+
+
 def _coerce_order(order) -> DerivativeOrder:
     try:
-        return DerivativeOrder(order)
-    except ValueError as exc:
+        return _ORDERS[order]
+    except (KeyError, TypeError) as exc:
         raise DomainError(
             f"derivative order must be 0, 1 or 2, got {order!r}") from exc
 
@@ -308,7 +311,9 @@ def eval_theta(family: ThetaFamily, s: float,
 
 def eval_theta_general(z: float, s: float,
                        tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Theta(z, is) = 1 + 2 sum_{k>=1} e^{-pi k^2 s} cos(2 pi k z)."""
+    """Deprecated: Theta(z, is) as eval_theta(general_family(z), s)."""
+    warnings.warn("eval_theta_general is deprecated; use eval_theta("
+                  "general_family(z), s)", DeprecationWarning, stacklevel=2)
     return eval_theta(general_family(z), s, DerivativeOrder.VALUE, tol)
 
 
@@ -345,20 +350,28 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
 
 def log_deriv_ratio(family: ThetaFamily, s: float,
                     tol: float = DEFAULT_TOL) -> float:
-    """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd}."""
+    """Deprecated: g(s) as log_deriv_ratio_bounds(family, s)[0]."""
+    warnings.warn("log_deriv_ratio is deprecated; use log_deriv_ratio_"
+                  "bounds(family, s)[0]", DeprecationWarning, stacklevel=2)
     return log_deriv_ratio_bounds(family, s, tol)[0]
 
 
 def log_deriv_ratio_bounds(family: ThetaFamily, s: float,
                            tol: float = DEFAULT_TOL, *,
                            force_direct: bool = False) -> tuple[float, float]:
-    """Like log_deriv_ratio but returns (value, propagated error bound)."""
+    """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd}, with
+    its propagated error bound. DomainError where f underflows: theta_odd
+    above s ~ 236.8, theta4 below s ~ 1.055e-3."""
     if not isinstance(FAMILIES.get(family.kind), ThetaFamily):
         raise DomainError(
-            "log_deriv_ratio needs theta3, theta4 or theta_odd")
+            "log_deriv_ratio_bounds needs theta3, theta4 or theta_odd")
     s = float(s)
     f = eval_theta(family, s, DerivativeOrder.VALUE, tol,
                    force_direct=force_direct)
+    if not f.value - f.error_bound > 0.0:
+        raise DomainError(f"{family.kind}({s!r}) = {f.value!r} +/- "
+                          f"{f.error_bound!r} underflows, so s f'/f is "
+                          "undefined")
     d = eval_theta(family, s, DerivativeOrder.FIRST, tol,
                    force_direct=force_direct)
     g = ball.div(ball.scale(d, s), f)

@@ -18,8 +18,7 @@ Both identities follow from differentiating the theta3 reflection formula;
 their own correctness is covered by the identity-residual checks.
 
 Margins and their errors are balls propagated with the rules of ball.py,
-the one place where rounding is accounted for. Only the exp-sum check
-keeps its own per-term rounding model.
+the one place where rounding is accounted for.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .theta import (FAMILIES, THETA3, THETA4, THETA_ODD, DerivativeOrder,
                     ThetaFamily, eval_theta, log_deriv_ratio_bounds)
 
 _EPS = math.ulp(1.0)
-_TINY = 5e-324
 
 EQUALITY_TOL = 1e-13
 SYMMETRY_TOL = 1e-12
@@ -205,23 +203,19 @@ def _pair_values(family, r, pts, tol):
             for s in pts]
 
 
-def _argpick(pick, vals):
-    return pick(range(len(vals)), key=lambda i: vals[i].value)
-
-
 def check_product_inequality(family: ThetaFamily, r_values, s_grid: GridSpec,
                              tol: float = 1e-12) -> CheckResult:
     """f(rs) f(r/s) versus f(r)^2 on a grid symmetric about s = 1.
 
     theta3 products dip to their minimum exactly at s = 1; theta4 products
     peak there. Asserts strict margins off-center, two-sided equality at
-    the center to 1e-13, the grid extremum landing on the center, and the
-    s <-> 1/s symmetry of the product to 1e-12.
+    the center to 1e-13, and the s <-> 1/s symmetry of the product to
+    1e-12.
     """
     if family.kind not in ("theta3", "theta4"):
         raise DomainError("product inequality check needs theta3 or theta4")
-    minimum = family.kind == "theta3"
-    name = ("theta3-product-minimum" if minimum else "theta4-product-maximum")
+    maximum = family.kind == "theta4"
+    name = "theta4-product-maximum" if maximum else "theta3-product-minimum"
     pts = s_grid.points()
     center = _center_index(pts)
     track = _Tracker()
@@ -231,15 +225,7 @@ def check_product_inequality(family: ThetaFamily, r_values, s_grid: GridSpec,
         vals = _pair_values(family, r, pts, tol)
         track.add(_exact(EQUALITY_TOL - abs(vals[center].value - rhs.value)),
                   (r, pts[center]))
-        for i, s in enumerate(pts):
-            if i == center:
-                continue
-            margin = sub(vals[i], rhs) if minimum else sub(rhs, vals[i])
-            track.add(margin, (r, s))
-        idx = _argpick(min if minimum else max, vals)
-        if idx != center:
-            track.add(_exact(-abs(vals[center].value - vals[idx].value)),
-                      (r, pts[idx]))
+        _extremum_at_center(track, vals, pts, center, r, maximum, rhs)
         for i in range(len(pts) // 2):
             j = len(pts) - 1 - i
             track.add(_exact(SYMMETRY_TOL - abs(vals[i].value
@@ -248,27 +234,34 @@ def check_product_inequality(family: ThetaFamily, r_values, s_grid: GridSpec,
     return track.result(name, len(r_values) * len(pts))
 
 
-def _extremum_at_center(track, vals, pts, center, r, maximum):
-    """Assert the grid extremum sits at the center, with real gaps."""
-    idx = _argpick(max if maximum else min, vals)
-    if idx != center:
-        track.add(_exact(-abs(vals[center].value - vals[idx].value)),
-                  (r, pts[idx]))
-        return
+def _extremum_at_center(track, vals, pts, center, r, maximum, ref=None):
+    """Assert every off-center value lies strictly beyond ref, which
+    defaults to the center value: the grid extremum sits at the center."""
+    ref = vals[center] if ref is None else ref
     for i in range(len(pts)):
-        if i == center:
-            continue
-        gap = (sub(vals[center], vals[i]) if maximum
-               else sub(vals[i], vals[center]))
-        track.add(gap, (r, pts[i]))
+        if i != center:
+            gap = sub(ref, vals[i]) if maximum else sub(vals[i], ref)
+            track.add(gap, (r, pts[i]))
 
 
-def _odd_combination(family, r, pts, tol):
-    """f(rs) f(r/s) - 2 theta_odd(rs) theta_odd(r/s) and the theta_odd part."""
-    odd = _pair_values(THETA_ODD, r, pts, tol)
-    comb = [sub(a, scale(b, 2.0))
-            for a, b in zip(_pair_values(family, r, pts, tol), odd)]
-    return comb, odd
+def _check_odd_combination(family, r_values, s_grid, tol):
+    """f(rs) f(r/s) - 2 theta_odd(rs) theta_odd(r/s) peaks at s = 1 for
+    f = theta4 and dips there for f = theta3, where theta_odd(rs)
+    theta_odd(r/s) alone must also peak."""
+    maximum = family.kind == "theta4"
+    pts = s_grid.points()
+    center = _center_index(pts)
+    track = _Tracker()
+    for r in r_values:
+        odd = _pair_values(THETA_ODD, r, pts, tol)
+        comb = [sub(a, scale(b, 2.0))
+                for a, b in zip(_pair_values(family, r, pts, tol), odd)]
+        _extremum_at_center(track, comb, pts, center, r, maximum)
+        if not maximum:
+            _extremum_at_center(track, odd, pts, center, r, maximum=True)
+    name = ("odd-combination-maximum" if maximum
+            else "odd-combination-minimum")
+    return track.result(name, len(r_values) * len(pts))
 
 
 def check_odd_upper(r_values, s_grid: GridSpec,
@@ -278,14 +271,7 @@ def check_odd_upper(r_values, s_grid: GridSpec,
     Also asserts the theta_odd product alone peaks at s = 1 (the component
     fact used when combining the bounds).
     """
-    pts = s_grid.points()
-    center = _center_index(pts)
-    track = _Tracker()
-    for r in r_values:
-        comb, odd = _odd_combination(THETA3, r, pts, tol)
-        _extremum_at_center(track, comb, pts, center, r, maximum=False)
-        _extremum_at_center(track, odd, pts, center, r, maximum=True)
-    return track.result("odd-combination-minimum", len(r_values) * len(pts))
+    return _check_odd_combination(THETA3, r_values, s_grid, tol)
 
 
 def check_odd_lower(r_values, s_grid: GridSpec,
@@ -298,13 +284,7 @@ def check_odd_lower(r_values, s_grid: GridSpec,
         if r < 1.0:
             raise DomainError(f"r={r!r} must be >= 1 for the lower-bound "
                               "combination")
-    pts = s_grid.points()
-    center = _center_index(pts)
-    track = _Tracker()
-    for r in r_values:
-        comb, _ = _odd_combination(THETA4, r, pts, tol)
-        _extremum_at_center(track, comb, pts, center, r, maximum=True)
-    return track.result("odd-combination-maximum", len(r_values) * len(pts))
+    return _check_odd_combination(THETA4, r_values, s_grid, tol)
 
 
 def check_lemma_odd_ratio(s_grid: GridSpec,
@@ -338,9 +318,10 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec,
                                tol: float = 1e-12) -> CheckResult:
     """Log-convexity of a finite sum f(s) = sum a_k e^{-b_k s}.
 
-    Checks f''(s) f(s) - f'(s)^2 >= -eps_prop at every grid point, where
-    eps_prop is the propagated rounding bound (the quantity vanishes
-    identically for a single term, so exact zero must not fail).
+    Checks f''(s) f(s) - f'(s)^2 >= 0 at every grid point: only a ball
+    that lies wholly below zero fails, since the quantity vanishes
+    identically for a single term and exact zero must not fail. Each
+    term's exp rounding is charged to the radii of f, f' and f''.
     """
     coeffs = [(float(a), float(b)) for a, b in coefficients]
     if not coeffs:
@@ -365,21 +346,11 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec,
             ef += a * e * pen
             ed += a * b * e * pen
             ew += a * b * b * e * pen
-        f = math.fsum(f_terms)
-        d = math.fsum(d_terms)
-        w = math.fsum(w_terms)
-        ef += _EPS * abs(f)
-        ed += _EPS * abs(d)
-        ew += _EPS * abs(w)
-        resid = math.fsum((w * f, -(d * d)))
-        # _EPS*f*f floors the band at one ulp of the natural scale so the
-        # identically-zero single-term residual passes; _TINY keeps the
-        # boundary case resid == -eps_prop on the passing side.
-        eps_prop = (abs(w) * ef + abs(f) * ew + ew * ef
-                    + 2.0 * abs(d) * ed + ed * ed
-                    + _EPS * (abs(w * f) + d * d) + _EPS * abs(resid)
-                    + _EPS * f * f + _TINY)
-        track.add(_exact(resid + eps_prop), s)
+        f, d, w = (Ball(v, err + _EPS * abs(v)) for v, err in (
+            (math.fsum(f_terms), ef), (math.fsum(d_terms), ed),
+            (math.fsum(w_terms), ew)))
+        resid = sub(mul(w, f), mul(d, d))
+        track.add(_exact(resid.value + resid.error_bound), s)
     return track.result("exp-sum-log-convexity", len(pts))
 
 

@@ -1,0 +1,52 @@
+"""Smoke test of the benchmark harness against the library in src/.
+
+Runs bench/run.py for one second per workload and checks the shape of its
+result line, never its timings. The traced runs go through bench/tracing.py,
+which wraps the library's public functions by name, so a rename or a
+removed entry point fails here rather than only in a benchmark run.
+"""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "bench" / "run.py"
+
+
+def _result(workload, trace):
+    if not RUN.exists():
+        pytest.skip("bench/ is not part of this checkout")
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "7",
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc["correct"] is True
+    assert doc["failed"] == 0
+    assert doc["attempted"] >= 1
+    return doc["metrics"]
+
+
+def _assert_metrics(metrics, key):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for m in spec[key]:
+        got = metrics[m["name"]]
+        assert got["unit"] == m["unit"], m["name"]
+        assert math.isfinite(got["value"]), m["name"]
+
+
+@pytest.mark.parametrize("workload", ["verify", "lattice", "pointwise"])
+def test_traced_run(workload):
+    # a traced run reports the per-layer metrics
+    _assert_metrics(_result(workload, 1), "per_layer")
+
+
+def test_untraced_run():
+    # an untraced run reports the end-to-end metrics
+    _assert_metrics(_result("pointwise", 0), "end_to_end")

@@ -8,7 +8,7 @@ import pytest
 import reference_values as ref
 from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
                         DomainError, ExtremaReport, ThetaFamily, auto_k_max,
-                        eval_theta, eval_theta_general, frame_bounds,
+                        eval_theta, frame_bounds,
                         frame_bounds_via_F, general_family, grid_extrema_F,
                         janssen_F, lattice_params, naive_theta)
 
@@ -41,7 +41,7 @@ class TestNaiveTheta:
     def test_general(self):
         fam = general_family(0.25)
         got = naive_theta(fam, 1.0, 30)
-        want = eval_theta_general(0.25, 1.0)
+        want = eval_theta(general_family(0.25), 1.0)
         assert abs(got - want.value) <= want.error_bound + 1e-14
 
     def test_domain(self):
@@ -96,8 +96,8 @@ class TestJanssenF:
                 x = rng.random()
                 w = rng.random()
                 lhs = janssen_F(x, w, params)
-                rhs = n * eval_theta_general(w, sa).value * \
-                    eval_theta_general(x, sb).value
+                rhs = n * eval_theta(general_family(w), sa).value * \
+                    eval_theta(general_family(x), sb).value
                 assert lhs == pytest.approx(rhs, abs=1e-12, rel=1e-12)
 
     def test_odd_phase_real(self):

@@ -67,6 +67,13 @@ class TestFindOptimalBeta:
         with pytest.raises(DomainError):
             find_optimal_beta(n, (0.3, 1.5), 1e-6)
 
+    @pytest.mark.parametrize("rng", [(0.3, 1.5), (0.6, 1.9)])
+    def test_n1_has_no_a_maximum(self, rng):
+        # A vanishes identically at n = 1; the scan used to report a
+        # "maximum" of rounding noise
+        with pytest.raises(DomainError, match="n=1"):
+            find_optimal_beta(1, rng, 1e-6)
+
 
 class TestSweepBeta:
     def test_grid_order_and_extrema(self):

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,7 +45,7 @@ class TestFrozenValues:
         assert agrees(eval_theta(THETA_ODD, 1.5), ref.THETA_ODD_AT_3_2)
 
     def test_general(self):
-        assert agrees(eval_theta_general(0.25, 1.0),
+        assert agrees(eval_theta(general_family(0.25), 1.0),
                       ref.GENERAL_QUARTER_AT_1)
 
     def test_first_derivatives(self):
@@ -59,7 +60,7 @@ class TestFrozenValues:
         # the reflection identity forces g3(1) = -1/4 exactly
         g, err = log_deriv_ratio_bounds(THETA3, 1.0)
         assert abs(g + 0.25) <= err + 4 * ULP
-        g_odd = log_deriv_ratio(THETA_ODD, 1.0)
+        g_odd = log_deriv_ratio_bounds(THETA_ODD, 1.0)[0]
         assert abs(g_odd - ref.G_ODD_AT_1) < 1e-12
 
 
@@ -111,7 +112,7 @@ def test_general_containment():
         z = rng.uniform(-2.0, 2.0)
         s = math.exp(rng.uniform(math.log(0.01), math.log(20.0)))
         mp.mp.dps = 60 + int(0.45 / s)
-        tv = eval_theta_general(z, s)
+        tv = eval_theta(general_family(z), s)
         true = float(mp.jtheta(3, mp.pi * mp.mpf(z), mp.exp(-mp.pi * mp.mpf(s))))
         assert abs(tv.value - true) <= tv.error_bound + 2 * math.ulp(abs(true))
     mp.mp.dps = 50
@@ -167,7 +168,8 @@ class TestMethodSelection:
     def test_general_is_direct(self):
         # Theta(z, is) runs the direct series from the cutoff up, and
         # below it whenever the transform is switched off
-        assert eval_theta_general(0.3, 0.25).method is EvalMethod.DIRECT
+        tv = eval_theta(general_family(0.3), 0.25)
+        assert tv.method is EvalMethod.DIRECT
         for order in (0, 1, 2):
             tv = eval_theta(general_family(0.3), 0.05, order,
                             force_direct=True)
@@ -198,17 +200,17 @@ class TestSeriesStructure:
     def test_general_specializes(self):
         for s in GridSpec(0.01, 50.0, 20, "log").points():
             t3 = eval_theta(THETA3, s, force_direct=True)
-            g0 = eval_theta_general(0.0, s)
+            g0 = eval_theta(general_family(0.0), s)
             assert abs(t3.value - g0.value) <= t3.error_bound + g0.error_bound
             t4 = eval_theta(THETA4, s, force_direct=True)
-            gh = eval_theta_general(0.5, s)
+            gh = eval_theta(general_family(0.5), s)
             assert abs(t4.value - gh.value) <= t4.error_bound + gh.error_bound
 
     def test_general_z_periodic(self):
         # dyadic z so the mod-1 reduction is exact in binary
-        a = eval_theta_general(0.25, 0.7)
-        b = eval_theta_general(1.25, 0.7)
-        c = eval_theta_general(-1.75, 0.7)
+        a = eval_theta(general_family(0.25), 0.7)
+        b = eval_theta(general_family(1.25), 0.7)
+        c = eval_theta(general_family(-1.75), 0.7)
         assert a.value == b.value == c.value
         assert general_family(1.25).z == 0.25
 
@@ -314,6 +316,17 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             eval_theta(THETA3, 1.0, -1)
 
+    @pytest.mark.parametrize("order", [1.5, "1", None, [1]])
+    def test_bad_order_type(self, order):
+        with pytest.raises(DomainError):
+            eval_theta(THETA3, 1.0, order)
+
+    @pytest.mark.parametrize("order,want", [
+        (True, 1), (np.int64(2), 2), (DerivativeOrder.VALUE, 0),
+        (DerivativeOrder.FIRST, 1), (DerivativeOrder.SECOND, 2)])
+    def test_int_like_orders(self, order, want):
+        assert eval_theta(THETA3, 1.0, order) == eval_theta(THETA3, 1.0, want)
+
     def test_bad_family(self):
         with pytest.raises(DomainError):
             eval_theta(ThetaFamily("theta5"), 1.0)
@@ -328,7 +341,39 @@ class TestDomainValidation:
 
     def test_log_ratio_rejects_general(self):
         with pytest.raises(DomainError):
-            log_deriv_ratio(general_family(0.3), 1.0)
+            log_deriv_ratio_bounds(general_family(0.3), 1.0)[0]
+
+    @pytest.mark.parametrize("family,s", [(THETA4, 1e-3), (THETA4, 1e-6),
+                                          (THETA_ODD, 300.0),
+                                          (THETA_ODD, 1e6)])
+    def test_log_ratio_rejects_underflowed_theta(self, family, s):
+        # theta4 and theta_odd underflow to 0 here; the ratio used to be a
+        # bare ZeroDivisionError
+        with pytest.raises(DomainError, match=family.kind):
+            log_deriv_ratio_bounds(family, s)
+
+    @pytest.mark.parametrize("family,s,want", [
+        (THETA4, 1.1e-3, math.pi / (4.0 * 1.1e-3) - 0.5),
+        (THETA_ODD, 236.0, -math.pi * 236.0)])
+    def test_log_ratio_near_underflow(self, family, s, want):
+        # leading terms of g; the rest is below e^{-2 pi / s} resp.
+        # e^{-8 pi s} relative. theta_odd(236) is subnormal, so its ball
+        # is wide but still finite and containing
+        g, err = log_deriv_ratio_bounds(family, s)
+        assert math.isfinite(err)
+        assert abs(g - want) <= err + 1e-12 * abs(want)
+
+
+class TestDeprecatedWrappers:
+    def test_eval_theta_general(self):
+        with pytest.warns(DeprecationWarning, match="general_family"):
+            tv = eval_theta_general(0.3, 0.7)
+        assert tv == eval_theta(general_family(0.3), 0.7)
+
+    def test_log_deriv_ratio(self):
+        with pytest.warns(DeprecationWarning, match="log_deriv_ratio_bounds"):
+            g = log_deriv_ratio(THETA4, 0.7)
+        assert g == log_deriv_ratio_bounds(THETA4, 0.7)[0]
 
 
 @settings(max_examples=60, deadline=None)

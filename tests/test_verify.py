@@ -1,17 +1,19 @@
 """Inequality check suite tests: full runs, filtering, edge inputs."""
 
+import functools
 import math
 
 import pytest
 
 from thetaframe import (THETA3, THETA4, THETA_ODD, CheckResult, DomainError,
-                        GridSpec, SUITE_NAMES, VerifyConfig, all_passed,
+                        GridSpec, SUITE_NAMES, ThetaValue, VerifyConfig,
+                        all_passed,
                         check_lemma_odd_ratio, check_logconvexity_general,
                         check_monotone_log_ratio, check_odd_lower,
                         check_odd_upper, check_product_inequality,
                         check_refined_inequalities,
                         check_theta4_ratio_conjecture, log_deriv_ratio_bounds,
-                        run_all)
+                        run_all, verify)
 
 
 class TestRunAll:
@@ -134,6 +136,45 @@ class TestOddCombinations:
         # the upper-bound side needs r >= 1
         with pytest.raises(DomainError):
             check_odd_lower((0.5,), GridSpec(0.5, 2.0, 21, "log"))
+
+
+def _scale_first_call(monkeypatch, family, s, factor):
+    """Scale the first eval_theta(family, s) that verify makes by factor."""
+    real = verify.eval_theta
+    pending = [True]
+
+    def fake(fam, arg, *args, **kwargs):
+        tv = real(fam, arg, *args, **kwargs)
+        if pending[0] and fam == family and arg == s:
+            pending[0] = False
+            return ThetaValue(factor * tv.value, factor * tv.error_bound,
+                              tv.terms_used, tv.method)
+        return tv
+
+    monkeypatch.setattr(verify, "eval_theta", fake)
+
+
+class TestNegativeControls:
+    """One pair value pushed past the center value must fail there."""
+
+    GRID = GridSpec(1 / 3, 3.0, 21, "log")
+
+    @pytest.mark.parametrize("check,family,factor,r", [
+        (functools.partial(check_product_inequality, THETA3), THETA3, 0.5,
+         2.0),
+        (functools.partial(check_product_inequality, THETA4), THETA4, 1.5,
+         2.0),
+        (check_odd_upper, THETA_ODD, 3.0, 1.0),
+        (check_odd_lower, THETA4, 1.5, 1.0),
+    ], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
+    def test_perturbed_pair_fails_at_its_point(self, monkeypatch, check,
+                                               family, factor, r):
+        pts = self.GRID.points()
+        s_k = pts[len(pts) // 2 - 1]  # next to the center s = 1
+        _scale_first_call(monkeypatch, family, r * s_k, factor)
+        res = check((r,), self.GRID)
+        assert res.passed is False
+        assert res.worst_location == (r, s_k)
 
 
 class TestLemmaOddRatio:
