@@ -4,6 +4,8 @@ Subcommands: eval (theta values), bounds (closed-form frame bounds),
 sweep (beta tabulation to CSV/SVG), verify (inequality suites), oracle
 (brute-force cross-check of the closed forms). Exit codes: 0 success,
 1 computation/domain error, 2 usage error, 3 verification failure.
+A --format json document is the command's arguments plus the fields of
+the library's result record, with null for non-finite numbers.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
+from enum import Enum
 
 from .errors import ConvergenceError, DomainError, RangeError
 from .frame import frame_bounds, lattice_params
 from .grids import GridSpec
 from .oracle import grid_extrema_F
 from .sweep import emit_csv, emit_plot, sweep_beta
-from .theta import FAMILIES, DerivativeOrder, ThetaValue, eval_theta
+from .theta import FAMILIES, eval_theta
 from .verify import SUITE_NAMES, VerifyConfig, all_passed, run_all
 
 
@@ -71,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol(p)
 
     p = sub.add_parser("verify", help="run numerical verification suites")
-    p.add_argument("--suite", default="all",
+    p.add_argument("--suite", choices=("all", *SUITE_NAMES), default="all",
                    help="suite name or 'all' (default)")
     _add_format(p)
 
@@ -108,40 +112,39 @@ def parse_args(argv) -> argparse.Namespace:
             parser.error("--grid must be >= 8")
         if args.kmax is not None and args.kmax < 1:
             parser.error("--kmax must be >= 1")
-    if args.subcommand == "verify":
-        if args.suite != "all" and args.suite not in SUITE_NAMES:
-            parser.error(f"--suite must be 'all' or one of "
-                         f"{', '.join(SUITE_NAMES)}")
     return args
 
 
-def _num(x):
-    # JSON has no notion of inf/nan
-    return x if isinstance(x, (int, float)) and math.isfinite(x) else None
+def _json_ready(x):
+    """JSON has no inf/nan, tuple or enum: those become null, list, value."""
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, (list, tuple)):
+        return [_json_ready(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _json_ready(v) for k, v in x.items()}
+    return x
 
 
 def _emit(obj):
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(_json_ready(obj), sort_keys=True))
 
 
 def _fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _print_theta(tv: ThetaValue, args) -> int:
+def _cmd_eval(args) -> int:
+    family = FAMILIES[args.family]
+    if callable(family):  # theta_general is built from --z
+        family = family(args.z)
+    tv = eval_theta(family, args.s, args.order, args.tol)
     if args.format == "json":
-        _emit({
-            "command": "eval",
-            "family": args.family,
-            "z": args.z,
-            "s": args.s,
-            "order": args.order,
-            "tol": args.tol,
-            "value": tv.value,
-            "error_bound": tv.error_bound,
-            "terms_used": tv.terms_used,
-            "method": str(tv.method.value),
-        })
+        _emit({"command": "eval", "family": args.family, "z": args.z,
+               "s": args.s, "order": args.order, "tol": args.tol,
+               **asdict(tv)})
     else:
         print(f"value = {_fmt12(tv.value)} [error bound "
               f"{tv.error_bound:.3e}]")
@@ -149,28 +152,11 @@ def _print_theta(tv: ThetaValue, args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    family = FAMILIES[args.family]
-    if callable(family):  # theta_general is built from --z
-        family = family(args.z)
-    tv = eval_theta(family, args.s, DerivativeOrder(args.order), args.tol)
-    return _print_theta(tv, args)
-
-
 def _cmd_bounds(args) -> int:
     fb = frame_bounds(lattice_params(args.n, args.beta), args.tol)
     if args.format == "json":
-        _emit({
-            "command": "bounds",
-            "n": args.n,
-            "beta": args.beta,
-            "tol": args.tol,
-            "lower": fb.lower,
-            "upper": fb.upper,
-            "ratio": _num(fb.ratio),
-            "error_bound": fb.error_bound,
-            "valid": fb.valid,
-        })
+        _emit({"command": "bounds", "n": args.n, "beta": args.beta,
+               "tol": args.tol, **asdict(fb)})
     else:
         print(f"lower = {_fmt12(fb.lower)} [error bound "
               f"{fb.error_bound:.3e}]")
@@ -195,14 +181,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _loc_json(loc):
-    if loc is None:
-        return None
-    if isinstance(loc, tuple):
-        return [_num(v) for v in loc]
-    return _num(loc)
-
-
 def _cmd_verify(args) -> int:
     if args.suite == "all":
         config = VerifyConfig()
@@ -211,19 +189,8 @@ def _cmd_verify(args) -> int:
     results = run_all(config)
     ok = all_passed(results)
     if args.format == "json":
-        _emit({
-            "command": "verify",
-            "all_passed": ok,
-            "suites": [{
-                "name": r.name,
-                "passed": r.passed,
-                "worst_residual": _num(r.worst_residual),
-                "worst_location": _loc_json(r.worst_location),
-                "points_tested": r.points_tested,
-                "low_margin": r.low_margin,
-                "informational": r.informational,
-            } for r in results],
-        })
+        _emit({"command": "verify", "all_passed": ok,
+               "suites": [asdict(r) for r in results]})
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
@@ -256,8 +223,8 @@ def _cmd_oracle(args) -> int:
             "closed_upper": fb.upper,
             "grid_min": rep.min_value,
             "grid_max": rep.max_value,
-            "argmin": [rep.argmin[0], rep.argmin[1]],
-            "argmax": [rep.argmax[0], rep.argmax[1]],
+            "argmin": rep.argmin,
+            "argmax": rep.argmax,
             "diff_lower": diff_lower,
             "diff_upper": diff_upper,
         })

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -15,7 +16,7 @@ class GridSpec:
     Parameters
     ----------
     min, max : float
-        Endpoints, included in the grid. Must satisfy ``0 < min < max``
+        Finite endpoints, included in the grid. Must satisfy ``0 < min < max``
         for log scale and ``min < max`` otherwise.
     steps : int
         Number of points, at least 2.
@@ -31,8 +32,15 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.scale not in ("linear", "log"):
             raise DomainError(f"unknown grid scale {self.scale!r}")
-        if self.steps < 2:
+        try:
+            steps = operator.index(self.steps)
+        except TypeError:
+            raise DomainError(
+                f"grid steps must be an integer, got {self.steps!r}") from None
+        if steps < 2:
             raise DomainError("grid needs at least 2 points")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise DomainError("grid endpoints must be finite")
         if not (self.min < self.max):
             raise DomainError("grid endpoints must satisfy min < max")
         if self.scale == "log" and self.min <= 0.0:

@@ -115,31 +115,24 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
                           f"got {resolution!r}")
     resolution = float(resolution)
 
-    step = (hi - lo) / (SCAN_POINTS - 1)
-    betas = [lo + i * step for i in range(SCAN_POINTS)]
-    betas[-1] = hi
-    bounds = [frame_bounds(lattice_params(n, b)) for b in betas]
-    a_vals = [fb.lower for fb in bounds]
-    b_vals = [fb.upper for fb in bounds]
-
+    rows = sweep_beta(n, GridSpec(lo, hi, SCAN_POINTS))
     # max/min over range() keep the first (smallest-beta) index on ties
-    i_a = max(range(SCAN_POINTS), key=a_vals.__getitem__)
-    i_b = min(range(SCAN_POINTS), key=b_vals.__getitem__)
+    i_a = max(range(SCAN_POINTS), key=lambda i: rows[i].lower)
+    i_b = min(range(SCAN_POINTS), key=lambda i: rows[i].upper)
     for which, idx in (("A maximum", i_a), ("B minimum", i_b)):
         if idx == 0 or idx == SCAN_POINTS - 1:
             raise RangeError(f"{which} lies on the search boundary "
-                             f"(beta = {betas[idx]}); widen the range")
+                             f"(beta = {rows[idx].beta}); widen the range")
 
-    def eval_a(beta):
-        return frame_bounds(lattice_params(n, beta)).lower
+    def bound(beta):
+        return frame_bounds(lattice_params(n, beta))
 
-    def eval_b(beta):
-        return frame_bounds(lattice_params(n, beta)).upper
-
-    beta_a, max_a, width_a = _golden(eval_a, betas[i_a - 1], betas[i_a + 1],
-                                     resolution, maximize=True)
-    beta_b, min_b, width_b = _golden(eval_b, betas[i_b - 1], betas[i_b + 1],
-                                     resolution, maximize=False)
+    beta_a, max_a, width_a = _golden(
+        lambda beta: bound(beta).lower, rows[i_a - 1].beta,
+        rows[i_a + 1].beta, resolution, maximize=True)
+    beta_b, min_b, width_b = _golden(
+        lambda beta: bound(beta).upper, rows[i_b - 1].beta,
+        rows[i_b + 1].beta, resolution, maximize=False)
     return OptimumReport(n, beta_a, max_a, beta_b, min_b,
                          max(width_a, width_b))
 

@@ -43,10 +43,11 @@ class CheckResult:
     """Outcome of one verification suite.
 
     worst_residual is the smallest margin-minus-error over every assertion
-    the suite makes; the suite passes iff it is positive. worst_location
-    is the grid point (or point pair) achieving it. low_margin flags a
-    pass whose margin sits unusually close to zero; informational suites
-    never gate an aggregate verdict.
+    the suite makes: nan when a margin could not be evaluated, inf when
+    the suite asserted nothing. The suite passes iff it is positive and
+    finite. worst_location is the grid point (or point pair) achieving
+    it. low_margin flags a pass whose margin sits unusually close to
+    zero; informational suites never gate an aggregate verdict.
     """
 
     name: str
@@ -70,7 +71,8 @@ class _Tracker:
         """Record a margin ball; magnitude sets a relative low-margin test."""
         m, err = margin.value, margin.error_bound
         slack = m - err
-        if slack < self.worst:
+        # a nan slack (unevaluable margin) is the worst and stays so
+        if not (slack >= self.worst or math.isnan(self.worst)):
             self.worst = slack
             self.location = location
         if magnitude is not None and magnitude > 0.0 and m / magnitude < 1e-6:
@@ -79,8 +81,8 @@ class _Tracker:
             self.low = True
 
     def result(self, name, points, informational=False):
-        return CheckResult(name, self.worst > 0.0, self.worst, self.location,
-                           points, self.low, informational)
+        return CheckResult(name, 0.0 < self.worst < math.inf, self.worst,
+                           self.location, points, self.low, informational)
 
 
 def _exact(x):
@@ -327,9 +329,9 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec,
     if not coeffs:
         raise DomainError("need at least one coefficient pair")
     for a, b in coeffs:
-        if a < 0.0 or b < 0.0:
-            raise DomainError(f"coefficients must be non-negative, "
-                              f"got ({a!r}, {b!r})")
+        if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+            raise DomainError(f"coefficients must be finite and "
+                              f"non-negative, got ({a!r}, {b!r})")
     if not any(a > 0.0 for a, _ in coeffs):
         raise DomainError("at least one amplitude must be positive")
     pts = s_grid.points()

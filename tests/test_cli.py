@@ -1,13 +1,17 @@
 """CLI tests: argument handling, exit codes, output formats, schema."""
 
 import json
+import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import reference_values as ref
-from thetaframe import CheckResult, cli
+from thetaframe import (CheckResult, VerifyConfig, cli, eval_theta,
+                        frame_bounds, grid_extrema_F, lattice_params, run_all)
+from thetaframe.theta import FAMILIES
 from thetaframe.cli import build_parser, main, parse_args
 
 
@@ -208,6 +212,124 @@ class TestOracle:
                                          "--beta", "0.7"])
         assert code == 0
         assert "diff" in out
+
+
+def _json_doc(capsys, argv):
+    code, out, _ = run_main(capsys, argv + ["--format", "json"])
+    assert code == 0
+    return json.loads(out)
+
+
+class TestJsonEqualsLibrary:
+    """Each JSON document carries the library's numbers exactly."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("s", [0.1, 2.0])
+    def test_eval(self, capsys, validator, family, order, s):
+        argv = ["eval", "--family", family, "--s", repr(s),
+                "--order", str(order)]
+        fam = FAMILIES[family]
+        if family == "theta_general":
+            argv += ["--z", "0.3"]
+            fam = fam(0.3)
+        doc = _json_doc(capsys, argv)
+        validator(doc)
+        tv = eval_theta(fam, s, order)
+        assert doc == {
+            "command": "eval", "family": family,
+            "z": 0.3 if family == "theta_general" else None, "s": s,
+            "order": order, "tol": 1e-12, "value": tv.value,
+            "error_bound": tv.error_bound, "terms_used": tv.terms_used,
+            "method": tv.method.value}
+
+    @pytest.mark.parametrize("n,beta", [(1, 1.0), (2, 2.0 ** -0.5),
+                                        (3, 0.5), (4, 0.3), (2, 1e-3)])
+    def test_bounds(self, capsys, validator, n, beta):
+        doc = _json_doc(capsys, ["bounds", "--n", str(n),
+                                 "--beta", repr(beta)])
+        validator(doc)
+        fb = frame_bounds(lattice_params(n, beta))
+        assert doc == {
+            "command": "bounds", "n": n, "beta": beta, "tol": 1e-12,
+            "lower": fb.lower, "upper": fb.upper,
+            "ratio": fb.ratio if math.isfinite(fb.ratio) else None,
+            "error_bound": fb.error_bound, "valid": fb.valid}
+
+    def test_bounds_underflowed_lower_is_null_ratio(self, capsys):
+        doc = _json_doc(capsys, ["bounds", "--n", "2", "--beta", "1e-3"])
+        assert doc["ratio"] is None
+        assert doc["valid"] is False
+
+    def test_verify_suite(self, capsys, validator):
+        name = "theta3-product-minimum"
+        doc = _json_doc(capsys, ["verify", "--suite", name])
+        validator(doc)
+        (res,) = run_all(VerifyConfig(suites=(name,)))
+        expected = asdict(res)
+        expected["worst_location"] = list(res.worst_location)
+        assert doc == {"command": "verify", "all_passed": True,
+                       "suites": [expected]}
+
+    def test_verify_non_finite_fields_are_null(self, capsys, validator,
+                                               monkeypatch):
+        fake = [CheckResult("x", False, math.nan, (1.0, 2.5), 0),
+                CheckResult("y", False, math.inf, None, 0)]
+        monkeypatch.setattr(cli, "run_all", lambda config: fake)
+        code, out, _ = run_main(capsys, ["verify", "--format", "json"])
+        assert code == 3
+        doc = json.loads(out)
+        validator(doc)
+        assert doc["suites"] == [
+            {"name": "x", "passed": False, "worst_residual": None,
+             "worst_location": [1.0, 2.5], "points_tested": 0,
+             "low_margin": False, "informational": False},
+            {"name": "y", "passed": False, "worst_residual": None,
+             "worst_location": None, "points_tested": 0,
+             "low_margin": False, "informational": False}]
+
+    def test_oracle(self, capsys, validator):
+        params = lattice_params(2, 0.7)
+        doc = _json_doc(capsys, ["oracle", "--n", "2", "--beta", "0.7",
+                                 "--grid", "32"])
+        validator(doc)
+        fb = frame_bounds(params)
+        rep = grid_extrema_F(params, 32)
+        assert doc == {
+            "command": "oracle", "n": 2, "beta": 0.7, "grid_steps": 32,
+            "k_max": rep.truncation_K, "closed_lower": fb.lower,
+            "closed_upper": fb.upper, "grid_min": rep.min_value,
+            "grid_max": rep.max_value, "argmin": list(rep.argmin),
+            "argmax": list(rep.argmax),
+            "diff_lower": abs(fb.lower - rep.min_value),
+            "diff_upper": abs(fb.upper - rep.max_value)}
+
+
+class TestHumanOutput:
+    """The human format, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["eval", "--family", "theta3", "--s", "1.0"],
+         "value = 1.08643481121 [error bound 5.538e-16]\n"
+         "terms = 4  method = direct-series\n"),
+        (["bounds", "--n", "3", "--beta", "0.5"],
+         "lower = 2.81306928791 [error bound 9.732e-14]\n"
+         "upper = 3.18563163027 [error bound 9.732e-14]\n"
+         "ratio = 1.13243980302\n"
+         "valid = true\n"),
+        (["verify", "--suite", "theta3-product-minimum"],
+         "PASS theta3-product-minimum: worst_residual=1e-13 points=1204\n"
+         "all checks passed\n"),
+        (["oracle", "--n", "2", "--beta", "0.7"],
+         "closed form: lower = 1.66876072008  upper = 2.36113753295\n"
+         "grid search: min = 1.66876072007 at (0.5, 0.5)  "
+         "max = 2.36113753295 at (0.0, 0.0)\n"
+         "differences: lower 1.072e-12  upper 1.289e-12  "
+         "(grid 128, k_max 4)\n"),
+    ], ids=["eval", "bounds", "verify", "oracle"])
+    def test_exact_stdout(self, capsys, argv, expected):
+        code, out, err = run_main(capsys, argv)
+        assert (code, out, err) == (0, expected, "")
 
 
 def test_module_entry_point():

@@ -106,6 +106,23 @@ class TestSweepBeta:
             sweep_beta(2, GridSpec(0.4, 1.4, 5, "linear"), tol=0.0)
 
 
+class TestGridSpec:
+    def test_integer_types_accepted(self):
+        np = pytest.importorskip("numpy")
+        assert GridSpec(1.0, 2.0, np.int64(3)).points() == [1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 2.0, 2.5), (1.0, 2.0, 3.0), (1.0, 2.0, "3"), (1.0, 2.0, None),
+        (1.0, 2.0, 1), (1.0, 2.0, True),
+        (0.0, math.inf, 3), (-math.inf, 0.0, 3), (1.0, math.inf, 3, "log"),
+        (math.nan, 1.0, 3), (1.0, 1.0, 3), (0.0, 1.0, 3, "log"),
+        (1.0, 2.0, 3, "cubic"),
+    ])
+    def test_bad_input_rejected(self, args):
+        with pytest.raises(DomainError):
+            GridSpec(*args)
+
+
 class TestSci17:
     def test_frozen_forms(self):
         assert _sci17(1.0) == "1.0000000000000000e0"

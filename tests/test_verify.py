@@ -14,6 +14,7 @@ from thetaframe import (THETA3, THETA4, THETA_ODD, CheckResult, DomainError,
                         check_refined_inequalities,
                         check_theta4_ratio_conjecture, log_deriv_ratio_bounds,
                         run_all, verify)
+from thetaframe.ball import Ball
 
 
 class TestRunAll:
@@ -177,6 +178,36 @@ class TestNegativeControls:
         assert res.worst_location == (r, s_k)
 
 
+class TestUncheckedClaims:
+    """A suite passes only on a positive, finite worst slack."""
+
+    @pytest.mark.parametrize("check", [
+        functools.partial(check_product_inequality, THETA3),
+        functools.partial(check_product_inequality, THETA4),
+        check_odd_upper, check_odd_lower,
+    ], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
+    def test_no_r_values_fails(self, check):
+        res = check((), GridSpec(1 / 3, 3.0, 21, "log"))
+        assert res.points_tested == 0
+        assert res.passed is False
+        assert res.worst_residual == math.inf
+        assert res.worst_location is None
+
+    @pytest.mark.parametrize("slacks,first_nan", [
+        ((math.nan, -5.0, 1.0), 0),
+        ((1.0, -5.0, math.nan), 2),
+        ((2.0, math.nan, math.nan, -5.0), 1),
+    ])
+    def test_nan_slack_is_the_worst(self, slacks, first_nan):
+        track = verify._Tracker()
+        for i, slack in enumerate(slacks):
+            track.add(Ball(slack, 0.0), i)
+        res = track.result("x", len(slacks))
+        assert res.passed is False
+        assert math.isnan(res.worst_residual)
+        assert res.worst_location == first_nan
+
+
 class TestLemmaOddRatio:
     def test_pass(self):
         assert check_lemma_odd_ratio(GridSpec(1e-3, 10.0, 200, "log")).passed
@@ -205,10 +236,23 @@ class TestLogConvexity:
         assert res.worst_residual > 0.0
 
     @pytest.mark.parametrize("coeffs", [(), ((-1.0, 1.0),), ((0.0, 1.0),),
-                                        ((1.0, -2.0),)])
+                                        ((1.0, -2.0),),
+                                        ((math.nan, 1.0), (1.0, 1.0)),
+                                        ((math.inf, 0.0), (1.0, 2.0))])
     def test_bad_coefficients(self, coeffs):
         with pytest.raises(DomainError):
             check_logconvexity_general(coeffs, GridSpec(0.1, 10.0, 10, "log"))
+
+    @pytest.mark.parametrize("coeffs", [((1.0, 1e200), (1.0, 0.0)),
+                                        ((1e300, 1.0), (1e300, 2.0))])
+    def test_overflowing_margin_fails(self, coeffs):
+        # finite coefficients whose f''f - f'^2 overflows to inf*0 or
+        # inf - inf: a margin that cannot be evaluated must not pass
+        grid = GridSpec(0.1, 10.0, 10, "log")
+        res = check_logconvexity_general(coeffs, grid)
+        assert res.passed is False
+        assert math.isnan(res.worst_residual)
+        assert res.worst_location == grid.points()[0]
 
 
 class TestConjecture:
