@@ -11,7 +11,9 @@ Odd  n:  A = n (theta4(a) theta4(b) - 2 theta_odd(a) theta_odd(b)),
 
 Error bounds on the theta factors are propagated through the products and
 differences with the rules of ball.py, the one place where rounding is
-accounted for, so callers can trust inequalities between bounds.
+accounted for, so callers can trust inequalities between bounds. With
+a f'(a) f(b) - b f(a) f'(b) in place of f(a) f(b), the same body gives
+(beta/2) dA/dbeta and (beta/2) dB/dbeta.
 """
 
 from __future__ import annotations
@@ -101,18 +103,46 @@ def _theta_args(n: int, beta: float) -> tuple[float, float]:
     return a, b
 
 
-def _frame_bounds(n: int, beta: float, tol: float) -> FrameBounds:
-    """Closed-form bounds for a validated lattice of either parity."""
+def _value_pair(family, a, b, tol):
+    """f(a) f(b)."""
+    return mul(eval_theta(family, a, tol=tol), eval_theta(family, b, tol=tol))
+
+
+def _slope_pair(family, a, b, tol):
+    """a f'(a) f(b) - b f(a) f'(b), which is (beta/2) d/dbeta [f(a) f(b)]
+    because da/dbeta = 2a/beta and db/dbeta = -2b/beta."""
+    fa = eval_theta(family, a, tol=tol)
+    fb = eval_theta(family, b, tol=tol)
+    return sub(mul(scale(eval_theta(family, a, 1, tol), a), fb),
+               mul(fa, scale(eval_theta(family, b, 1, tol), b)))
+
+
+def _bounds(pair, n, beta, tol):
+    """(A, B) as balls, with pair(f) standing for the product f(a) f(b):
+    n pair(theta4) and n pair(theta3), less 2n pair(theta_odd) for odd n."""
     a, b = _theta_args(n, beta)
-    lo = mul(eval_theta(THETA4, a, tol=tol), eval_theta(THETA4, b, tol=tol))
-    hi = mul(eval_theta(THETA3, a, tol=tol), eval_theta(THETA3, b, tol=tol))
+    lo = pair(THETA4, a, b, tol)
+    hi = pair(THETA3, a, b, tol)
     if n % 2:
-        odd = scale(mul(eval_theta(THETA_ODD, a, tol=tol),
-                        eval_theta(THETA_ODD, b, tol=tol)), 2.0)
+        odd = scale(pair(THETA_ODD, a, b, tol), 2.0)
         lo = sub(lo, odd)
         hi = sub(hi, odd)
-    lower = scale(lo, n)
-    upper = scale(hi, n)
+    return scale(lo, n), scale(hi, n)
+
+
+def _frame_slopes(n: int, beta: float):
+    """Balls of (beta/2) dA/dbeta and (beta/2) dB/dbeta at a validated
+    lattice, with the theta arguments rounded as frame_bounds rounds them.
+
+    Near the optimum the slopes are tiny, so a 1e-12 truncation target
+    would hide their sign (1e-10 from it at n = 5); 1e-16 leaves rounding.
+    """
+    return _bounds(_slope_pair, n, beta, 1e-16)
+
+
+def _frame_bounds(n: int, beta: float, tol: float) -> FrameBounds:
+    """Closed-form bounds for a validated lattice of either parity."""
+    lower, upper = _bounds(_value_pair, n, beta, tol)
     error_bound = max(lower.error_bound, upper.error_bound)
     ratio = upper.value / lower.value if lower.value > 0.0 else math.inf
     return FrameBounds(lower.value, upper.value, ratio, error_bound,

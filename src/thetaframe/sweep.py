@@ -3,9 +3,12 @@
 For fixed redundancy n the closed-form bounds A(beta) and B(beta) are
 unimodal with a common extremum at beta = 1/sqrt(n) (the square lattice):
 A peaks there and B dips there. sweep_beta tabulates the bounds over a
-grid; find_optimal_beta locates both optimizers by golden-section search
-seeded with a coarse bracketing scan. emit_csv / emit_plot write
-byte-reproducible artifacts.
+grid; find_optimal_beta encloses both optimizers in a bracket whose ends
+carry certified opposite signs of dA/dbeta and of dB/dbeta, found by
+bisection on those signs (interval bisection in the sense of Moore,
+Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009). The
+bracket certifies a critical point of each bound, not the extremum over
+the whole range. emit_csv / emit_plot write byte-reproducible artifacts.
 """
 
 from __future__ import annotations
@@ -15,12 +18,9 @@ import os
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .frame import _check_lattice, frame_bounds, lattice_params
+from .frame import (_check_lattice, _frame_slopes, _theta_args, frame_bounds,
+                    lattice_params)
 from .grids import GridSpec
-
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-SCAN_POINTS = 64
-MIN_RESOLUTION = 1e-8
 
 CSV_HEADER = "beta,A,B,ratio"
 PLOT_COLUMNS = ("A", "B", "ratio")
@@ -47,8 +47,11 @@ class SweepRow:
 class OptimumReport:
     """Locations and values of the A-maximum and B-minimum for one n.
 
-    bracket_width is the final golden-section interval width (the larger
-    of the two searches); both optimizers are interior to the range.
+    Both optimizers are reported at the log-midpoint of one bracket of
+    width bracket_width, at whose ends the signs of dA/dbeta and dB/dbeta
+    are certified opposite: the bracket holds a critical point of A and
+    one of B. The width may exceed the requested resolution where those
+    signs became uncertain first.
     """
 
     n: int
@@ -68,36 +71,19 @@ def sweep_beta(n: int, grid: GridSpec, tol: float = 1e-12) -> list[SweepRow]:
     return rows
 
 
-def _golden(f, a, b, resolution, maximize):
-    """Golden-section search on [a, b]; returns (argopt, opt, width)."""
-    c = b - (b - a) * INV_PHI
-    d = a + (b - a) * INV_PHI
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > resolution:
-        keep_left = (fc > fd) if maximize else (fc < fd)
-        if keep_left:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * INV_PHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * INV_PHI
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return mid, f(mid), b - a
-
-
 def find_optimal_beta(n: int, beta_range: tuple[float, float],
                       resolution: float) -> OptimumReport:
-    """Locate the beta maximizing A and the beta minimizing B.
+    """Enclose the beta maximizing A and the beta minimizing B.
 
-    A 64-point linear scan brackets each extremum (RangeError if it sits
-    on the boundary of the range, since no interior bracket exists);
-    golden-section then shrinks the bracket to the requested resolution.
-    The range must contain 1/sqrt(n), where both optima provably lie.
-    n = 1 is rejected: there A vanishes identically (critical density), so
-    it has no maximum to locate.
+    Bisects the range in log beta on the certified signs of dA/dbeta and
+    dB/dbeta (balls from the frame-bound body), keeping A rising and B
+    falling at lo and the reverse at hi, so [lo, hi] holds a critical
+    point of each. It stops once hi - lo <= resolution or where a
+    midpoint's signs are uncertain, which may leave a wider bracket. A
+    range end that still bounds the bracket must have certified signs,
+    else RangeError. The range must contain 1/sqrt(n), where both optima
+    provably lie. n = 1 is rejected: there A vanishes identically
+    (critical density), so it has no maximum to locate.
     """
     _check_lattice(n)
     if n == 1:
@@ -110,31 +96,34 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
         raise DomainError(f"beta range ({lo}, {hi}) must contain "
                           f"1/sqrt({n}) = {root}")
     if not (isinstance(resolution, (int, float)) and
-            math.isfinite(resolution) and resolution >= MIN_RESOLUTION):
-        raise DomainError(f"resolution must be >= {MIN_RESOLUTION}, "
-                          f"got {resolution!r}")
-    resolution = float(resolution)
+            math.isfinite(resolution) and resolution > 0.0):
+        raise DomainError(f"resolution must be positive, got {resolution!r}")
+    for beta in (lo, hi):  # then every midpoint is in the theta domain
+        _theta_args(n, beta)
 
-    rows = sweep_beta(n, GridSpec(lo, hi, SCAN_POINTS))
-    # max/min over range() keep the first (smallest-beta) index on ties
-    i_a = max(range(SCAN_POINTS), key=lambda i: rows[i].lower)
-    i_b = min(range(SCAN_POINTS), key=lambda i: rows[i].upper)
-    for which, idx in (("A maximum", i_a), ("B minimum", i_b)):
-        if idx == 0 or idx == SCAN_POINTS - 1:
-            raise RangeError(f"{which} lies on the search boundary "
-                             f"(beta = {rows[idx].beta}); widen the range")
+    def side(beta):
+        """-1 left of both optima, +1 right of them, 0 if uncertain."""
+        sa, sb = _frame_slopes(n, beta)
+        if sa.value - sa.error_bound > 0.0 and sb.value + sb.error_bound < 0.0:
+            return -1
+        if sa.value + sa.error_bound < 0.0 and sb.value - sb.error_bound > 0.0:
+            return 1
+        return 0
 
-    def bound(beta):
-        return frame_bounds(lattice_params(n, beta))
-
-    beta_a, max_a, width_a = _golden(
-        lambda beta: bound(beta).lower, rows[i_a - 1].beta,
-        rows[i_a + 1].beta, resolution, maximize=True)
-    beta_b, min_b, width_b = _golden(
-        lambda beta: bound(beta).upper, rows[i_b - 1].beta,
-        rows[i_b + 1].beta, resolution, maximize=False)
-    return OptimumReport(n, beta_a, max_a, beta_b, min_b,
-                         max(width_a, width_b))
+    window = (lo, hi)
+    while hi - lo > resolution:
+        mid = math.sqrt(lo * hi)
+        where = side(mid) if lo < mid < hi else 0
+        if where == 0:
+            break
+        lo, hi = (mid, hi) if where < 0 else (lo, mid)
+    for end, want in ((lo, -1), (hi, 1)):
+        if end in window and side(end) != want:
+            raise RangeError(f"slope signs at the range end beta = {end!r} "
+                             "are not certified; widen the range")
+    beta = math.sqrt(lo * hi)
+    fb = frame_bounds(lattice_params(n, beta))
+    return OptimumReport(n, beta, fb.lower, beta, fb.upper, hi - lo)
 
 
 def _sci17(x: float) -> str:

@@ -36,7 +36,6 @@ shifted indices k + z, certified like the other series.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -309,14 +308,6 @@ def eval_theta(family: ThetaFamily, s: float,
     return ThetaValue(v, b, n, EvalMethod.DIRECT)
 
 
-def eval_theta_general(z: float, s: float,
-                       tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Deprecated: Theta(z, is) as eval_theta(general_family(z), s)."""
-    warnings.warn("eval_theta_general is deprecated; use eval_theta("
-                  "general_family(z), s)", DeprecationWarning, stacklevel=2)
-    return eval_theta(general_family(z), s, DerivativeOrder.VALUE, tol)
-
-
 def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     """theta4 via its infinite product.
 
@@ -346,14 +337,6 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
             break
     bound = prod * (delta + 15.0 * k * _EPS + _EPS) + 3 * k * _TINY
     return ThetaValue(prod, bound, k, EvalMethod.PRODUCT)
-
-
-def log_deriv_ratio(family: ThetaFamily, s: float,
-                    tol: float = DEFAULT_TOL) -> float:
-    """Deprecated: g(s) as log_deriv_ratio_bounds(family, s)[0]."""
-    warnings.warn("log_deriv_ratio is deprecated; use log_deriv_ratio_"
-                  "bounds(family, s)[0]", DeprecationWarning, stacklevel=2)
-    return log_deriv_ratio_bounds(family, s, tol)[0]
 
 
 def log_deriv_ratio_bounds(family: ThetaFamily, s: float,

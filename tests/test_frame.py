@@ -9,6 +9,7 @@ import reference_values as ref
 from thetaframe import (DomainError, FrameBounds, LatticeParams,
                         frame_bounds, frame_bounds_even, frame_bounds_odd,
                         lattice_params)
+from thetaframe.frame import _frame_slopes
 
 ULP = math.ulp(1.0)
 
@@ -119,6 +120,30 @@ def test_containment_against_reference():
             for got, true in ((fb.lower, n * lower), (fb.upper, n * upper)):
                 assert abs(mp.mpf(got) - true) <= mp.mpf(fb.error_bound), \
                     (n, beta, fb, true)
+
+
+def test_slope_containment_against_reference():
+    """The slope balls contain (beta/2) dA/dbeta and (beta/2) dB/dbeta at
+    50 digits, from the slope pair a f'(a) f(b) - b f(a) f'(b) at the
+    rounded arguments; beta within a decade of 1/sqrt(n), both sides."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(20170302)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        beta = n ** -0.5 * 10.0 ** rng.uniform(-1.0, 1.0)
+        slopes = _frame_slopes(n, beta)
+        a = 0.5 * (n * beta) * (n * beta)
+        b = 0.5 / (beta * beta)
+        with mp.workdps(50):
+            def pair(kind):
+                f = ref.theta_reference
+                return (a * f(kind, a, 1) * f(kind, b, 0)
+                        - b * f(kind, a, 0) * f(kind, b, 1))
+            odd = 2 * pair("theta_odd") if n % 2 else 0
+            truth = (n * (pair("theta4") - odd), n * (pair("theta3") - odd))
+            for got, true in zip(slopes, truth):
+                assert abs(mp.mpf(got.value) - true) <= \
+                    mp.mpf(got.error_bound), (n, beta, got.value, true)
 
 
 class TestLatticeParams:

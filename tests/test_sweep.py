@@ -37,10 +37,16 @@ class TestFindOptimalBeta:
         assert rep.min_B == pytest.approx(ref.B_2_SQRT2, abs=1e-8)
 
     def test_boundary_extremum_raises(self):
-        # scan maximum landing on the first grid point means the true
-        # optimizer may sit outside the window
-        with pytest.raises(RangeError):
-            find_optimal_beta(2, (0.70, 5.0), 1e-6)
+        # an end of the window that still bounds the final bracket must
+        # carry certified slope signs; one ulp from the root they are not
+        root = 1 / math.sqrt(2)
+        rep = find_optimal_beta(2, (0.70, 5.0), 1e-6)
+        assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
+        assert abs(rep.beta_for_min_B - root) <= rep.bracket_width
+        for rng in ((math.nextafter(root, 0), 1.5),
+                    (0.3, math.nextafter(root, 1))):
+            with pytest.raises(RangeError):
+                find_optimal_beta(2, rng, 1e-6)
 
     def test_window_must_contain_root(self):
         with pytest.raises(DomainError):
@@ -52,15 +58,33 @@ class TestFindOptimalBeta:
         with pytest.raises(DomainError):
             find_optimal_beta(2, rng, 1e-6)
 
-    @pytest.mark.parametrize("res", [1e-9, 0.0, -1e-6, math.inf, math.nan])
+    @pytest.mark.parametrize("res", [0.0, -1e-6, math.inf, math.nan])
     def test_bad_resolution(self, res):
         with pytest.raises(DomainError):
             find_optimal_beta(2, (0.3, 1.5), res)
 
     def test_validation_precedes_scan(self):
-        # resolution check fires before the boundary scan would
+        # the resolution check fires before any bound is evaluated
         with pytest.raises(DomainError):
-            find_optimal_beta(2, (0.70, 5.0), 1e-9)
+            find_optimal_beta(2, (0.70, 5.0), 0.0)
+
+    def test_fine_resolution_accepted(self):
+        rep = find_optimal_beta(2, (0.3, 1.5), 1e-9)
+        assert abs(rep.beta_for_max_A - 2 ** -0.5) <= rep.bracket_width
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("res", [1e-6, 1e-8])
+    def test_bracket_contains_root(self, n, res):
+        root = 1 / math.sqrt(n)
+        rep = find_optimal_beta(n, (0.3 * root, 2 * root), res)
+        assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
+        assert abs(rep.beta_for_min_B - root) <= rep.bracket_width
+
+    @pytest.mark.parametrize("rng", [(0.3, 100.0), (0.01, 30.0)])
+    def test_wide_window_locates_root(self, rng):
+        rep = find_optimal_beta(2, rng, 1e-6)
+        assert abs(rep.beta_for_max_A - 2 ** -0.5) <= rep.bracket_width
+        assert abs(rep.beta_for_min_B - 2 ** -0.5) <= rep.bracket_width
 
     @pytest.mark.parametrize("n", [0, -2, 1.0, True])
     def test_bad_n(self, n):

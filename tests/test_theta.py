@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 import reference_values as ref
 from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
                         DerivativeOrder, DomainError, EvalMethod, GridSpec,
-                        ThetaFamily, eval_theta, eval_theta_general,
-                        fact2_residual, general_family,
-                        jacobi_identity_residual, log_deriv_ratio,
+                        ThetaFamily, eval_theta, fact2_residual,
+                        general_family, jacobi_identity_residual,
                         log_deriv_ratio_bounds, theta4_triple_product,
                         theta_odd_poisson_residual)
 
@@ -119,7 +118,8 @@ def test_general_containment():
 
 
 def test_containment_full_domain():
-    """Every family and order 0-2 at seeded s over the whole domain.
+    """Every family and order 0-2 at seeded s over the whole domain, and
+    the theta4 triple product from s = 1e-3 up (its cost grows like 1/s).
 
     z is drawn from [0, 1), where the mod-1 reduction is exact, so the
     reference sees the same argument as the evaluator.
@@ -141,6 +141,13 @@ def test_containment_full_domain():
                     err = abs(mp.mpf(tv.value) - true)
                     assert err <= mp.mpf(tv.error_bound), \
                         (fam, s, order, tv, true)
+    for _ in range(48):
+        s = math.exp(rng.uniform(math.log(1e-3), hi))
+        tv = theta4_triple_product(s)
+        true = ref.theta_reference("theta4", s, 0)
+        with mp.workdps(50):
+            assert abs(mp.mpf(tv.value) - true) <= mp.mpf(tv.error_bound), \
+                (s, tv, true)
 
 
 class TestMethodSelection:
@@ -362,18 +369,6 @@ class TestDomainValidation:
         g, err = log_deriv_ratio_bounds(family, s)
         assert math.isfinite(err)
         assert abs(g - want) <= err + 1e-12 * abs(want)
-
-
-class TestDeprecatedWrappers:
-    def test_eval_theta_general(self):
-        with pytest.warns(DeprecationWarning, match="general_family"):
-            tv = eval_theta_general(0.3, 0.7)
-        assert tv == eval_theta(general_family(0.3), 0.7)
-
-    def test_log_deriv_ratio(self):
-        with pytest.warns(DeprecationWarning, match="log_deriv_ratio_bounds"):
-            g = log_deriv_ratio(THETA4, 0.7)
-        assert g == log_deriv_ratio_bounds(THETA4, 0.7)[0]
 
 
 @settings(max_examples=60, deadline=None)
