@@ -17,8 +17,8 @@ from .theta import (THETA3, THETA4, THETA_ODD, DerivativeOrder, EvalMethod,
                     theta_odd_poisson_residual)
 from .verify import (SUITE_NAMES, CheckResult, VerifyConfig, all_passed,
                      check_lemma_odd_ratio, check_logconvexity_general,
-                     check_monotone_log_ratio, check_odd_lower,
-                     check_odd_upper, check_product_inequality,
+                     check_monotone_log_ratio, check_odd_combination,
+                     check_product_inequality,
                      check_refined_inequalities,
                      check_theta4_ratio_conjecture, run_all)
 
@@ -38,7 +38,7 @@ __all__ = [
     "grid_extrema_F", "frame_bounds_via_F",
     "CheckResult", "VerifyConfig", "SUITE_NAMES", "run_all", "all_passed",
     "check_monotone_log_ratio", "check_refined_inequalities",
-    "check_product_inequality", "check_odd_upper", "check_odd_lower",
+    "check_product_inequality", "check_odd_combination",
     "check_lemma_odd_ratio", "check_logconvexity_general",
     "check_theta4_ratio_conjecture",
     "SweepRow", "OptimumReport", "sweep_beta", "find_optimal_beta",

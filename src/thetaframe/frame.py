@@ -48,32 +48,26 @@ def _check_lattice(n, beta=None, parity=None):
 class LatticeParams:
     """A separable lattice alpha Z x beta Z of integer density n.
 
-    parity records n mod 2 as "even"/"odd" and must match n.
+    n and beta determine the lattice; alpha = 1/(n beta) is derived.
+    Construction validates n and beta and stores beta as a float.
     """
 
-    alpha: float
-    beta: float
     n: int
-    parity: str
+    beta: float
 
     def __post_init__(self):
-        _check_lattice(self.n, self.beta, self.parity)
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise DomainError(f"alpha={self.alpha!r} must be positive")
-        if abs(self.alpha * self.beta * self.n - 1.0) > 1e-12:
-            raise DomainError(
-                f"alpha*beta*n = {self.alpha * self.beta * self.n!r} "
-                "must equal 1 to within 1e-12")
+        # float() first: a missing beta must not pass as "not given"
+        object.__setattr__(self, "beta",
+                           _check_lattice(self.n, float(self.beta)))
+
+    @property
+    def alpha(self) -> float:
+        return 1.0 / (self.n * self.beta)
 
 
-def lattice_params(n: int, beta: float, alpha: float | None = None
-                   ) -> LatticeParams:
-    """Build LatticeParams, deriving alpha = 1/(n beta) when omitted."""
-    beta = _check_lattice(n, beta)
-    if alpha is None:
-        alpha = 1.0 / (n * beta)
-    return LatticeParams(float(alpha), beta, n,
-                         "even" if n % 2 == 0 else "odd")
+def lattice_params(n: int, beta: float) -> LatticeParams:
+    """The lattice of density n and step beta."""
+    return LatticeParams(n, beta)
 
 
 @dataclass(frozen=True)

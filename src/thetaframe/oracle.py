@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .frame import FrameBounds, LatticeParams
-from .theta import FAMILIES, ThetaFamily
+from .theta import ThetaFamily
 
 _TAIL_TARGET = 1e-13
 
@@ -51,10 +51,6 @@ def naive_theta(family: ThetaFamily, s: float, k_max: int) -> float:
     if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
         raise DomainError(f"k_max={k_max!r} must be a non-negative integer")
     kind = family.kind
-    if kind not in FAMILIES:
-        raise DomainError(f"unknown theta family {family!r}")
-    if kind == "theta_general" and family.z is None:
-        raise DomainError("theta_general requires z")
     if kind == "theta_odd":
         return math.fsum(
             2.0 * math.exp(-math.pi * (2 * j + 1) ** 2 * s)

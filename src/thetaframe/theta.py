@@ -66,16 +66,43 @@ class EvalMethod(str, Enum):
     PRODUCT = "triple-product"
 
 
+# kind -> (c, lam, inner kind) of g(s) = c s^{-1/2} h(lam/s); "poisson"
+# is the inner P_z of Theta(z, is), evaluated only as a direct series
+_REFLECTIONS = {
+    "theta3": (1.0, 1.0, "theta3"),
+    "theta4": (1.0, 0.25, "theta_odd"),
+    "theta_odd": (0.5, 0.25, "theta4"),
+    "theta_general": (1.0, 1.0, "poisson"),
+}
+
+
 @dataclass(frozen=True)
 class ThetaFamily:
     """Selects a theta variant.
 
-    kind is one of "theta3", "theta4", "theta_odd", "theta_general";
-    the general family carries the fixed first argument z (mod 1).
+    kind is one of "theta3", "theta4", "theta_odd", "theta_general".
+    The general family needs the fixed first argument z, which must be
+    finite and is stored reduced mod 1 into [0, 1); every other family
+    takes no z. Anything else is a DomainError.
     """
 
     kind: str
     z: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in _REFLECTIONS:
+            raise DomainError(f"unknown theta family {self.kind!r}")
+        if self.kind != "theta_general":
+            if self.z is not None:
+                raise DomainError(f"{self.kind} takes no z, got {self.z!r}")
+            return
+        # inf and nan reduce to nan; a tiny negative z rounds up to 1.0 on
+        # the first reduction, which the second maps to 0
+        z = math.nan if self.z is None else float(self.z) % 1.0 % 1.0
+        if math.isnan(z):
+            raise DomainError(f"theta_general requires a finite z, got "
+                              f"{self.z!r}")
+        object.__setattr__(self, "z", z)
 
 
 THETA3 = ThetaFamily("theta3")
@@ -85,10 +112,7 @@ THETA_ODD = ThetaFamily("theta_odd")
 
 def general_family(z: float) -> ThetaFamily:
     """Family for the two-variable series Theta(z, is); z is reduced mod 1."""
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"z={z!r} must be finite")
-    return ThetaFamily("theta_general", z - math.floor(z))
+    return ThetaFamily("theta_general", z)
 
 
 # name -> family: the one-variable families are constants, and
@@ -130,15 +154,6 @@ def _check_domain(s: float, tol: float) -> None:
     if not (0.0 < tol < 1.0):
         raise DomainError(f"tol={tol!r} outside (0, 1)")
 
-
-# kind -> (c, lam, inner kind) of g(s) = c s^{-1/2} h(lam/s); "poisson"
-# is the inner P_z of Theta(z, is), evaluated only as a direct series
-_REFLECTIONS = {
-    "theta3": (1.0, 1.0, "theta3"),
-    "theta4": (1.0, 0.25, "theta_odd"),
-    "theta_odd": (0.5, 0.25, "theta4"),
-    "theta_general": (1.0, 1.0, "poisson"),
-}
 
 # kind -> (first indices, step, weight, slack factor, sign) of the direct
 # series weight * sum_i w_m(i) e^{-pi i^2 s} over the index progressions
@@ -292,19 +307,14 @@ def eval_theta(family: ThetaFamily, s: float,
         certification failed within the term cap.
     """
     order = _coerce_order(order)
-    if not isinstance(family, ThetaFamily) or family.kind not in FAMILIES:
-        raise DomainError(f"unknown theta family {family!r}")
+    if not isinstance(family, ThetaFamily):
+        raise DomainError(f"expected ThetaFamily, got {family!r}")
     s = float(s)
     tol = float(tol)
     _check_domain(s, tol)
-    z = None
-    if family.kind == "theta_general":
-        if family.z is None or not math.isfinite(family.z):
-            raise DomainError("theta_general requires a finite z")
-        z = family.z - math.floor(family.z)
     if not force_direct and s < SMALL_S_CUTOFF:
-        return _transform(family.kind, s, order, tol, z)
-    v, b, n = _series(family.kind, s, order, tol, z)
+        return _transform(family.kind, s, order, tol, family.z)
+    v, b, n = _series(family.kind, s, order, tol, family.z)
     return ThetaValue(v, b, n, EvalMethod.DIRECT)
 
 

@@ -18,24 +18,30 @@ Both identities follow from differentiating the theta3 reflection formula;
 their own correctness is covered by the identity-residual checks.
 
 Margins and their errors are balls propagated with the rules of ball.py,
-the one place where rounding is accounted for.
+the one place where rounding is accounted for. Every theta value is
+evaluated at the default truncation target DEFAULT_TOL = 1e-12; the
+inequalities and their r values are fixed, and only the grids vary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ball import Ball, add, div, fsum, mul, neg, scale, sub
 from .errors import DomainError
 from .grids import GridSpec
-from .theta import (FAMILIES, THETA3, THETA4, THETA_ODD, DerivativeOrder,
+from .theta import (THETA3, THETA4, THETA_ODD, DerivativeOrder,
                     ThetaFamily, eval_theta, log_deriv_ratio_bounds)
 
 _EPS = math.ulp(1.0)
 
 EQUALITY_TOL = 1e-13
 SYMMETRY_TOL = 1e-12
+# r values of the product and odd-combination suites; the theta4
+# combination holds only for r >= 1
+PRODUCT_R = (0.5, 1.0, 2.0, 5.0)
+ODD_MAXIMUM_R = (1.0, 2.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -92,16 +98,16 @@ def _exact(x):
 _HALF = _exact(0.5)
 
 
-def _g(family, s, tol, cache):
+def _g(family, s, cache):
     r = cache.get(s)
     if r is None:
-        r = Ball(*log_deriv_ratio_bounds(family, s, tol))
+        r = Ball(*log_deriv_ratio_bounds(family, s))
         cache[s] = r
     return r
 
 
-def check_monotone_log_ratio(family: ThetaFamily, grid: GridSpec,
-                             tol: float = 1e-12) -> CheckResult:
+def check_monotone_log_ratio(family: ThetaFamily,
+                             grid: GridSpec) -> CheckResult:
     """Strict monotonicity and range of g(s) = s theta'/theta.
 
     theta3: g increasing with values in (-1/2, 0); comparisons at s < 1 go
@@ -120,32 +126,32 @@ def check_monotone_log_ratio(family: ThetaFamily, grid: GridSpec,
         for i in range(len(pts) - 1):
             a, b = pts[i], pts[i + 1]
             if b <= 1.0:
-                ga = _g(family, 1.0 / a, tol, cache)
-                gb = _g(family, 1.0 / b, tol, cache)
+                ga = _g(family, 1.0 / a, cache)
+                gb = _g(family, 1.0 / b, cache)
                 margin = sub(ga, gb)
             elif a >= 1.0:
-                ga = _g(family, a, tol, cache)
-                gb = _g(family, b, tol, cache)
+                ga = _g(family, a, cache)
+                gb = _g(family, b, cache)
                 margin = sub(gb, ga)
             else:
-                gb = _g(family, b, tol, cache)
-                ga = _g(family, 1.0 / a, tol, cache)
+                gb = _g(family, b, cache)
+                ga = _g(family, 1.0 / a, cache)
                 margin = add(add(gb, _HALF), ga)
             track.add(margin, (a, b),
                       magnitude=abs(ga.value) + abs(gb.value) + 1e-300)
         for s in pts:
-            g = _g(family, s if s >= 1.0 else 1.0 / s, tol, cache)
+            g = _g(family, s if s >= 1.0 else 1.0 / s, cache)
             track.add(neg(g), s)
             track.add(add(g, _HALF), s)
     else:
         for i in range(len(pts) - 1):
             a, b = pts[i], pts[i + 1]
-            ga = _g(family, a, tol, cache)
-            gb = _g(family, b, tol, cache)
+            ga = _g(family, a, cache)
+            gb = _g(family, b, cache)
             track.add(sub(ga, gb), (a, b),
                       magnitude=abs(ga.value) + abs(gb.value) + 1e-300)
         for s in pts:
-            track.add(_g(family, s, tol, cache), s)
+            track.add(_g(family, s, cache), s)
     return track.result(name, len(pts))
 
 
@@ -154,15 +160,14 @@ def _dlog_product(v, d, s):
     return div(mul(d, v), _exact(s))
 
 
-def _chain(family, s, tol):
+def _chain(family, s):
     """theta''theta - theta'^2 + theta'theta/s and theta'theta/s as balls."""
-    v, d, w = (eval_theta(family, s, m, tol) for m in DerivativeOrder)
+    v, d, w = (eval_theta(family, s, m) for m in DerivativeOrder)
     dv = _dlog_product(v, d, s)
     return fsum((mul(w, v), neg(mul(d, d)), dv)), dv
 
 
-def check_refined_inequalities(grid: GridSpec,
-                               tol: float = 1e-12) -> CheckResult:
+def check_refined_inequalities(grid: GridSpec) -> CheckResult:
     """Refined log-convexity/concavity chains.
 
     theta3:  theta3''theta3 - theta3'^2 > -theta3'theta3/s > 0
@@ -177,19 +182,19 @@ def check_refined_inequalities(grid: GridSpec,
     for s in pts:
         # theta3 chain
         if s >= 1.0:
-            m1, dv = _chain(THETA3, s, tol)
+            m1, dv = _chain(THETA3, s)
         else:
             u = _exact(1.0 / s)  # m1(1/u) = u^5 m1(u) at the rounded u
             u2 = mul(u, u)
-            m1 = mul(mul(mul(u2, u2), u), _chain(THETA3, u.value, tol)[0])
-            dv = _dlog_product(eval_theta(THETA3, s, 0, tol),
-                               eval_theta(THETA3, s, 1, tol), s)
+            m1 = mul(mul(mul(u2, u2), u), _chain(THETA3, u.value)[0])
+            dv = _dlog_product(eval_theta(THETA3, s, 0),
+                               eval_theta(THETA3, s, 1), s)
         track.add(m1, s)
         track.add(neg(dv), s)
         # theta4 chain (signs flipped; below the cutoff all three orders
         # come from the modular transform, so the bounds stay relative
         # even where theta4 itself is tiny)
-        m1, dv = _chain(THETA4, s, tol)
+        m1, dv = _chain(THETA4, s)
         track.add(neg(m1), s)  # the m1 - m2 gap
         track.add(dv, s)
     return track.result("refined-log-convexity-concavity", len(pts))
@@ -199,14 +204,13 @@ def _center_index(pts):
     return min(range(len(pts)), key=lambda i: abs(math.log(pts[i])))
 
 
-def _pair_values(family, r, pts, tol):
-    return [mul(eval_theta(family, r * s, DerivativeOrder.VALUE, tol),
-                eval_theta(family, r / s, DerivativeOrder.VALUE, tol))
+def _pair_values(family, r, pts):
+    return [mul(eval_theta(family, r * s), eval_theta(family, r / s))
             for s in pts]
 
 
-def check_product_inequality(family: ThetaFamily, r_values, s_grid: GridSpec,
-                             tol: float = 1e-12) -> CheckResult:
+def check_product_inequality(family: ThetaFamily, r_values,
+                             s_grid: GridSpec) -> CheckResult:
     """f(rs) f(r/s) versus f(r)^2 on a grid symmetric about s = 1.
 
     theta3 products dip to their minimum exactly at s = 1; theta4 products
@@ -222,9 +226,9 @@ def check_product_inequality(family: ThetaFamily, r_values, s_grid: GridSpec,
     center = _center_index(pts)
     track = _Tracker()
     for r in r_values:
-        f = eval_theta(family, r, DerivativeOrder.VALUE, tol)
+        f = eval_theta(family, r)
         rhs = mul(f, f)
-        vals = _pair_values(family, r, pts, tol)
+        vals = _pair_values(family, r, pts)
         track.add(_exact(EQUALITY_TOL - abs(vals[center].value - rhs.value)),
                   (r, pts[center]))
         _extremum_at_center(track, vals, pts, center, r, maximum, rhs)
@@ -246,18 +250,31 @@ def _extremum_at_center(track, vals, pts, center, r, maximum, ref=None):
             track.add(gap, (r, pts[i]))
 
 
-def _check_odd_combination(family, r_values, s_grid, tol):
-    """f(rs) f(r/s) - 2 theta_odd(rs) theta_odd(r/s) peaks at s = 1 for
-    f = theta4 and dips there for f = theta3, where theta_odd(rs)
-    theta_odd(r/s) alone must also peak."""
+def check_odd_combination(family: ThetaFamily, r_values,
+                          s_grid: GridSpec) -> CheckResult:
+    """f(rs) f(r/s) - 2 theta_odd(rs) theta_odd(r/s) on a grid symmetric
+    about s = 1.
+
+    theta4: the combination peaks at s = 1; only valid for r >= 1, so
+    smaller r is rejected. theta3: it dips to its minimum there, and the
+    theta_odd product alone must peak there (the component fact used when
+    combining the bounds).
+    """
+    if family.kind not in ("theta3", "theta4"):
+        raise DomainError("odd combination check needs theta3 or theta4")
     maximum = family.kind == "theta4"
+    if maximum:
+        for r in r_values:
+            if r < 1.0:
+                raise DomainError(f"r={r!r} must be >= 1 for the theta4 "
+                                  "combination")
     pts = s_grid.points()
     center = _center_index(pts)
     track = _Tracker()
     for r in r_values:
-        odd = _pair_values(THETA_ODD, r, pts, tol)
+        odd = _pair_values(THETA_ODD, r, pts)
         comb = [sub(a, scale(b, 2.0))
-                for a, b in zip(_pair_values(family, r, pts, tol), odd)]
+                for a, b in zip(_pair_values(family, r, pts), odd)]
         _extremum_at_center(track, comb, pts, center, r, maximum)
         if not maximum:
             _extremum_at_center(track, odd, pts, center, r, maximum=True)
@@ -266,31 +283,7 @@ def _check_odd_combination(family, r_values, s_grid, tol):
     return track.result(name, len(r_values) * len(pts))
 
 
-def check_odd_upper(r_values, s_grid: GridSpec,
-                    tol: float = 1e-12) -> CheckResult:
-    """theta3(rs)theta3(r/s) - 2 theta_odd(rs)theta_odd(r/s) minimum at s=1.
-
-    Also asserts the theta_odd product alone peaks at s = 1 (the component
-    fact used when combining the bounds).
-    """
-    return _check_odd_combination(THETA3, r_values, s_grid, tol)
-
-
-def check_odd_lower(r_values, s_grid: GridSpec,
-                    tol: float = 1e-12) -> CheckResult:
-    """theta4(rs)theta4(r/s) - 2 theta_odd(rs)theta_odd(r/s) maximum at s=1.
-
-    Only valid for r >= 1; smaller r is rejected.
-    """
-    for r in r_values:
-        if r < 1.0:
-            raise DomainError(f"r={r!r} must be >= 1 for the lower-bound "
-                              "combination")
-    return _check_odd_combination(THETA4, r_values, s_grid, tol)
-
-
-def check_lemma_odd_ratio(s_grid: GridSpec,
-                          tol: float = 1e-12) -> CheckResult:
+def check_lemma_odd_ratio(s_grid: GridSpec) -> CheckResult:
     """Behaviour of g_o(s) = s theta_odd'/theta_odd.
 
     Strictly decreasing on [1/4, 10]; bounded below by g_o(1) on
@@ -302,22 +295,21 @@ def check_lemma_odd_ratio(s_grid: GridSpec,
     pts = s_grid.points()
     track = _Tracker()
     cache: dict[float, Ball] = {}
-    g1 = _g(THETA_ODD, 1.0, tol, cache)
+    g1 = _g(THETA_ODD, 1.0, cache)
     upper = [s for s in pts if s >= 0.25]
     for a, b in zip(upper, upper[1:]):
-        track.add(sub(_g(THETA_ODD, a, tol, cache),
-                      _g(THETA_ODD, b, tol, cache)), (a, b))
+        track.add(sub(_g(THETA_ODD, a, cache),
+                      _g(THETA_ODD, b, cache)), (a, b))
     for s in pts:
         if s <= 0.25:
-            track.add(sub(_g(THETA_ODD, s, tol, cache), g1), s)
-    gap = add(_g(THETA_ODD, 1e-3, tol, cache), _HALF)
+            track.add(sub(_g(THETA_ODD, s, cache), g1), s)
+    gap = add(_g(THETA_ODD, 1e-3, cache), _HALF)
     # |x| has the radius of x
     track.add(sub(_exact(0.05), Ball(abs(gap.value), gap.error_bound)), 1e-3)
     return track.result("odd-log-ratio", len(pts))
 
 
-def check_logconvexity_general(coefficients, s_grid: GridSpec,
-                               tol: float = 1e-12) -> CheckResult:
+def check_logconvexity_general(coefficients, s_grid: GridSpec) -> CheckResult:
     """Log-convexity of a finite sum f(s) = sum a_k e^{-b_k s}.
 
     Checks f''(s) f(s) - f'(s)^2 >= 0 at every grid point: only a ball
@@ -356,8 +348,7 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec,
     return track.result("exp-sum-log-convexity", len(pts))
 
 
-def check_theta4_ratio_conjecture(grid: GridSpec,
-                                  tol: float = 1e-12) -> CheckResult:
+def check_theta4_ratio_conjecture(grid: GridSpec) -> CheckResult:
     """Exploratory: s^2 theta4'/theta4 looks decreasing and convex.
 
     Reported for information only; never gates an aggregate verdict. The
@@ -367,7 +358,7 @@ def check_theta4_ratio_conjecture(grid: GridSpec,
         raise DomainError("conjecture check expects a linear grid")
     pts = grid.points()
     cache: dict[float, Ball] = {}
-    hs = [scale(_g(THETA4, s, tol, cache), s) for s in pts]
+    hs = [scale(_g(THETA4, s, cache), s) for s in pts]
     track = _Tracker()
     for i in range(len(pts) - 1):
         track.add(sub(hs[i], hs[i + 1]), (pts[i], pts[i + 1]))
@@ -385,27 +376,22 @@ _THETA3_COEFFS = ((1.0, 0.0),) + tuple(
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Grids, families and suite selection for run_all.
+    """Suite selection and grids for run_all.
 
-    suites=None runs everything; a suite runs only when every theta family
-    it touches is listed in families.
+    suites=None runs every suite in SUITE_NAMES; otherwise only the named
+    ones run, still in registry order. The inequalities, their r values
+    and the truncation target are fixed; only the grids are settable.
     """
 
     suites: tuple[str, ...] | None = None
-    families: frozenset[str] = frozenset(
-        k for k, f in FAMILIES.items() if isinstance(f, ThetaFamily))
-    tol: float = 1e-12
     monotone_grid: GridSpec = GridSpec(0.05, 20.0, 1000, "log")
     refined_grid: GridSpec = GridSpec(0.05, 10.0, 500, "log")
     product_grid: GridSpec = GridSpec(1.0 / 3.0, 3.0, 301, "log")
-    product_r: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0)
-    odd_lower_r: tuple[float, ...] = (1.0, 2.0, 5.0)
     odd_ratio_grid: GridSpec = GridSpec(1e-3, 10.0, 1250, "log")
     logconv_grid: GridSpec = GridSpec(0.1, 10.0, 200, "log")
     conjecture_grid: GridSpec = GridSpec(0.5, 5.0, 200, "linear")
 
     def __post_init__(self):
-        object.__setattr__(self, "families", frozenset(self.families))
         if self.suites is not None:
             object.__setattr__(self, "suites", tuple(self.suites))
             unknown = set(self.suites) - set(SUITE_NAMES)
@@ -415,46 +401,38 @@ class VerifyConfig:
                     f"valid names: {list(SUITE_NAMES)!r}")
 
 
-_REGISTRY: tuple[tuple[str, frozenset, object], ...] = (
-    ("theta3-log-ratio-monotone", frozenset({"theta3"}),
-     lambda c: check_monotone_log_ratio(THETA3, c.monotone_grid, c.tol)),
-    ("theta4-log-ratio-monotone", frozenset({"theta4"}),
-     lambda c: check_monotone_log_ratio(THETA4, c.monotone_grid, c.tol)),
-    ("refined-log-convexity-concavity", frozenset({"theta3", "theta4"}),
-     lambda c: check_refined_inequalities(c.refined_grid, c.tol)),
-    ("theta3-product-minimum", frozenset({"theta3"}),
-     lambda c: check_product_inequality(THETA3, c.product_r, c.product_grid,
-                                        c.tol)),
-    ("theta4-product-maximum", frozenset({"theta4"}),
-     lambda c: check_product_inequality(THETA4, c.product_r, c.product_grid,
-                                        c.tol)),
-    ("odd-combination-minimum", frozenset({"theta3", "theta_odd"}),
-     lambda c: check_odd_upper(c.product_r, c.product_grid, c.tol)),
-    ("odd-combination-maximum", frozenset({"theta4", "theta_odd"}),
-     lambda c: check_odd_lower(c.odd_lower_r, c.product_grid, c.tol)),
-    ("odd-log-ratio", frozenset({"theta_odd"}),
-     lambda c: check_lemma_odd_ratio(c.odd_ratio_grid, c.tol)),
-    ("exp-sum-log-convexity", frozenset({"theta3"}),
-     lambda c: check_logconvexity_general(_THETA3_COEFFS, c.logconv_grid,
-                                          c.tol)),
-    ("theta4-ratio-conjecture", frozenset({"theta4"}),
-     lambda c: check_theta4_ratio_conjecture(c.conjecture_grid, c.tol)),
-)
+# suite name -> runner, in the order run_all reports them
+_SUITES = {
+    "theta3-log-ratio-monotone":
+        lambda c: check_monotone_log_ratio(THETA3, c.monotone_grid),
+    "theta4-log-ratio-monotone":
+        lambda c: check_monotone_log_ratio(THETA4, c.monotone_grid),
+    "refined-log-convexity-concavity":
+        lambda c: check_refined_inequalities(c.refined_grid),
+    "theta3-product-minimum":
+        lambda c: check_product_inequality(THETA3, PRODUCT_R, c.product_grid),
+    "theta4-product-maximum":
+        lambda c: check_product_inequality(THETA4, PRODUCT_R, c.product_grid),
+    "odd-combination-minimum":
+        lambda c: check_odd_combination(THETA3, PRODUCT_R, c.product_grid),
+    "odd-combination-maximum":
+        lambda c: check_odd_combination(THETA4, ODD_MAXIMUM_R,
+                                        c.product_grid),
+    "odd-log-ratio": lambda c: check_lemma_odd_ratio(c.odd_ratio_grid),
+    "exp-sum-log-convexity":
+        lambda c: check_logconvexity_general(_THETA3_COEFFS, c.logconv_grid),
+    "theta4-ratio-conjecture":
+        lambda c: check_theta4_ratio_conjecture(c.conjecture_grid),
+}
 
-SUITE_NAMES = tuple(name for name, _, _ in _REGISTRY)
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_all(config: VerifyConfig | None = None) -> list[CheckResult]:
     """Run the selected suites in registry order (deterministic)."""
     config = config if config is not None else VerifyConfig()
-    results = []
-    for name, needs, runner in _REGISTRY:
-        if config.suites is not None and name not in config.suites:
-            continue
-        if not needs <= config.families:
-            continue
-        results.append(runner(config))
-    return results
+    return [runner(config) for name, runner in _SUITES.items()
+            if config.suites is None or name in config.suites]
 
 
 def all_passed(results) -> bool:

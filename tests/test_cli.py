@@ -274,7 +274,8 @@ class TestJsonEqualsLibrary:
     def test_verify_non_finite_fields_are_null(self, capsys, validator,
                                                monkeypatch):
         fake = [CheckResult("x", False, math.nan, (1.0, 2.5), 0),
-                CheckResult("y", False, math.inf, None, 0)]
+                CheckResult("y", False, math.inf, None, 0),
+                CheckResult("w", False, -1.0, (1.0, math.inf), 3)]
         monkeypatch.setattr(cli, "run_all", lambda config: fake)
         code, out, _ = run_main(capsys, ["verify", "--format", "json"])
         assert code == 3
@@ -286,6 +287,9 @@ class TestJsonEqualsLibrary:
              "low_margin": False, "informational": False},
             {"name": "y", "passed": False, "worst_residual": None,
              "worst_location": None, "points_tested": 0,
+             "low_margin": False, "informational": False},
+            {"name": "w", "passed": False, "worst_residual": -1.0,
+             "worst_location": [1.0, None], "points_tested": 3,
              "low_margin": False, "informational": False}]
 
     def test_oracle(self, capsys, validator):
@@ -339,6 +343,27 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "1.0864348112" in proc.stdout
+
+
+def test_commands_leave_numpy_unimported(tmp_path):
+    # numpy is imported on first use by the lattice oracle only, so the
+    # other commands keep interpreter start-up cheap
+    csv = str(tmp_path / "rows.csv")
+    script = (
+        "import sys\n"
+        "from thetaframe.cli import main\n"
+        "for argv in (\n"
+        "        ['eval', '--family', 'theta3', '--s', '1.0'],\n"
+        "        ['bounds', '--n', '3', '--beta', '0.5'],\n"
+        "        ['sweep', '--n', '2', '--beta-min', '0.4',\n"
+        f"         '--beta-max', '1.4', '--steps', '5', '--out', {csv!r}],\n"
+        "        ['verify', '--suite', 'theta3-product-minimum']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_build_parser_reusable():

@@ -148,17 +148,11 @@ def test_slope_containment_against_reference():
 
 class TestLatticeParams:
     def test_constructor_fills_alpha(self):
-        p = lattice_params(4, 0.5)
-        assert p.alpha == pytest.approx(0.5)
-        assert p.parity == "even"
-        q = lattice_params(3, 0.5)
-        assert q.parity == "odd"
-
-    def test_explicit_alpha_checked(self):
-        p = lattice_params(2, 0.5, alpha=1.0)
-        assert p.alpha == 1.0
-        with pytest.raises(DomainError):
-            lattice_params(2, 0.5, alpha=0.9)
+        for n, beta in ((4, 0.5), (3, 0.5), (7, 0.3)):
+            p = lattice_params(n, beta)
+            assert p == LatticeParams(n, beta)
+            assert (p.n, p.beta) == (n, beta)
+            assert p.alpha == 1.0 / (n * beta)
 
     @pytest.mark.parametrize("n", [0, -1, 2.0, True])
     def test_bad_n(self, n):
@@ -169,16 +163,6 @@ class TestLatticeParams:
     def test_bad_beta(self, beta):
         with pytest.raises(DomainError):
             lattice_params(2, beta)
-
-    def test_parity_mismatch(self):
-        with pytest.raises(DomainError):
-            LatticeParams(alpha=0.5, beta=1.0, n=2, parity="odd")
-        with pytest.raises(DomainError):
-            LatticeParams(alpha=1.0 / 3, beta=1.0, n=3, parity="even")
-
-    def test_density_mismatch(self):
-        with pytest.raises(DomainError):
-            LatticeParams(alpha=1.0, beta=1.0, n=2, parity="even")
 
 
 class TestDomain:

@@ -346,6 +346,15 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             general_family(math.inf)
 
+    @pytest.mark.parametrize("kind,z", [("theta_general", math.nan),
+                                        ("theta_general", math.inf),
+                                        ("theta3", 0.3)])
+    def test_family_rejects_bad_z(self, kind, z):
+        # a non-finite z used to reach naive_theta as nan or a bare
+        # ValueError; the one-variable families take no z
+        with pytest.raises(DomainError):
+            ThetaFamily(kind, z)
+
     def test_log_ratio_rejects_general(self):
         with pytest.raises(DomainError):
             log_deriv_ratio_bounds(general_family(0.3), 1.0)[0]
