@@ -22,7 +22,7 @@ from .frame import frame_bounds, lattice_params
 from .grids import GridSpec
 from .oracle import grid_extrema_F
 from .sweep import emit_csv, emit_plot, sweep_beta
-from .theta import FAMILIES, eval_theta
+from .theta import DEFAULT_TOL, FAMILIES, eval_theta
 from .verify import SUITE_NAMES, VerifyConfig, all_passed, run_all
 
 
@@ -32,8 +32,8 @@ def _add_format(p):
 
 
 def _add_tol(p):
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="evaluation tolerance (default 1e-12)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="evaluation tolerance (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,7 @@ from .errors import DomainError, RangeError
 from .frame import (_check_lattice, _frame_slopes, _theta_args, frame_bounds,
                     lattice_params)
 from .grids import GridSpec
+from .theta import DEFAULT_TOL
 
 CSV_HEADER = "beta,A,B,ratio"
 PLOT_COLUMNS = ("A", "B", "ratio")
@@ -62,7 +63,8 @@ class OptimumReport:
     bracket_width: float
 
 
-def sweep_beta(n: int, grid: GridSpec, tol: float = 1e-12) -> list[SweepRow]:
+def sweep_beta(n: int, grid: GridSpec,
+               tol: float = DEFAULT_TOL) -> list[SweepRow]:
     """Tabulate (beta, A, B, B/A) over the grid, in grid order."""
     rows = []
     for beta in grid.points():

@@ -22,15 +22,15 @@ modular relation of the form g(s) = c s^{-1/2} h(lam/s):
     Theta(z, is) = s^{-1/2} P_z(1/s),
                    P_z(u) = sum_k exp(-pi (k+z)^2 u)       c = 1,   lam = 1
 
-With u = lam/s, its s-derivatives are
+Differentiating term by term, with y = pi i^2 lam/s for inner index i,
 
-    g'  = -c [(1/2) s^{-3/2} h(u) + lam s^{-5/2} h'(u)]
-    g'' =  c [(3/4) s^{-5/2} h(u) + 3 lam s^{-7/2} h'(u)
-              + lam^2 s^{-9/2} h''(u)]
+    d^m/ds^m [s^{-1/2} e^{-y}] = s^{-1/2-m} P_m(y) e^{-y},
+    P_0 = 1,  P_1(y) = y - 1/2,  P_2(y) = y^2 - 3y + 3/4,
 
-so each order costs a few rapidly converging series at the large argument
-u instead of O(s^{-1/2}) terms of the direct series. P_z is a sum over the
-shifted indices k + z, certified like the other series.
+so each order costs one rapidly converging series at the large argument
+u = lam/s, its terms weighted by P_m(y), instead of O(s^{-1/2}) terms of
+the direct series. P_z is a sum over the shifted indices k + z, certified
+like the other series.
 """
 
 from __future__ import annotations
@@ -155,11 +155,11 @@ def _check_domain(s: float, tol: float) -> None:
         raise DomainError(f"tol={tol!r} outside (0, 1)")
 
 
-# kind -> (first indices, step, weight, slack factor, sign) of the direct
-# series weight * sum_i w_m(i) e^{-pi i^2 s} over the index progressions
-# first + n step. First index 0 stands for the k = 0 term, counted once;
-# None stands for the shifts (z, 1 - z) of P_z, whose rounded indices
-# double the slack factor. sign is (-1)^i or cos(2 pi z i) when set.
+# kind -> (first indices, step, weight, slack factor, sign) of a series
+# over the index progressions first + n step. First index 0 stands for the
+# k = 0 term, counted once; None stands for the shifts (z, 1 - z) of P_z,
+# whose rounded indices double the slack factor. sign is (-1)^i or
+# cos(2 pi z i) when set.
 _ALTERNATING, _COSINE = 1, 2
 _SERIES = {
     "theta3": ((0,), 1, 2.0, 2.0, None),
@@ -169,109 +169,101 @@ _SERIES = {
     "poisson": (None, 1, 1.0, 4.0, None),
 }
 
+# rows (c0, c1, c2) of Q(p): the weights 1, -p, p^2 of the direct series'
+# s-derivatives, and P_0, P_1, P_2 before the transform scales them by u
+_MONOMIALS = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0))
+_P_ROWS = ((1.0, 0.0, 0.0), (-0.5, 1.0, 0.0), (0.75, -3.0, 1.0))
 
-def _series(kind: str, s: float, order: DerivativeOrder, target: float,
+
+def _series(kind: str, s: float, row: tuple, target: float,
             z: float | None = None):
-    """Direct series of a family (or of P_z), with a certified tail.
+    """Series weight * sum_i sign_i Q(p_i) e^{-p_i s}, p_i = pi i^2, of a
+    family (or of P_z), with Q(p) = c0 + c1 p + c2 p^2 from the row.
 
-    Sums weight * w_m(i) e^{-pi i^2 s} over the family's index
-    progressions, where w_m is 1, -pi i^2 or pi^2 i^4. Along each
-    progression term ratios shrink, so after each step the rest is bounded
-    by the next term times 1/(1-q), q bounding every later term ratio
-    (exponent gaps grow, weight ratios shrink). The loop stops at the first
-    step whose summed tail bound drops below the absolute target; q is
-    computed only once the next term alone is within the target.
+    Tail: R(p) = |c0| + |c1| p + |c2| p^2 bounds |Q| and R(p')/R(p) <=
+    (p'/p)^m for p' >= p and the row's degree m, so along a progression
+    the rest after each step is at most the next bound weight R e^{-p s}
+    times 1/(1-q), q bounding every later ratio. The loop stops at the
+    first step whose summed tail bound is within the absolute target; q is
+    computed only once the next bound alone is.
+
+    Rounding: each term is charged (slack factor * p_i s + 10 + 4k) ulp of
+    weight R(p_i) e^{-p_i s}, 30 i more under a cosine, k counting the
+    nonzero coefficients below the top one. Horner's rule is exact on a
+    monomial row but for the power of p, so k = 0 is the plain series'
+    charge; each further coefficient is rounded (-3u, u^2) and adds a
+    Horner product and sum, each within half an ulp of a partial sum at
+    most R(p_i).
 
     Returns (value, error_bound, terms_used).
     """
     first, step, weight, expo, sign = _SERIES[kind]
-    m = int(order)
+    c0, c1, c2 = row
+    m = 2 if c2 else 1 if c1 else 0
+    extra = 10.0 + 4.0 * (2 - row.count(0.0))
     terms = []
     if first is None:
         first = (z, 1.0 - z)
     elif first == (0,):
-        terms.append(1.0 if m == 0 else 0.0)
+        terms.append(c0)
         first = (step,)
-    alternating = sign == _ALTERNATING
-    cosine = sign == _COSINE
+    # weight is 1 or 2, so it scales the row exactly
+    c0, c1, c2 = weight * c0, weight * c1, weight * c2
+    a0, a1, a2 = abs(c0), abs(c1), abs(c2)
+    alternating, cosine = sign == _ALTERNATING, sign == _COSINE
     two_pi_z = 2.0 * math.pi * z if cosine else 0.0
-    exp = math.exp
-    pi = math.pi
+    exp, pi = math.exp, math.pi
     slack = 0.0
-    n = -1
-    while True:
-        n += 1
-        if n >= TERM_CAP:
-            raise ConvergenceError(
-                f"{kind} series at s={s} not certified within "
-                f"{TERM_CAP} terms")
+    for n in range(TERM_CAP):
         tail = 0.0
         for a in first:
             i = a + n * step
             p = pi * (i * i)
             x = p * s
             e = exp(-x)
-            w = (weight, -weight * p, weight * p * p)[m]
-            t = w * e
+            t = ((c2 * p + c1) * p + c0) * e
+            r = ((a2 * p + a1) * p + a0) * e
             if cosine:
                 terms.append(t * math.cos(two_pi_z * i))
-                slack += abs(w) * e * (expo * x + 10.0 + 30.0 * i) * _EPS
+                slack += r * (expo * x + extra + 30.0 * i) * _EPS
             else:
                 terms.append(-t if alternating and i & 1 else t)
-                slack += abs(w) * e * (expo * x + 10.0) * _EPS
+                slack += r * (expo * x + extra) * _EPS
             i1 = i + step
             p1 = pi * (i1 * i1)
-            nxt = weight * p1 ** m * (exp(-p1 * s) or _TINY)
-            if nxt > target:
-                tail = math.inf
-                continue
-            q = ((i1 + step) / i1) ** (2 * m) * exp(
+            nxt = (a0 + a1 * p1 + a2 * p1 ** 2) * (exp(-p1 * s) or _TINY)
+            q = 1.0 if nxt > target else ((i1 + step) / i1) ** (2 * m) * exp(
                 -pi * (2 * step * i1 + step * step) * s)
-            if q >= 1.0:
-                tail = math.inf
-                continue
-            tail += nxt / (1.0 - q)
+            tail += nxt / (1.0 - q) if q < 1.0 else math.inf
         if tail <= target:
             break
+    else:
+        raise ConvergenceError(f"{kind} series at s={s} not certified "
+                               f"within {TERM_CAP} terms")
     value = math.fsum(terms)
     bound = tail + slack + _EPS * abs(value)
     return value, bound, len(terms)
-
-
-# a[m][j]: g^{(m)} = c sum_j a[m][j] lam^j s^{-1/2-m-j} h^{(j)}(lam/s)
-_ORDER_WEIGHTS = ((1.0,), (-0.5, -1.0), (0.75, 3.0, 1.0))
 
 
 def _transform(kind: str, s: float, order: DerivativeOrder, tol: float,
                z: float | None = None):
     """Small-s evaluation through the modular relation of the family.
 
-    Sums the inner series h^{(j)} at u = lam/s with the coefficients of
-    the differentiated relation (module docstring), splitting half of tol
-    evenly over the inner truncations. Coefficient numerators are exact;
-    a denominator s^{m+j} sqrt(s), the division and the product with the
-    inner value round at most seven times by half an ulp, inside the
-    4 ulp slack per part.
+    Sums the inner series with the row of P_m scaled by u = lam/s, so that
+    Q(p) = P_m(p u) (module docstring), to half of tol, and multiplies by
+    c / (s^m sqrt(s)). The square root, s^m, their product, the division
+    and the product with the inner value round at most five times by half
+    an ulp, inside the 4 ulp slack; one more ulp of the value is added.
     """
     c, lam, inner_kind = _REFLECTIONS[kind]
-    rs = math.sqrt(s)
-    arg = lam / s
-    weights = _ORDER_WEIGHTS[order]
-    share = 0.5 / len(weights)
-    sp = (1.0, s, s * s)[order]
-    parts = []
-    bound = 0.0
-    terms = 0
-    for j, a in enumerate(weights):
-        coef = c * a * lam ** j / (sp * rs)
-        sp *= s
-        v, b, n = _series(inner_kind, arg, j, share * tol / abs(coef), z)
-        parts.append(coef * v)
-        bound += abs(coef) * b + 4.0 * _EPS * abs(coef * v)
-        terms += n
-    value = math.fsum(parts)
-    bound += _EPS * abs(value)
-    return ThetaValue(value, bound, terms, EvalMethod.TRANSFORM)
+    u = lam / s
+    r0, r1, r2 = _P_ROWS[order]
+    coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
+    v, b, n = _series(inner_kind, u, (r0, r1 * u, r2 * u * u),
+                      0.5 * tol / abs(coef), z)
+    value = coef * v
+    bound = abs(coef) * b + 4.0 * _EPS * abs(value) + _EPS * abs(value)
+    return ThetaValue(value, bound, n, EvalMethod.TRANSFORM)
 
 
 def eval_theta(family: ThetaFamily, s: float,
@@ -314,7 +306,7 @@ def eval_theta(family: ThetaFamily, s: float,
     _check_domain(s, tol)
     if not force_direct and s < SMALL_S_CUTOFF:
         return _transform(family.kind, s, order, tol, family.z)
-    v, b, n = _series(family.kind, s, order, tol, family.z)
+    v, b, n = _series(family.kind, s, _MONOMIALS[order], tol, family.z)
     return ThetaValue(v, b, n, EvalMethod.DIRECT)
 
 
@@ -355,7 +347,7 @@ def log_deriv_ratio_bounds(family: ThetaFamily, s: float,
     """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd}, with
     its propagated error bound. DomainError where f underflows: theta_odd
     above s ~ 236.8, theta4 below s ~ 1.055e-3."""
-    if not isinstance(FAMILIES.get(family.kind), ThetaFamily):
+    if family.kind == "theta_general":
         raise DomainError(
             "log_deriv_ratio_bounds needs theta3, theta4 or theta_odd")
     s = float(s)

@@ -314,35 +314,37 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec) -> CheckResult:
 
     Checks f''(s) f(s) - f'(s)^2 >= 0 at every grid point: only a ball
     that lies wholly below zero fails, since the quantity vanishes
-    identically for a single term and exact zero must not fail. Each
-    term's exp rounding is charged to the radii of f, f' and f''.
+    identically for a single term and exact zero must not fail. Terms of
+    f^{(j)} are formed as (-1)^j exp(log a + j log b - b s - L), L the
+    largest log a - b s at s, so none overflows and the residual is scaled
+    by e^{-2L}. The radii charge each exp for its own and its argument's
+    rounding, and for one subnormal ulp where it underflows.
     """
     coeffs = [(float(a), float(b)) for a, b in coefficients]
-    if not coeffs:
-        raise DomainError("need at least one coefficient pair")
     for a, b in coeffs:
         if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
             raise DomainError(f"coefficients must be finite and "
                               f"non-negative, got ({a!r}, {b!r})")
-    if not any(a > 0.0 for a, _ in coeffs):
-        raise DomainError("at least one amplitude must be positive")
+    # (log a, b, log b) of the live terms; a zero b has no f', f'' term
+    logs = [(math.log(a), b, math.log(b) if b else 0.0)
+            for a, b in coeffs if a > 0.0]
+    if not logs:
+        raise DomainError("need a coefficient pair with positive amplitude")
     pts = s_grid.points()
     track = _Tracker()
     for s in pts:
-        f_terms, d_terms, w_terms = [], [], []
-        ef = ed = ew = 0.0
-        for a, b in coeffs:
-            e = math.exp(-b * s)
-            f_terms.append(a * e)
-            d_terms.append(-a * b * e)
-            w_terms.append(a * b * b * e)
-            pen = (2.0 * b * s + 8.0) * _EPS
-            ef += a * e * pen
-            ed += a * b * e * pen
-            ew += a * b * b * e * pen
-        f, d, w = (Ball(v, err + _EPS * abs(v)) for v, err in (
-            (math.fsum(f_terms), ef), (math.fsum(d_terms), ed),
-            (math.fsum(w_terms), ew)))
+        top = max(la - b * s for la, b, _ in logs)
+        sums, errs = ([], [], []), [0.0, 0.0, 0.0]
+        for la, b, lb in logs:
+            x = la - b * s - top
+            size = abs(la) + b * s + abs(top)
+            for j in range(3 if b else 1):
+                e = math.exp(x + j * lb)
+                if e:
+                    sums[j].append(-e if j == 1 else e)
+                    errs[j] += e * (3.0 * (size + j * abs(lb)) + 8.0)
+        f, d, w = (Ball(v, (r + abs(v)) * _EPS + len(logs) * 5e-324)
+                   for v, r in zip(map(math.fsum, sums), errs))
         resid = sub(mul(w, f), mul(d, d))
         track.add(_exact(resid.value + resid.error_bound), s)
     return track.result("exp-sum-log-convexity", len(pts))
@@ -379,8 +381,9 @@ class VerifyConfig:
     """Suite selection and grids for run_all.
 
     suites=None runs every suite in SUITE_NAMES; otherwise only the named
-    ones run, still in registry order. The inequalities, their r values
-    and the truncation target are fixed; only the grids are settable.
+    ones run, still in registry order, and naming none is a DomainError.
+    The inequalities, their r values and the truncation target are fixed;
+    only the grids are settable.
     """
 
     suites: tuple[str, ...] | None = None
@@ -394,6 +397,8 @@ class VerifyConfig:
     def __post_init__(self):
         if self.suites is not None:
             object.__setattr__(self, "suites", tuple(self.suites))
+            if not self.suites:
+                raise DomainError("suites=() selects nothing; None runs all")
             unknown = set(self.suites) - set(SUITE_NAMES)
             if unknown:
                 raise DomainError(

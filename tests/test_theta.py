@@ -150,6 +150,73 @@ def test_containment_full_domain():
                 (s, tv, true)
 
 
+# s bands of the one-series transform: just below the cutoff u = lam/s is
+# smallest, and the theta_odd inner term y = pi u sits near the root 2.72
+# of P_2; at the bottom of the domain u is largest
+_TRANSFORM_BANDS = ((0.2, math.nextafter(0.25, 0.0)), (1e-6, 1e-5))
+# z near 0 and 1 puts a shifted index at y ~ 0, where P_1, P_2 are -1/2, 3/4
+_TRANSFORM_FAMILIES = (THETA3, THETA4, THETA_ODD, general_family(0.0),
+                       general_family(1e-9), general_family(0.5),
+                       general_family(1.0 - 1e-9))
+
+
+def _check_transform_orders(points_per_band, seed):
+    """Orders 1-2 below the cutoff against the 50-digit reference: both
+    band ends plus seeded log-uniform points inside, per family."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(seed)
+    for lo, hi in _TRANSFORM_BANDS:
+        pts = [lo, hi] + [math.exp(rng.uniform(math.log(lo), math.log(hi)))
+                          for _ in range(points_per_band - 2)]
+        for fam in _TRANSFORM_FAMILIES:
+            for order in (1, 2):
+                for s in pts:
+                    tv = eval_theta(fam, s, order)
+                    assert tv.method is EvalMethod.TRANSFORM
+                    true = ref.theta_reference(fam.kind, s, order, fam.z)
+                    with mp.workdps(50):
+                        err = abs(mp.mpf(tv.value) - true)
+                        assert err <= mp.mpf(tv.error_bound), \
+                            (fam, s, order, tv, true)
+
+
+def test_transform_orders_contain_reference():
+    _check_transform_orders(4, 8)
+
+
+def test_series_tail_bounds_through_majorant():
+    # Q(p) = 4 pi - p vanishes at index 2; a tail bounded by |Q| at the
+    # next index would stop there and drop the index-3 term, ~2e-11
+    from thetaframe import theta
+    mp = pytest.importorskip("mpmath")
+    row = (4.0 * math.pi, -1.0, 0.0)
+    v, b, _ = theta._series("theta3", 1.0, row, 1e-12)
+    with mp.workdps(50):
+        true = sum((mp.mpf(row[0]) - mp.pi * k * k) * mp.exp(-mp.pi * k * k)
+                   for k in range(-12, 13))
+        assert abs(mp.mpf(v) - true) <= mp.mpf(b)
+
+
+@pytest.mark.slow
+def test_transform_orders_contain_reference_dense():
+    _check_transform_orders(72, 88)
+
+
+@pytest.mark.slow
+def test_triple_product_deep_sweep():
+    """theta4_triple_product from s = 1e-5 to 1e-3, where its cost grows
+    like 1/s (one point at 1e-5 takes about 0.6 s)."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(1005)
+    lo, hi = math.log(1e-5), math.log(1e-3)
+    for s in [1e-5] + [math.exp(rng.uniform(lo, hi)) for _ in range(15)]:
+        tv = theta4_triple_product(s)
+        true = ref.theta_reference("theta4", s, 0)
+        with mp.workdps(50):
+            assert abs(mp.mpf(tv.value) - true) <= mp.mpf(tv.error_bound), \
+                (s, tv, true)
+
+
 class TestMethodSelection:
     def test_transform_below_cutoff(self):
         for fam in (THETA3, THETA4, THETA_ODD, general_family(0.3)):

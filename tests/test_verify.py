@@ -59,6 +59,14 @@ class TestRunAll:
         with pytest.raises(DomainError):
             VerifyConfig(suites=("bogus",))
 
+    @pytest.mark.parametrize("suites", [(), []])
+    def test_empty_suites_rejected(self, suites):
+        # an empty selection would check nothing, and all_passed([]) is
+        # True; None still means every suite
+        with pytest.raises(DomainError):
+            VerifyConfig(suites=suites)
+        assert VerifyConfig(suites=None).suites is None
+
     def test_informational_never_gates(self):
         ok = CheckResult("x", True, 0.1, None, 3)
         bad_info = CheckResult("y", False, -0.1, None, 3,
@@ -253,14 +261,22 @@ class TestLogConvexity:
 
     @pytest.mark.parametrize("coeffs", [((1.0, 1e200), (1.0, 0.0)),
                                         ((1e300, 1.0), (1e300, 2.0))])
-    def test_overflowing_margin_fails(self, coeffs):
-        # finite coefficients whose f''f - f'^2 overflows to inf*0 or
-        # inf - inf: a margin that cannot be evaluated must not pass
+    def test_large_coefficients_pass(self, coeffs):
+        # unscaled, f''f - f'^2 would overflow to inf*0 or inf - inf; the
+        # terms scaled by the largest one give every point a verdict
         grid = GridSpec(0.1, 10.0, 10, "log")
         res = check_logconvexity_general(coeffs, grid)
-        assert res.passed is False
-        assert math.isnan(res.worst_residual)
-        assert res.worst_location == grid.points()[0]
+        assert res.passed is True
+        assert 0.0 < res.worst_residual < math.inf
+
+    def test_residual_scaled_by_largest_term(self):
+        # at s = 10, L = log 1e300 - 10 and e^{-2L} (f''f - f'^2) = e^{-10};
+        # the reported residual adds the radius, ~4e-12 from |log a| ~ 690
+        res = check_logconvexity_general(((1e300, 1.0), (1e300, 2.0)),
+                                         GridSpec(0.1, 10.0, 10, "log"))
+        assert res.worst_location == 10.0
+        assert res.worst_residual == pytest.approx(math.exp(-10.0),
+                                                   abs=1e-11)
 
 
 class TestConjecture:
