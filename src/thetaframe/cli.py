@@ -22,7 +22,7 @@ from .frame import frame_bounds, lattice_params
 from .grids import GridSpec
 from .oracle import grid_extrema_F
 from .sweep import emit_csv, emit_plot, sweep_beta
-from .theta import DEFAULT_TOL, FAMILIES, eval_theta
+from .theta import DEFAULT_TOL, FAMILIES, ThetaFamily, eval_theta
 from .verify import SUITE_NAMES, VerifyConfig, all_passed, run_all
 
 
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("eval", help="evaluate a theta function")
-    p.add_argument("--family", choices=tuple(FAMILIES), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--s", type=float, required=True,
                    help="argument s > 0")
     p.add_argument("--z", type=float, default=None,
@@ -137,10 +137,8 @@ def _fmt12(x: float) -> str:
 
 
 def _cmd_eval(args) -> int:
-    family = FAMILIES[args.family]
-    if callable(family):  # theta_general is built from --z
-        family = family(args.z)
-    tv = eval_theta(family, args.s, args.order, args.tol)
+    tv = eval_theta(ThetaFamily(args.family, args.z), args.s, args.order,
+                    args.tol)
     if args.format == "json":
         _emit({"command": "eval", "family": args.family, "z": args.z,
                "s": args.s, "order": args.order, "tol": args.tol,

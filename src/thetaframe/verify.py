@@ -315,10 +315,14 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec) -> CheckResult:
     Checks f''(s) f(s) - f'(s)^2 >= 0 at every grid point: only a ball
     that lies wholly below zero fails, since the quantity vanishes
     identically for a single term and exact zero must not fail. Terms of
-    f^{(j)} are formed as (-1)^j exp(log a + j log b - b s - L), L the
-    largest log a - b s at s, so none overflows and the residual is scaled
-    by e^{-2L}. The radii charge each exp for its own and its argument's
-    rounding, and for one subnormal ulp where it underflows.
+    f^{(j)} are formed as (-1)^j exp(log a + j (log b - K) - b s - L), L
+    the largest log a - b s at s and K = max(0, largest log b - 340), so
+    none overflows and the residual is scaled by e^{-2L - 2K}. The radii
+    charge each exp for its own and its argument's rounding, and for one
+    subnormal ulp where it underflows. A leading term with a huge rate
+    (b s of 1e146 and more once K > 0) is charged about b s ulp for its
+    exponent, which bounds nothing: the radius overflows, the point gets
+    no verdict and the check fails with an infinite worst residual.
     """
     coeffs = [(float(a), float(b)) for a, b in coefficients]
     for a, b in coeffs:
@@ -330,6 +334,7 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec) -> CheckResult:
             for a, b in coeffs if a > 0.0]
     if not logs:
         raise DomainError("need a coefficient pair with positive amplitude")
+    big = max(0.0, max(lb for _, _, lb in logs) - 340.0)
     pts = s_grid.points()
     track = _Tracker()
     for s in pts:
@@ -339,10 +344,10 @@ def check_logconvexity_general(coefficients, s_grid: GridSpec) -> CheckResult:
             x = la - b * s - top
             size = abs(la) + b * s + abs(top)
             for j in range(3 if b else 1):
-                e = math.exp(x + j * lb)
+                e = math.exp(x + j * (lb - big))
                 if e:
                     sums[j].append(-e if j == 1 else e)
-                    errs[j] += e * (3.0 * (size + j * abs(lb)) + 8.0)
+                    errs[j] += e * (3.0 * (size + j * (abs(lb) + big)) + 8.0)
         f, d, w = (Ball(v, (r + abs(v)) * _EPS + len(logs) * 5e-324)
                    for v, r in zip(map(math.fsum, sums), errs))
         resid = sub(mul(w, f), mul(d, d))

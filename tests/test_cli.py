@@ -9,8 +9,9 @@ from dataclasses import asdict
 import pytest
 
 import reference_values as ref
-from thetaframe import (CheckResult, VerifyConfig, cli, eval_theta,
-                        frame_bounds, grid_extrema_F, lattice_params, run_all)
+from thetaframe import (CheckResult, DomainError, ThetaFamily, VerifyConfig,
+                        cli, eval_theta, frame_bounds, grid_extrema_F,
+                        lattice_params, run_all)
 from thetaframe.theta import FAMILIES
 from thetaframe.cli import build_parser, main, parse_args
 
@@ -220,6 +221,25 @@ def _json_doc(capsys, argv):
     return json.loads(out)
 
 
+class TestFamilyRegistry:
+    """P_z shares the series table with the families but is not one."""
+
+    def test_families_are_the_cli_choices(self):
+        sub = next(a for a in build_parser()._actions
+                   if a.dest == "subcommand")
+        family = next(a for a in sub.choices["eval"]._actions
+                      if a.dest == "family")
+        assert FAMILIES == tuple(family.choices) == (
+            "theta3", "theta4", "theta_odd", "theta_general")
+
+    def test_poisson_is_not_a_family(self, capsys):
+        # P_z is the inner series of theta_general's transform only
+        with pytest.raises(DomainError):
+            ThetaFamily("poisson")
+        assert main(["eval", "--family", "poisson", "--s", "1.0"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestJsonEqualsLibrary:
     """Each JSON document carries the library's numbers exactly."""
 
@@ -229,10 +249,10 @@ class TestJsonEqualsLibrary:
     def test_eval(self, capsys, validator, family, order, s):
         argv = ["eval", "--family", family, "--s", repr(s),
                 "--order", str(order)]
-        fam = FAMILIES[family]
-        if family == "theta_general":
+        z = 0.3 if family == "theta_general" else None
+        if z is not None:
             argv += ["--z", "0.3"]
-            fam = fam(0.3)
+        fam = ThetaFamily(family, z)
         doc = _json_doc(capsys, argv)
         validator(doc)
         tv = eval_theta(fam, s, order)
@@ -291,6 +311,15 @@ class TestJsonEqualsLibrary:
             {"name": "w", "passed": False, "worst_residual": -1.0,
              "worst_location": [1.0, None], "points_tested": 3,
              "low_margin": False, "informational": False}]
+
+    def test_verify_human_flags_low_margin(self, capsys, monkeypatch):
+        fake = [CheckResult("x", True, 1e-9, 1.0, 4, low_margin=True)]
+        monkeypatch.setattr(cli, "run_all", lambda config: fake)
+        code, out, _ = run_main(capsys, ["verify"])
+        assert code == 0
+        assert out.splitlines() == [
+            "PASS x: worst_residual=1e-09 points=4 [low margin]",
+            "all checks passed"]
 
     def test_oracle(self, capsys, validator):
         params = lattice_params(2, 0.7)

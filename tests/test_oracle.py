@@ -160,6 +160,10 @@ class TestGridExtrema:
         with pytest.raises(DomainError):
             grid_extrema_F(lattice_params(2, 0.7), k_max=0)
 
+    def test_params_type(self):
+        with pytest.raises(DomainError):
+            grid_extrema_F((2, 0.7))
+
     def test_explicit_k_max_converges(self):
         params = lattice_params(2, 0.7)
         a = grid_extrema_F(params, 16, k_max=3)

@@ -72,6 +72,16 @@ class TestFindOptimalBeta:
         rep = find_optimal_beta(2, (0.3, 1.5), 1e-9)
         assert abs(rep.beta_for_max_A - 2 ** -0.5) <= rep.bracket_width
 
+    @pytest.mark.parametrize("n", [2, 5, 8, 18])
+    def test_uncertain_signs_stop_the_bisection(self, n):
+        # no bracket reaches 1e-300: the bisection stops where a slope
+        # sign is no longer certified, some 1e-15 wide, and keeps the root
+        root = 1 / math.sqrt(n)
+        rep = find_optimal_beta(n, (0.3 * root, 2 * root), 1e-300)
+        assert rep.bracket_width > 1e-300
+        assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
+        assert abs(rep.beta_for_min_B - root) <= rep.bracket_width
+
     @pytest.mark.parametrize("n", range(2, 17))
     @pytest.mark.parametrize("res", [1e-6, 1e-8])
     def test_bracket_contains_root(self, n, res):

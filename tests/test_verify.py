@@ -269,6 +269,16 @@ class TestLogConvexity:
         assert res.passed is True
         assert 0.0 < res.worst_residual < math.inf
 
+    @pytest.mark.parametrize("coeffs", [((1.0, 1e200),),
+                                        ((1.0, 1e155), (2.0, 3e154))])
+    def test_huge_leading_rates_fail_without_overflow(self, coeffs):
+        # f' and f'' are scaled by e^{-K} and e^{-2K}, so no exp overflows;
+        # a leading exponent b s of 1e154 and more is charged a rounding
+        # no float radius holds, so no point gets a verdict
+        res = check_logconvexity_general(coeffs, GridSpec(0.1, 10, 5, "log"))
+        assert res.passed is False
+        assert res.worst_residual == math.inf
+
     def test_residual_scaled_by_largest_term(self):
         # at s = 10, L = log 1e300 - 10 and e^{-2L} (f''f - f'^2) = e^{-10};
         # the reported residual adds the radius, ~4e-12 from |log a| ~ 690
