@@ -27,23 +27,6 @@ from .theta import (DEFAULT_TOL, S_MAX, S_MIN, THETA3, THETA4, THETA_ODD,
                     eval_theta)
 
 
-def _check_lattice(n, beta=None, parity=None):
-    """Validate density n (of the given parity, if any) and beta.
-
-    Returns beta as a float (None when beta is not given).
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n={n!r} must be a positive integer")
-    if parity is not None and parity != ("even" if n % 2 == 0 else "odd"):
-        raise DomainError(f"parity {parity!r} does not match n={n}")
-    if beta is None:
-        return None
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise DomainError(f"beta={beta!r} must be positive")
-    return beta
-
-
 @dataclass(frozen=True)
 class LatticeParams:
     """A separable lattice alpha Z x beta Z of integer density n.
@@ -56,9 +39,12 @@ class LatticeParams:
     beta: float
 
     def __post_init__(self):
-        # float() first: a missing beta must not pass as "not given"
-        object.__setattr__(self, "beta",
-                           _check_lattice(self.n, float(self.beta)))
+        n, beta = self.n, float(self.beta)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise DomainError(f"n={n!r} must be a positive integer")
+        if not (math.isfinite(beta) and beta > 0.0):
+            raise DomainError(f"beta={beta!r} must be positive")
+        object.__setattr__(self, "beta", beta)
 
     @property
     def alpha(self) -> float:
@@ -134,30 +120,30 @@ def _frame_slopes(n: int, beta: float):
     return _bounds(_slope_pair, n, beta, 1e-16)
 
 
-def _frame_bounds(n: int, beta: float, tol: float) -> FrameBounds:
-    """Closed-form bounds for a validated lattice of either parity."""
-    lower, upper = _bounds(_value_pair, n, beta, tol)
+def frame_bounds(params: LatticeParams,
+                 tol: float = DEFAULT_TOL) -> FrameBounds:
+    """Bounds of a lattice; its LatticeParams were validated on creation."""
+    if not isinstance(params, LatticeParams):
+        raise DomainError(f"expected LatticeParams, got {params!r}")
+    lower, upper = _bounds(_value_pair, params.n, params.beta, tol)
     error_bound = max(lower.error_bound, upper.error_bound)
     ratio = upper.value / lower.value if lower.value > 0.0 else math.inf
     return FrameBounds(lower.value, upper.value, ratio, error_bound,
                        lower.value > error_bound)
 
 
-def frame_bounds_even(n: int, beta: float,
-                      tol: float = DEFAULT_TOL) -> FrameBounds:
+def _parity_bounds(n, beta, parity):
+    params = LatticeParams(n, beta)
+    if parity != ("even" if n % 2 == 0 else "odd"):
+        raise DomainError(f"parity {parity!r} does not match n={n}")
+    return frame_bounds(params)
+
+
+def frame_bounds_even(n: int, beta: float) -> FrameBounds:
     """Closed-form bounds for even density n."""
-    return _frame_bounds(n, _check_lattice(n, beta, "even"), tol)
+    return _parity_bounds(n, beta, "even")
 
 
-def frame_bounds_odd(n: int, beta: float,
-                     tol: float = DEFAULT_TOL) -> FrameBounds:
+def frame_bounds_odd(n: int, beta: float) -> FrameBounds:
     """Closed-form bounds for odd density n."""
-    return _frame_bounds(n, _check_lattice(n, beta, "odd"), tol)
-
-
-def frame_bounds(params: LatticeParams,
-                 tol: float = DEFAULT_TOL) -> FrameBounds:
-    """Bounds of a lattice; its LatticeParams were validated on creation."""
-    if not isinstance(params, LatticeParams):
-        raise DomainError(f"expected LatticeParams, got {params!r}")
-    return _frame_bounds(params.n, params.beta, tol)
+    return _parity_bounds(n, beta, "odd")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .frame import FrameBounds, LatticeParams
+from .frame import FrameBounds, LatticeParams, _theta_args
 from .theta import ThetaFamily
 
 _TAIL_TARGET = 1e-13
@@ -83,6 +83,9 @@ def auto_k_max(params: LatticeParams) -> int:
 
 
 def _coefficients(params: LatticeParams, k_max: int | None):
+    # the frame_bounds domain caps auto_k_max at 3,904 (122 MB of weights);
+    # outside it K can grow to 1e5, and the matrix to 80 GB, before failing
+    _theta_args(params.n, params.beta)
     import numpy as np
 
     if k_max is None:

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .frame import (_check_lattice, _frame_slopes, _theta_args, frame_bounds,
+from .frame import (LatticeParams, _frame_slopes, _theta_args, frame_bounds,
                     lattice_params)
 from .grids import GridSpec
 from .theta import DEFAULT_TOL
@@ -87,11 +87,12 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     provably lie. n = 1 is rejected: there A vanishes identically
     (critical density), so it has no maximum to locate.
     """
-    _check_lattice(n)
+    lo, hi = float(beta_range[0]), float(beta_range[1])
+    for beta in (lo, hi):  # then every midpoint is in the theta domain
+        _theta_args(n, LatticeParams(n, beta).beta)
     if n == 1:
         raise DomainError("n=1 has A = 0 at every beta: no maximum")
-    lo, hi = float(beta_range[0]), float(beta_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo <= 0.0 or lo >= hi:
+    if lo >= hi:
         raise DomainError(f"invalid beta range ({lo!r}, {hi!r})")
     root = 1.0 / math.sqrt(n)
     if not (lo < root < hi):
@@ -100,8 +101,6 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     if not (isinstance(resolution, (int, float)) and
             math.isfinite(resolution) and resolution > 0.0):
         raise DomainError(f"resolution must be positive, got {resolution!r}")
-    for beta in (lo, hi):  # then every midpoint is in the theta domain
-        _theta_args(n, beta)
 
     def side(beta):
         """-1 left of both optima, +1 right of them, 0 if uncertain."""

@@ -78,7 +78,8 @@ class _Tracker:
         m, err = margin.value, margin.error_bound
         slack = m - err
         # a nan slack (unevaluable margin) is the worst and stays so
-        if not (slack >= self.worst or math.isnan(self.worst)):
+        if (self.location is None
+                or not (slack >= self.worst or math.isnan(self.worst))):
             self.worst = slack
             self.location = location
         if magnitude is not None and magnitude > 0.0 and m / magnitude < 1e-6:
@@ -98,61 +99,46 @@ def _exact(x):
 _HALF = _exact(0.5)
 
 
-def _g(family, s, cache):
-    r = cache.get(s)
-    if r is None:
-        r = Ball(*log_deriv_ratio_bounds(family, s))
-        cache[s] = r
-    return r
+def _ratios(family, args):
+    """g(s) = s theta'/theta as a ball, once for each distinct s in args."""
+    return {s: Ball(*log_deriv_ratio_bounds(family, s))
+            for s in dict.fromkeys(args)}
 
 
 def check_monotone_log_ratio(family: ThetaFamily,
                              grid: GridSpec) -> CheckResult:
     """Strict monotonicity and range of g(s) = s theta'/theta.
 
-    theta3: g increasing with values in (-1/2, 0); comparisons at s < 1 go
-    through the reflection so their tiny margins stay resolvable.
-    theta4: g decreasing and positive. low_margin flags margins below 1e-6
-    relative to the compared values.
+    theta3: g increasing with values in (-1/2, 0); below s = 1 it is
+    evaluated at 1/s through the reflection g(s) = -1/2 - g(1/s), so tiny
+    margins stay resolvable. theta4: g decreasing and positive.
+    low_margin flags margins below 1e-6 relative to the compared values.
     """
     if family.kind not in ("theta3", "theta4"):
         raise DomainError("monotone log-ratio check needs theta3 or theta4")
     pts = grid.points()
-    name = f"{family.kind}-log-ratio-monotone"
+    reflect = family.kind == "theta3"
+    args = [1.0 / s if reflect and s < 1.0 else s for s in pts]
+    g = _ratios(family, args)
     track = _Tracker()
-    cache: dict[float, Ball] = {}
-
-    if family.kind == "theta3":
-        for i in range(len(pts) - 1):
-            a, b = pts[i], pts[i + 1]
-            if b <= 1.0:
-                ga = _g(family, 1.0 / a, cache)
-                gb = _g(family, 1.0 / b, cache)
-                margin = sub(ga, gb)
-            elif a >= 1.0:
-                ga = _g(family, a, cache)
-                gb = _g(family, b, cache)
-                margin = sub(gb, ga)
-            else:
-                gb = _g(family, b, cache)
-                ga = _g(family, 1.0 / a, cache)
-                margin = add(add(gb, _HALF), ga)
-            track.add(margin, (a, b),
-                      magnitude=abs(ga.value) + abs(gb.value) + 1e-300)
-        for s in pts:
-            g = _g(family, s if s >= 1.0 else 1.0 / s, cache)
-            track.add(neg(g), s)
-            track.add(add(g, _HALF), s)
-    else:
-        for i in range(len(pts) - 1):
-            a, b = pts[i], pts[i + 1]
-            ga = _g(family, a, cache)
-            gb = _g(family, b, cache)
-            track.add(sub(ga, gb), (a, b),
-                      magnitude=abs(ga.value) + abs(gb.value) + 1e-300)
-        for s in pts:
-            track.add(_g(family, s, cache), s)
-    return track.result(name, len(pts))
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        ga, gb = g[args[i]], g[args[i + 1]]
+        if not reflect or b <= 1.0:  # theta4, or g3(1/a) - g3(1/b)
+            margin = sub(ga, gb)
+        elif a >= 1.0:
+            margin = sub(gb, ga)
+        else:  # g3(b) - g3(a) = g3(b) + 1/2 + g3(1/a)
+            margin = add(add(gb, _HALF), ga)
+        track.add(margin, (a, b),
+                  magnitude=abs(ga.value) + abs(gb.value) + 1e-300)
+    for s, x in zip(pts, args):
+        if reflect:
+            track.add(neg(g[x]), s)
+            track.add(add(g[x], _HALF), s)
+        else:
+            track.add(g[x], s)
+    return track.result(f"{family.kind}-log-ratio-monotone", len(pts))
 
 
 def _dlog_product(v, d, s):
@@ -294,16 +280,14 @@ def check_lemma_odd_ratio(s_grid: GridSpec) -> CheckResult:
         raise DomainError("grid must span [1e-3, 10]")
     pts = s_grid.points()
     track = _Tracker()
-    cache: dict[float, Ball] = {}
-    g1 = _g(THETA_ODD, 1.0, cache)
+    g = _ratios(THETA_ODD, [1.0, 1e-3, *pts])
     upper = [s for s in pts if s >= 0.25]
     for a, b in zip(upper, upper[1:]):
-        track.add(sub(_g(THETA_ODD, a, cache),
-                      _g(THETA_ODD, b, cache)), (a, b))
+        track.add(sub(g[a], g[b]), (a, b))
     for s in pts:
         if s <= 0.25:
-            track.add(sub(_g(THETA_ODD, s, cache), g1), s)
-    gap = add(_g(THETA_ODD, 1e-3, cache), _HALF)
+            track.add(sub(g[s], g[1.0]), s)
+    gap = add(g[1e-3], _HALF)
     # |x| has the radius of x
     track.add(sub(_exact(0.05), Ball(abs(gap.value), gap.error_bound)), 1e-3)
     return track.result("odd-log-ratio", len(pts))
@@ -364,8 +348,8 @@ def check_theta4_ratio_conjecture(grid: GridSpec) -> CheckResult:
     if grid.scale != "linear":
         raise DomainError("conjecture check expects a linear grid")
     pts = grid.points()
-    cache: dict[float, Ball] = {}
-    hs = [scale(_g(THETA4, s, cache), s) for s in pts]
+    g = _ratios(THETA4, pts)
+    hs = [scale(g[s], s) for s in pts]
     track = _Tracker()
     for i in range(len(pts) - 1):
         track.add(sub(hs[i], hs[i + 1]), (pts[i], pts[i + 1]))

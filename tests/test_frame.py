@@ -183,7 +183,7 @@ class TestDomain:
 
     def test_bad_tol(self):
         with pytest.raises(DomainError):
-            frame_bounds_even(2, 0.7, tol=0.0)
+            frame_bounds(lattice_params(2, 0.7), tol=0.0)
 
     def test_params_type(self):
         with pytest.raises(DomainError):

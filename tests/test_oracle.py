@@ -133,6 +133,14 @@ class TestAutoKMax:
         with pytest.raises(ConvergenceError):
             auto_k_max(lattice_params(1, 1e-5))
 
+    @pytest.mark.parametrize("oracle", [
+        grid_extrema_F, frame_bounds_via_F,
+        lambda params: janssen_F(0.5, 0.5, params)])
+    def test_outside_theta_domain_rejected(self, oracle):
+        # auto_k_max is 28,727 here: its weight matrix would take 6.6 GB
+        with pytest.raises(DomainError):
+            oracle(lattice_params(2, 1e-4))
+
 
 class TestGridExtrema:
     @pytest.mark.parametrize("n,beta", [(2, 2.0 ** -0.5), (3, 0.4)])

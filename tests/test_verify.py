@@ -92,6 +92,24 @@ class TestMonotoneLogRatio:
         assert res.low_margin
         assert res.worst_residual < 1e-8
 
+    @pytest.mark.parametrize("suite,calls", [
+        ("theta3-log-ratio-monotone", 774),   # 1,000 points, reflected
+        ("theta4-log-ratio-monotone", 1000),
+        ("odd-log-ratio", 1251),              # 1,250 points and s = 1
+        ("theta4-ratio-conjecture", 200),
+    ])
+    def test_one_ratio_evaluation_per_distinct_argument(self, monkeypatch,
+                                                        suite, calls):
+        args = []
+
+        def counted(family, s):
+            args.append(s)
+            return log_deriv_ratio_bounds(family, s)
+
+        monkeypatch.setattr(verify, "log_deriv_ratio_bounds", counted)
+        assert run_all(VerifyConfig(suites=(suite,)))[0].passed
+        assert len(args) == len(set(args)) == calls
+
     def test_reflection_identity(self):
         # the margin conditioning rests on g3(s) + g3(1/s) = -1/2
         for s in (0.5, 0.8):
@@ -234,6 +252,13 @@ class TestLemmaOddRatio:
         with pytest.raises(DomainError):
             check_lemma_odd_ratio(GridSpec(1e-3, 5.0, 100, "log"))
 
+    @pytest.mark.parametrize("steps", [2, 3])
+    def test_every_point_evaluated(self, steps):
+        # theta_odd underflows at s = 300, so g_o is undefined there even
+        # when the point is the only one at or above 1/4
+        with pytest.raises(DomainError, match="underflows"):
+            check_lemma_odd_ratio(GridSpec(1e-3, 300.0, steps, "log"))
+
 
 class TestLogConvexity:
     def test_single_term_equality(self):
@@ -278,6 +303,14 @@ class TestLogConvexity:
         res = check_logconvexity_general(coeffs, GridSpec(0.1, 10, 5, "log"))
         assert res.passed is False
         assert res.worst_residual == math.inf
+
+    def test_all_infinite_slacks_keep_a_location(self):
+        # every slack is +inf; the first point is reported as the worst
+        res = check_logconvexity_general(((1.0, 1e200),),
+                                         GridSpec(0.1, 10, 5, "log"))
+        assert res.passed is False
+        assert res.worst_location == 0.1
+        assert res.points_tested == 5
 
     def test_residual_scaled_by_largest_term(self):
         # at s = 10, L = log 1e300 - 10 and e^{-2L} (f''f - f'^2) = e^{-10};
