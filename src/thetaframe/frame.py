@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from .ball import mul, scale, sub
 from .errors import DomainError
-from .theta import (DEFAULT_TOL, S_MAX, S_MIN, THETA3, THETA4, THETA_ODD,
-                    eval_theta)
+from .theta import DEFAULT_TOL, S_MAX, S_MIN, _thetas
 
 
 @dataclass(frozen=True)
@@ -83,28 +82,22 @@ def _theta_args(n: int, beta: float) -> tuple[float, float]:
     return a, b
 
 
-def _value_pair(family, a, b, tol):
-    """f(a) f(b)."""
-    return mul(eval_theta(family, a, tol=tol), eval_theta(family, b, tol=tol))
-
-
-def _slope_pair(family, a, b, tol):
-    """a f'(a) f(b) - b f(a) f'(b), which is (beta/2) d/dbeta [f(a) f(b)]
-    because da/dbeta = 2a/beta and db/dbeta = -2b/beta."""
-    fa = eval_theta(family, a, tol=tol)
-    fb = eval_theta(family, b, tol=tol)
-    return sub(mul(scale(eval_theta(family, a, 1, tol), a), fb),
-               mul(fa, scale(eval_theta(family, b, 1, tol), b)))
-
-
-def _bounds(pair, n, beta, tol):
-    """(A, B) as balls, with pair(f) standing for the product f(a) f(b):
-    n pair(theta4) and n pair(theta3), less 2n pair(theta_odd) for odd n."""
+def _bounds(n, beta, tol, slopes=False):
+    """(A, B) as balls, n pair(theta4) and n pair(theta3), less 2n
+    pair(theta_odd) for odd n, from the theta Balls at a and b. pair(f)
+    is f(a) f(b), or with slopes a f'(a) f(b) - b f(a) f'(b), which is
+    (beta/2) d/dbeta [f(a) f(b)] as da/dbeta = 2a/beta, db/dbeta = -2b/beta.
+    """
     a, b = _theta_args(n, beta)
-    lo = pair(THETA4, a, b, tol)
-    hi = pair(THETA3, a, b, tol)
-    if n % 2:
-        odd = scale(pair(THETA_ODD, a, b, tol), 2.0)
+    fa, fb = _thetas(a, 0, tol, n % 2), _thetas(b, 0, tol, n % 2)
+    if slopes:
+        da, db = _thetas(a, 1, tol, n % 2), _thetas(b, 1, tol, n % 2)
+        hi, lo, *odd = [sub(mul(scale(d, a), g), mul(f, scale(h, b)))
+                        for d, g, f, h in zip(da, fb, fa, db)]
+    else:
+        hi, lo, *odd = map(mul, fa, fb)
+    if odd:
+        odd = scale(odd[0], 2.0)
         lo = sub(lo, odd)
         hi = sub(hi, odd)
     return scale(lo, n), scale(hi, n)
@@ -117,7 +110,7 @@ def _frame_slopes(n: int, beta: float):
     Near the optimum the slopes are tiny, so a 1e-12 truncation target
     would hide their sign (1e-10 from it at n = 5); 1e-16 leaves rounding.
     """
-    return _bounds(_slope_pair, n, beta, 1e-16)
+    return _bounds(n, beta, 1e-16, True)
 
 
 def frame_bounds(params: LatticeParams,
@@ -125,7 +118,10 @@ def frame_bounds(params: LatticeParams,
     """Bounds of a lattice; its LatticeParams were validated on creation."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    lower, upper = _bounds(_value_pair, params.n, params.beta, tol)
+    tol = float(tol)
+    if not (0.0 < tol < 1.0):
+        raise DomainError(f"tol={tol!r} outside (0, 1)")
+    lower, upper = _bounds(params.n, params.beta, tol)
     error_bound = max(lower.error_bound, upper.error_bound)
     ratio = upper.value / lower.value if lower.value > 0.0 else math.inf
     return FrameBounds(lower.value, upper.value, ratio, error_bound,

@@ -16,11 +16,17 @@ bound honestly.
 Below s = SMALL_S_CUTOFF every family and every order is routed through a
 modular relation of the form g(s) = c s^{-1/2} h(lam/s):
 
-    theta3(s)    = s^{-1/2} theta3(1/s)                    c = 1,   lam = 1
+    theta3(s)    = s^{-1/2} theta3(1/s) = s^{-1/2} theta_even(1/(4s)),
+                   theta_even(u) = sum_k exp(-4 pi k^2 u)  c = 1,   lam = 1/4
     theta4(s)    = s^{-1/2} theta_odd(1/(4s))              c = 1,   lam = 1/4
     theta_odd(s) = (1/2) s^{-1/2} theta4(1/(4s))           c = 1/2, lam = 1/4
     Theta(z, is) = s^{-1/2} P_z(1/s),
                    P_z(u) = sum_k exp(-pi (k+z)^2 u)       c = 1,   lam = 1
+
+theta_even's series at 1/(4s) is theta3's at 1/s term for term, so the
+three families meet at one argument on both sides of the cutoff: at u =
+1/(4s) their inner series are the even- and odd-index parts of one series
+and theta4's own.
 
 Differentiating term by term, with y = pi i^2 lam/s for inner index i,
 
@@ -71,14 +77,16 @@ class EvalMethod(str, Enum):
 # stands for the k = 0 term, counted once; None stands for the shifts
 # (z, 1 - z) of P_z, whose rounded indices double the slack factor. sign
 # is (-1)^i or cos(2 pi z i) when set. reflection is (c, lam, inner kind)
-# of g(s) = c s^{-1/2} h(lam/s); P_z ("poisson"), the inner series of
-# Theta(z, is), has none: it runs only directly and is not a family.
+# of g(s) = c s^{-1/2} h(lam/s); the inner series of theta3's and of
+# Theta(z, is)'s, theta_even and P_z ("poisson"), have none: they run only
+# directly and are not families.
 _ALTERNATING, _COSINE = 1, 2
 _SERIES = {
-    "theta3": ((0,), 1, 2.0, 2.0, None, (1.0, 1.0, "theta3")),
+    "theta3": ((0,), 1, 2.0, 2.0, None, (1.0, 0.25, "theta_even")),
     "theta4": ((0,), 1, 2.0, 2.0, _ALTERNATING, (1.0, 0.25, "theta_odd")),
     "theta_odd": ((1,), 2, 2.0, 2.0, None, (0.5, 0.25, "theta4")),
     "theta_general": ((0,), 1, 2.0, 2.0, _COSINE, (1.0, 1.0, "poisson")),
+    "theta_even": ((0,), 2, 2.0, 2.0, None, None),
     "poisson": (None, 1, 1.0, 4.0, None, None),
 }
 FAMILIES = tuple(kind for kind, row in _SERIES.items() if row[-1])
@@ -149,19 +157,29 @@ def _check_domain(s: float, tol: float) -> None:
 # s-derivatives, and P_0, P_1, P_2 before the transform scales them by u
 _MONOMIALS = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0))
 _P_ROWS = ((1.0, 0.0, 0.0), (-0.5, 1.0, 0.0), (0.75, -3.0, 1.0))
+# _ROWS[weight][reflected][order]: the row times the series weight (1 or
+# 2, so exactly), their magnitudes, the degree m and the charge 10 + 4k of
+# _series; reflected, it scales c_j by u^j > 0, which keeps m and k
+_ROWS = {w: [[(*(w * c for c in row), *(w * abs(c) for c in row),
+               2 if row[2] else 1 if row[1] else 0,
+               10.0 + 4.0 * (2 - row.count(0.0))) for row in rows]
+             for rows in (_MONOMIALS, _P_ROWS)] for w in (1.0, 2.0)}
 
 
-def _series(kind: str, s: float, row: tuple, target: float,
-            z: float | None = None):
+def _series(kind: str, s: float, order: int, target: float,
+            z: float | None = None, reflected: bool = False,
+            halves: tuple | None = None):
     """Series weight * sum_i sign_i Q(p_i) e^{-p_i s}, p_i = pi i^2, of a
-    family (or of P_z), with Q(p) = c0 + c1 p + c2 p^2 from the row.
+    family (or of P_z), with Q(p) = c0 + c1 p + c2 p^2 the order's row of
+    _MONOMIALS, or of _P_ROWS at p s when reflected.
 
     Tail: R(p) = |c0| + |c1| p + |c2| p^2 bounds |Q| and R(p')/R(p) <=
     (p'/p)^m for p' >= p and the row's degree m, so along a progression
     the rest after each step is at most the next bound weight R e^{-p s}
     times 1/(1-q), q bounding every later ratio. The loop stops at the
     first step whose summed tail bound is within the absolute target; q is
-    computed only once the next bound alone is.
+    computed only once the next bound alone is. For integer indices that
+    next bound's e^{-p s} is the next term's, so it is computed once.
 
     Rounding: each term is charged (slack factor * p_i s + 10 + 4k) ulp of
     weight R(p_i) e^{-p_i s}, 30 i more under a cosine, k counting the
@@ -171,74 +189,108 @@ def _series(kind: str, s: float, row: tuple, target: float,
     Horner product and sum, each within half an ulp of a partial sum at
     most R(p_i).
 
-    Returns (value, error_bound, terms_used).
+    Returns (value, error_bound, terms_used). With halves = (even target,
+    odd target), a pass over theta3's series also stops its even- and
+    odd-index parts, the series of theta_even and theta_odd, each at its
+    own target, and returns the Balls of theta3, theta4 (its terms, odd
+    ones negated, with its stop), theta_even and theta_odd. A negative
+    target skips a part, or the series itself, whose Balls are then None.
+    A part's stop is decided at the probe after its last term, one term
+    later than the series' own.
     """
     first, step, weight, expo, sign, _ = _SERIES[kind]
-    c0, c1, c2 = row
-    m = 2 if c2 else 1 if c1 else 0
-    extra = 10.0 + 4.0 * (2 - row.count(0.0))
+    c0, c1, c2, a0, a1, a2, m, extra = _ROWS[weight][reflected][order]
+    if reflected:  # Q(p) = P_m(p s)
+        c1, a1 = c1 * s, a1 * s
+        c2, a2 = c2 * s * s, a2 * s * s
     terms = []
-    if first is None:
+    if halves:  # the parts' targets (-1 once stopped), slacks, Balls
+        hts, hsl, out = list(halves), [0.0, 0.0], [None] * 4
+    shifted = first is None
+    if shifted:
         first = (z, 1.0 - z)
     elif first == (0,):
-        terms.append(c0)
+        terms.append(c0 / weight)
         first = (step,)
-    # weight is 1 or 2, so it scales the row exactly
-    c0, c1, c2 = weight * c0, weight * c1, weight * c2
-    a0, a1, a2 = abs(c0), abs(c1), abs(c2)
     alternating, cosine = sign == _ALTERNATING, sign == _COSINE
     two_pi_z = 2.0 * math.pi * z if cosine else 0.0
-    ci = 30.0 if cosine else 0.0
     exp, pi = math.exp, math.pi
-    slack = 0.0
+    slack, ahead = 0.0, None
     for n in range(TERM_CAP):
         tail = 0.0
         for a in first:
-            i = a + n * step
-            p = pi * (i * i)
-            x = p * s
-            e = exp(-x)
+            if shifted or not n:  # else the last tail probe's; not for P_z,
+                i = a + n * step  # as z + (n + 1) and (z + n) + 1 can differ
+                p = pi * (i * i)
+                x, R = p * s, (a2 * p + a1) * p + a0
+                e = exp(-x)
             t = ((c2 * p + c1) * p + c0) * e
-            r = ((a2 * p + a1) * p + a0) * e
-            sgn = (math.cos(two_pi_z * i) if cosine
-                   else -1.0 if alternating and i & 1 else 1.0)
-            terms.append(t * sgn)
-            slack += r * (expo * x + extra + ci * i) * _EPS
-            i1 = i + step
-            p1 = pi * (i1 * i1)
-            nxt = ((a2 * p1 + a1) * p1 + a0) * (exp(-p1 * s) or _TINY)
-            q = 1.0 if nxt > target else ((i1 + step) / i1) ** (2 * m) * exp(
-                -pi * (2 * step * i1 + step * step) * s)
+            terms.append(t * math.cos(two_pi_z * i) if cosine
+                         else -t if alternating and i & 1 else t)
+            w = expo * x + extra
+            inc = R * e * (w + 30.0 * i if cosine else w) * _EPS
+            slack += inc
+            e0 = e  # the tail probe at the next index is the next term
+            i += step
+            p = pi * (i * i)
+            x, R = p * s, (a2 * p + a1) * p + a0
+            e = exp(-x) if ahead is None else ahead
+            nxt = R * (e or _TINY)
+            q = 1.0 if nxt > target else ((i + step) / i) ** (2 * m) * (
+                e0 if not shifted and i == 4 * step  # then (i - step)^2
+                else exp(-pi * (2 * step * i + step * step) * s))
             tail += nxt / (1.0 - q) if q < 1.0 else math.inf
+            if halves:  # the part of i's parity: i - 2's tail at probe i
+                h, ahead = i & 1, None
+                hsl[h ^ 1] += inc
+                if i > 2 and nxt <= hts[h]:
+                    q = ((i + 2) / i) ** (2 * m) * (
+                        qe := exp(-pi * (4 * i + 4) * s))
+                    ahead = qe if i == 3 else None  # the next probe's
+                    if q < 1.0 and nxt / (1.0 - q) <= hts[h]:
+                        hts[h], out[2 + h] = -1.0, _ball(
+                            terms[h::2], nxt / (1.0 - q) + hsl[h])
         if tail <= target:
+            if not halves:
+                break
+            target, out[:2] = -1.0, (_ball(terms, tail + slack), _ball(
+                terms[::2] + [-v for v in terms[1::2]], tail + slack))
+        if target < 0.0 and hts[0] < 0.0 > hts[1]:
             break
     else:
         raise ConvergenceError(f"{kind} series at s={s} not certified "
                                f"within {TERM_CAP} terms")
+    if halves:
+        return out
     value = math.fsum(terms)
-    bound = tail + slack + _EPS * abs(value)
-    return value, bound, len(terms)
+    return value, tail + slack + _EPS * abs(value), len(terms)
 
 
-def _transform(kind: str, s: float, order: DerivativeOrder, tol: float,
-               z: float | None = None):
-    """Small-s evaluation through the modular relation of the family.
+def _ball(terms, rest):
+    """The Ball of the sum of terms, rest being tail + slack."""
+    value = math.fsum(terms)
+    return ball.Ball(value, rest + _EPS * abs(value))
 
-    Sums the inner series with the row of P_m scaled by u = lam/s, so that
-    Q(p) = P_m(p u) (module docstring), to half of tol, and multiplies by
-    c / (s^m sqrt(s)). The square root, s^m, their product, the division
-    and the product with the inner value round at most five times by half
-    an ulp, inside the 4 ulp slack; one more ulp of the value is added.
-    """
-    c, lam, inner_kind = _SERIES[kind][-1]
-    u = lam / s
-    r0, r1, r2 = _P_ROWS[order]
-    coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
-    v, b, n = _series(inner_kind, u, (r0, r1 * u, r2 * u * u),
-                      0.5 * tol / abs(coef), z)
-    value = coef * v
-    bound = abs(coef) * b + 4.0 * _EPS * abs(value) + _EPS * abs(value)
-    return ThetaValue(value, bound, n, EvalMethod.TRANSFORM)
+
+def _thetas(s: float, order: int, tol: float, odd: int):
+    """theta3, theta4 and, if odd, theta_odd at s and one order as Balls,
+    each its eval_theta value and bound, from one fused pass of _series:
+    at s, or below the cutoff at 1/(4s), where their reflections (c = 1,
+    1, 1/2) sum theta_even's, theta_odd's and theta4's series, scaled as
+    in eval_theta."""
+    if s >= SMALL_S_CUTOFF:
+        out = _series("theta3", s, order, tol, None, False,
+                      (-1.0, tol if odd else -1.0))
+        return out[:2] + out[3:3 + odd]
+    coef = 1.0 / ((1.0, s, s * s)[order] * math.sqrt(s))
+    t = 0.5 * tol / abs(coef)
+    out = _series("theta3", 0.25 / s, order,
+                  0.5 * tol / abs(0.5 * coef) if odd else -1.0, None, True,
+                  (t, t))
+    return [ball.Ball(v := c * f.value, abs(c) * f.error_bound
+                      + 4.0 * _EPS * abs(v) + _EPS * abs(v))
+            for c, f in zip((coef, coef, 0.5 * coef),
+                            out[2:] + out[1:1 + odd])]
 
 
 def eval_theta(family: ThetaFamily, s: float,
@@ -283,10 +335,21 @@ def eval_theta(family: ThetaFamily, s: float,
     s = float(s)
     tol = float(tol)
     _check_domain(s, tol)
-    if not force_direct and s < SMALL_S_CUTOFF:
-        return _transform(family.kind, s, order, tol, family.z)
-    v, b, n = _series(family.kind, s, _MONOMIALS[order], tol, family.z)
-    return ThetaValue(v, b, n, EvalMethod.DIRECT)
+    if force_direct or s >= SMALL_S_CUTOFF:
+        v, b, n = _series(family.kind, s, order, tol, family.z)
+        return ThetaValue(v, b, n, EvalMethod.DIRECT)
+    # the inner series of the family's reflection at u = lam/s, Q(p) being
+    # P_m(p u), to half of tol, times c / (s^m sqrt(s)): the square root,
+    # s^m, their product, the division and the product with the inner value
+    # round at most five times by half an ulp, inside the 4 ulp slack; one
+    # more ulp of the value is added
+    c, lam, inner = _SERIES[family.kind][-1]
+    coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
+    v, b, n = _series(inner, lam / s, order, 0.5 * tol / abs(coef), family.z,
+                      True)
+    v *= coef
+    return ThetaValue(v, abs(coef) * b + 4.0 * _EPS * abs(v) + _EPS * abs(v),
+                      n, EvalMethod.TRANSFORM)
 
 
 def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:

@@ -6,9 +6,10 @@ import random
 import pytest
 
 import reference_values as ref
-from thetaframe import (DomainError, FrameBounds, LatticeParams,
-                        frame_bounds, frame_bounds_even, frame_bounds_odd,
-                        lattice_params)
+from thetaframe import (THETA3, THETA4, THETA_ODD, DomainError,
+                        FrameBounds, LatticeParams, eval_theta, frame_bounds,
+                        frame_bounds_even, frame_bounds_odd, lattice_params)
+from thetaframe.ball import mul, scale, sub
 from thetaframe.frame import _frame_slopes
 
 ULP = math.ulp(1.0)
@@ -146,6 +147,57 @@ def test_slope_containment_against_reference():
                     mp.mpf(got.error_bound), (n, beta, got.value, true)
 
 
+def _composed(n, beta, tol, slopes):
+    """(A, B) composed from one eval_theta call per family, order and
+    argument with ball.py's rules: the reference that frame's fused pass
+    must match bit for bit."""
+    a = 0.5 * (n * beta) * (n * beta)
+    b = 0.5 / (beta * beta)
+
+    def pair(family):
+        fa, fb = eval_theta(family, a, 0, tol), eval_theta(family, b, 0, tol)
+        if not slopes:
+            return mul(fa, fb)
+        return sub(mul(scale(eval_theta(family, a, 1, tol), a), fb),
+                   mul(fa, scale(eval_theta(family, b, 1, tol), b)))
+
+    lo, hi = pair(THETA4), pair(THETA3)
+    if n % 2:
+        odd = scale(pair(THETA_ODD), 2.0)
+        lo, hi = sub(lo, odd), sub(hi, odd)
+    return scale(lo, n), scale(hi, n)
+
+
+def _check_composition(betas_per_n):
+    """frame_bounds (tol 1e-12 and 1e-16) and _frame_slopes equal the
+    per-family composition for n = 1-8 at log-spaced beta within 10^1.2
+    of 1/sqrt(n), which puts a or b on either side of the cutoff."""
+    for n in range(1, 9):
+        for j in range(betas_per_n):
+            beta = n ** -0.5 * 10.0 ** (-1.2 + 2.4 * j / (betas_per_n - 1))
+            for tol in (1e-12, 1e-16):
+                lo, hi = _composed(n, beta, tol, False)
+                err = max(lo.error_bound, hi.error_bound)
+                want = FrameBounds(lo.value, hi.value,
+                                   hi.value / lo.value if lo.value > 0.0
+                                   else math.inf, err, lo.value > err)
+                assert frame_bounds(lattice_params(n, beta), tol) == want, \
+                    (n, beta, tol)
+            got = [(x.value, x.error_bound) for x in _frame_slopes(n, beta)]
+            want = [(x.value, x.error_bound)
+                    for x in _composed(n, beta, 1e-16, True)]
+            assert got == want, (n, beta)
+
+
+def test_bounds_and_slopes_match_per_family_composition():
+    _check_composition(60)
+
+
+@pytest.mark.slow
+def test_bounds_and_slopes_match_per_family_composition_dense():
+    _check_composition(1500)
+
+
 class TestLatticeParams:
     def test_constructor_fills_alpha(self):
         for n, beta in ((4, 0.5), (3, 0.5), (7, 0.3)):
@@ -184,6 +236,15 @@ class TestDomain:
     def test_bad_tol(self):
         with pytest.raises(DomainError):
             frame_bounds(lattice_params(2, 0.7), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, 1.0, -1e-3])
+    def test_bad_tol_message(self, tol):
+        # frame_bounds checks tol itself, with eval_theta's wording
+        with pytest.raises(DomainError) as want:
+            eval_theta(THETA3, 1.0, 0, tol)
+        with pytest.raises(DomainError) as got:
+            frame_bounds(lattice_params(3, 0.7), tol=tol)
+        assert str(got.value) == str(want.value)
 
     def test_params_type(self):
         with pytest.raises(DomainError):

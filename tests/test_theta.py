@@ -15,6 +15,7 @@ from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
                         general_family, jacobi_identity_residual,
                         log_deriv_ratio_bounds, theta4_triple_product,
                         theta_odd_poisson_residual)
+from thetaframe.theta import SMALL_S_CUTOFF
 
 ULP = math.ulp(1.0)
 
@@ -185,21 +186,99 @@ def test_transform_orders_contain_reference():
 
 
 def test_series_tail_bounds_through_majorant():
-    # Q(p) = 4 pi - p vanishes at index 2; a tail bounded by |Q| at the
-    # next index would stop there and drop the index-3 term, ~2e-11
+    # Q(p) = P_1(p s) = p s - 1/2 vanishes at index 2 for s = 1/(8 pi); a
+    # tail bounded by |Q| at the next index would stop there and drop the
+    # index-3 term, ~0.4
     from thetaframe import theta
     mp = pytest.importorskip("mpmath")
-    row = (4.0 * math.pi, -1.0, 0.0)
-    v, b, _ = theta._series("theta3", 1.0, row, 1e-12)
+    s = 1.0 / (8.0 * math.pi)
+    v, b, _ = theta._series("theta3", s, 1, 1e-12, reflected=True)
     with mp.workdps(50):
-        true = sum((mp.mpf(row[0]) - mp.pi * k * k) * mp.exp(-mp.pi * k * k)
-                   for k in range(-12, 13))
+        y = [mp.pi * k * k * mp.mpf(s) for k in range(-40, 41)]
+        true = sum((t - mp.mpf(0.5)) * mp.exp(-t) for t in y)
         assert abs(mp.mpf(v) - true) <= mp.mpf(b)
 
 
 @pytest.mark.slow
 def test_transform_orders_contain_reference_dense():
     _check_transform_orders(72, 88)
+
+
+def _both_routes(count):
+    """count log-spaced s over the domain, its ends included, then the
+    cutoff and the float just below it."""
+    return ([10.0 ** (-6.0 + 12.0 * j / (count - 1)) for j in range(count)]
+            + [SMALL_S_CUTOFF, math.nextafter(SMALL_S_CUTOFF, 0.0)])
+
+
+def _check_fused_pass(count):
+    """One fused pass gives theta3, theta4 and, for odd n, theta_odd at s
+    with each one's eval_theta value and bound, bit for bit: orders 0-2,
+    tol 1e-12 and 1e-16, both routes."""
+    from thetaframe import theta
+    for s in _both_routes(count):
+        for order in (0, 1, 2):
+            for tol in (1e-12, 1e-16):
+                want = [(tv.value, tv.error_bound) for tv in
+                        (eval_theta(f, s, order, tol)
+                         for f in (THETA3, THETA4, THETA_ODD))]
+                for odd in (0, 1):
+                    got = [(b.value, b.error_bound)
+                           for b in theta._thetas(s, order, tol, odd)]
+                    assert got == want[:2 + odd], (s, order, tol, odd)
+
+
+def test_fused_pass_matches_eval_theta():
+    _check_fused_pass(200)
+
+
+@pytest.mark.slow
+def test_fused_pass_matches_eval_theta_dense():
+    _check_fused_pass(4000)
+
+
+class _RecordedExp:
+    """The math module, with exp recording its arguments."""
+
+    def __init__(self):
+        self.args = []
+
+    def exp(self, x):
+        self.args.append(x)
+        return math.exp(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_no_exp_argument_repeats(monkeypatch):
+    """No exp argument repeats within one integer-index series, direct or
+    reflected, nor within one fused pass: the next term's e^{-p s} is the
+    last tail probe's, and a tail ratio whose exponent is the last term's
+    or the next probe's takes that one. Checked at tol 1e-12 and 1e-16;
+    below about 1e-60 a series runs long enough for a ratio's exponent to
+    equal an earlier term's, which is computed again. P_z, the series
+    behind Theta(z, is) below the cutoff, is exempt: its term index
+    z + (n + 1) and tail probe index (z + n) + 1 can differ in the last
+    bit, so both are computed."""
+    from thetaframe import theta
+    rec = _RecordedExp()
+    monkeypatch.setattr(theta, "math", rec)
+
+    def once(fn, *args):
+        rec.args.clear()
+        fn(*args)
+        assert rec.args and len(set(rec.args)) == len(rec.args), \
+            (fn.__name__, args, rec.args)
+
+    for s in _both_routes(150):
+        for order in (0, 1, 2):
+            for tol in (1e-12, 1e-16):
+                for fam in (THETA3, THETA4, THETA_ODD, general_family(0.3)):
+                    if fam.z is None or s >= SMALL_S_CUTOFF:
+                        once(eval_theta, fam, s, order, tol)
+                for odd in (0, 1):
+                    once(theta._thetas, s, order, tol, odd)
 
 
 @pytest.mark.slow
