@@ -11,10 +11,8 @@ from .oracle import (ExtremaReport, auto_k_max, frame_bounds_via_F,
 from .sweep import (OptimumReport, SweepRow, emit_csv, emit_plot,
                     find_optimal_beta, sweep_beta)
 from .theta import (THETA3, THETA4, THETA_ODD, DerivativeOrder, EvalMethod,
-                    ThetaFamily, ThetaValue, eval_theta, fact2_residual,
-                    general_family, jacobi_identity_residual,
-                    log_deriv_ratio_bounds, theta4_triple_product,
-                    theta_odd_poisson_residual)
+                    ThetaFamily, ThetaValue, eval_theta, general_family,
+                    log_deriv_ratio_bounds, theta4_triple_product)
 from .verify import (SUITE_NAMES, CheckResult, VerifyConfig, all_passed,
                      check_lemma_odd_ratio, check_logconvexity_general,
                      check_monotone_log_ratio, check_odd_combination,
@@ -30,8 +28,6 @@ __all__ = [
     "DerivativeOrder", "EvalMethod", "ThetaFamily", "ThetaValue",
     "THETA3", "THETA4", "THETA_ODD", "general_family",
     "eval_theta", "theta4_triple_product", "log_deriv_ratio_bounds",
-    "jacobi_identity_residual", "fact2_residual",
-    "theta_odd_poisson_residual",
     "LatticeParams", "FrameBounds", "lattice_params",
     "frame_bounds", "frame_bounds_even", "frame_bounds_odd",
     "ExtremaReport", "naive_theta", "auto_k_max", "janssen_F",

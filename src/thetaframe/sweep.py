@@ -80,12 +80,15 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     Bisects the range in log beta on the certified signs of dA/dbeta and
     dB/dbeta (balls from the frame-bound body), keeping A rising and B
     falling at lo and the reverse at hi, so [lo, hi] holds a critical
-    point of each. It stops once hi - lo <= resolution or where a
-    midpoint's signs are uncertain, which may leave a wider bracket. A
-    range end that still bounds the bracket must have certified signs,
-    else RangeError. The range must contain 1/sqrt(n), where both optima
-    provably lie. n = 1 is rejected: there A vanishes identically
-    (critical density), so it has no maximum to locate.
+    point of each. It stops once hi - lo <= resolution. Where a
+    midpoint's signs are uncertain it bisects [lo, mid] and [mid, hi]
+    instead, moving lo only to certified-left and hi only to
+    certified-right midpoints, so the bracket closes in on the uncertain
+    zone or to the resolution. A range end that still bounds the bracket
+    must have certified signs, else RangeError. The range must contain
+    1/sqrt(n), where both optima provably lie. n = 1 is rejected: there A
+    vanishes identically (critical density), so it has no maximum to
+    locate.
     """
     lo, hi = float(beta_range[0]), float(beta_range[1])
     for beta in (lo, hi):  # then every midpoint is in the theta domain
@@ -111,11 +114,25 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
             return 1
         return 0
 
+    def squeeze(keep, other, want):
+        """Bisect between keep, a range end or a point of side want, and
+        other, a point not known to be; returns the last keep."""
+        while abs(other - keep) > resolution:
+            mid = math.sqrt(keep * other)
+            if mid in (keep, other):
+                break
+            if side(mid) == want:
+                keep = mid
+            else:
+                other = mid
+        return keep
+
     window = (lo, hi)
     while hi - lo > resolution:
         mid = math.sqrt(lo * hi)
         where = side(mid) if lo < mid < hi else 0
         if where == 0:
+            lo, hi = squeeze(lo, mid, -1), squeeze(hi, mid, 1)
             break
         lo, hi = (mid, hi) if where < 0 else (lo, mid)
     for end, want in ((lo, -1), (hi, 1)):

@@ -23,10 +23,10 @@ modular relation of the form g(s) = c s^{-1/2} h(lam/s):
     Theta(z, is) = s^{-1/2} P_z(1/s),
                    P_z(u) = sum_k exp(-pi (k+z)^2 u)       c = 1,   lam = 1
 
-theta_even's series at 1/(4s) is theta3's at 1/s term for term, so the
-three families meet at one argument on both sides of the cutoff: at u =
-1/(4s) their inner series are the even- and odd-index parts of one series
-and theta4's own.
+theta_even's series E at 1/(4s) is theta3's at 1/s term for term. With
+the odd-index series O = theta_odd it gives all three families at one
+argument (the q -> q^4 relations, DLMF ch. 20): E + O, E - O and O at s,
+and c E, c O and (c/2)(E - O) at 1/(4s), as _thetas sums them for frame.
 
 Differentiating term by term, with y = pi i^2 lam/s for inner index i,
 
@@ -167,8 +167,7 @@ _ROWS = {w: [[(*(w * c for c in row), *(w * abs(c) for c in row),
 
 
 def _series(kind: str, s: float, order: int, target: float,
-            z: float | None = None, reflected: bool = False,
-            halves: tuple | None = None):
+            z: float | None = None, reflected: bool = False):
     """Series weight * sum_i sign_i Q(p_i) e^{-p_i s}, p_i = pi i^2, of a
     family (or of P_z), with Q(p) = c0 + c1 p + c2 p^2 the order's row of
     _MONOMIALS, or of _P_ROWS at p s when reflected.
@@ -189,14 +188,7 @@ def _series(kind: str, s: float, order: int, target: float,
     Horner product and sum, each within half an ulp of a partial sum at
     most R(p_i).
 
-    Returns (value, error_bound, terms_used). With halves = (even target,
-    odd target), a pass over theta3's series also stops its even- and
-    odd-index parts, the series of theta_even and theta_odd, each at its
-    own target, and returns the Balls of theta3, theta4 (its terms, odd
-    ones negated, with its stop), theta_even and theta_odd. A negative
-    target skips a part, or the series itself, whose Balls are then None.
-    A part's stop is decided at the probe after its last term, one term
-    later than the series' own.
+    Returns (terms, tail + slack); _ball sums them.
     """
     first, step, weight, expo, sign, _ = _SERIES[kind]
     c0, c1, c2, a0, a1, a2, m, extra = _ROWS[weight][reflected][order]
@@ -204,8 +196,6 @@ def _series(kind: str, s: float, order: int, target: float,
         c1, a1 = c1 * s, a1 * s
         c2, a2 = c2 * s * s, a2 * s * s
     terms = []
-    if halves:  # the parts' targets (-1 once stopped), slacks, Balls
-        hts, hsl, out = list(halves), [0.0, 0.0], [None] * 4
     shifted = first is None
     if shifted:
         first = (z, 1.0 - z)
@@ -215,7 +205,7 @@ def _series(kind: str, s: float, order: int, target: float,
     alternating, cosine = sign == _ALTERNATING, sign == _COSINE
     two_pi_z = 2.0 * math.pi * z if cosine else 0.0
     exp, pi = math.exp, math.pi
-    slack, ahead = 0.0, None
+    slack = 0.0
     for n in range(TERM_CAP):
         tail = 0.0
         for a in first:
@@ -228,75 +218,67 @@ def _series(kind: str, s: float, order: int, target: float,
             terms.append(t * math.cos(two_pi_z * i) if cosine
                          else -t if alternating and i & 1 else t)
             w = expo * x + extra
-            inc = R * e * (w + 30.0 * i if cosine else w) * _EPS
-            slack += inc
+            slack += R * e * (w + 30.0 * i if cosine else w) * _EPS
             e0 = e  # the tail probe at the next index is the next term
             i += step
             p = pi * (i * i)
             x, R = p * s, (a2 * p + a1) * p + a0
-            e = exp(-x) if ahead is None else ahead
+            e = exp(-x)
             nxt = R * (e or _TINY)
             q = 1.0 if nxt > target else ((i + step) / i) ** (2 * m) * (
                 e0 if not shifted and i == 4 * step  # then (i - step)^2
                 else exp(-pi * (2 * step * i + step * step) * s))
             tail += nxt / (1.0 - q) if q < 1.0 else math.inf
-            if halves:  # the part of i's parity: i - 2's tail at probe i
-                h, ahead = i & 1, None
-                hsl[h ^ 1] += inc
-                if i > 2 and nxt <= hts[h]:
-                    q = ((i + 2) / i) ** (2 * m) * (
-                        qe := exp(-pi * (4 * i + 4) * s))
-                    ahead = qe if i == 3 else None  # the next probe's
-                    if q < 1.0 and nxt / (1.0 - q) <= hts[h]:
-                        hts[h], out[2 + h] = -1.0, _ball(
-                            terms[h::2], nxt / (1.0 - q) + hsl[h])
         if tail <= target:
-            if not halves:
-                break
-            target, out[:2] = -1.0, (_ball(terms, tail + slack), _ball(
-                terms[::2] + [-v for v in terms[1::2]], tail + slack))
-        if target < 0.0 and hts[0] < 0.0 > hts[1]:
-            break
-    else:
-        raise ConvergenceError(f"{kind} series at s={s} not certified "
-                               f"within {TERM_CAP} terms")
-    if halves:
-        return out
-    value = math.fsum(terms)
-    return value, tail + slack + _EPS * abs(value), len(terms)
+            return terms, tail + slack
+    raise ConvergenceError(f"{kind} series at s={s} not certified "
+                           f"within {TERM_CAP} terms")
 
 
-def _ball(terms, rest):
-    """The Ball of the sum of terms, rest being tail + slack."""
+def _ball(terms, rest, c=None):
+    """(value, radius) of the sum of terms, rest being their tail + slack,
+    or of c times it for a transform coefficient c (None when direct): the
+    square root, s^m, their product, the division and the product with
+    the sum round at most five times by half an ulp, inside 4 ulps; one
+    more ulp of the value is added. A pair: a Ball costs eval_theta 4%."""
     value = math.fsum(terms)
-    return ball.Ball(value, rest + _EPS * abs(value))
+    bound = rest + _EPS * abs(value)
+    if c is None:
+        return value, bound
+    value *= c
+    return value, abs(c) * bound + 4.0 * _EPS * abs(value) + _EPS * abs(value)
 
 
 def _thetas(s: float, order: int, tol: float, odd: int):
     """theta3, theta4 and, if odd, theta_odd at s and one order as Balls,
-    each its eval_theta value and bound, from one fused pass of _series:
-    at s, or below the cutoff at 1/(4s), where their reflections (c = 1,
-    1, 1/2) sum theta_even's, theta_odd's and theta4's series, scaled as
-    in eval_theta."""
+    each one fsum over the signed terms of the even- and odd-index series
+    E and O, both to half of tol over the coefficient: E + O, E - O and O
+    at s from the cutoff up; below it c E, c O and (c/2)(E - O) at 1/(4s)
+    with c = s^{-1/2-m}, so theta3 and theta4 are eval_theta's there."""
     if s >= SMALL_S_CUTOFF:
-        out = _series("theta3", s, order, tol, None, False,
-                      (-1.0, tol if odd else -1.0))
-        return out[:2] + out[3:3 + odd]
-    coef = 1.0 / ((1.0, s, s * s)[order] * math.sqrt(s))
-    t = 0.5 * tol / abs(coef)
-    out = _series("theta3", 0.25 / s, order,
-                  0.5 * tol / abs(0.5 * coef) if odd else -1.0, None, True,
-                  (t, t))
-    return [ball.Ball(v := c * f.value, abs(c) * f.error_bound
-                      + 4.0 * _EPS * abs(v) + _EPS * abs(v))
-            for c, f in zip((coef, coef, 0.5 * coef),
-                            out[2:] + out[1:1 + odd])]
+        c, x, t = None, s, 0.5 * tol
+    else:
+        c = 1.0 / ((1.0, s, s * s)[order] * math.sqrt(s))
+        x, t = 0.25 / s, 0.5 * tol / c
+    Ball, reflected = ball.Ball, c is not None
+    ev, e_rest = _series("theta_even", x, order, t, None, reflected)
+    od, o_rest = _series("theta_odd", x, order, t, None, reflected)
+    rest = e_rest + o_rest
+    if c is None:
+        out = [Ball(*_ball(ev + od, rest)),
+               Ball(*_ball(ev + [-v for v in od], rest))]
+        if odd:
+            out.append(Ball(*_ball(od, o_rest)))
+    else:
+        out = [Ball(*_ball(ev, e_rest, c)), Ball(*_ball(od, o_rest, c))]
+        if odd:
+            out.append(Ball(*_ball(ev + [-v for v in od], rest, 0.5 * c)))
+    return out
 
 
 def eval_theta(family: ThetaFamily, s: float,
                order: DerivativeOrder | int = DerivativeOrder.VALUE,
-               tol: float = DEFAULT_TOL, *,
-               force_direct: bool = False) -> ThetaValue:
+               tol: float = DEFAULT_TOL) -> ThetaValue:
     """Evaluate a theta family member or its s-derivative.
 
     Parameters
@@ -310,9 +292,6 @@ def eval_theta(family: ThetaFamily, s: float,
     tol : float
         Absolute truncation target in (0, 1); the reported error bound
         additionally accounts for rounding.
-    force_direct : bool
-        Skip the small-s modular transform (used by identity residuals,
-        where the transform is the statement under test).
 
     Returns
     -------
@@ -335,21 +314,18 @@ def eval_theta(family: ThetaFamily, s: float,
     s = float(s)
     tol = float(tol)
     _check_domain(s, tol)
-    if force_direct or s >= SMALL_S_CUTOFF:
-        v, b, n = _series(family.kind, s, order, tol, family.z)
-        return ThetaValue(v, b, n, EvalMethod.DIRECT)
-    # the inner series of the family's reflection at u = lam/s, Q(p) being
-    # P_m(p u), to half of tol, times c / (s^m sqrt(s)): the square root,
-    # s^m, their product, the division and the product with the inner value
-    # round at most five times by half an ulp, inside the 4 ulp slack; one
-    # more ulp of the value is added
-    c, lam, inner = _SERIES[family.kind][-1]
-    coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
-    v, b, n = _series(inner, lam / s, order, 0.5 * tol / abs(coef), family.z,
-                      True)
-    v *= coef
-    return ThetaValue(v, abs(coef) * b + 4.0 * _EPS * abs(v) + _EPS * abs(v),
-                      n, EvalMethod.TRANSFORM)
+    if s >= SMALL_S_CUTOFF:
+        coef, method = None, EvalMethod.DIRECT
+        terms, rest = _series(family.kind, s, order, tol, family.z)
+    else:
+        # the inner series of the family's reflection at u = lam/s, Q(p)
+        # being P_m(p u), to half of tol, times c / (s^m sqrt(s))
+        c, lam, inner = _SERIES[family.kind][-1]
+        coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
+        method = EvalMethod.TRANSFORM
+        terms, rest = _series(inner, lam / s, order, 0.5 * tol / abs(coef),
+                              family.z, True)
+    return ThetaValue(*_ball(terms, rest, coef), len(terms), method)
 
 
 def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
@@ -384,8 +360,7 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
 
 
 def log_deriv_ratio_bounds(family: ThetaFamily, s: float,
-                           tol: float = DEFAULT_TOL, *,
-                           force_direct: bool = False) -> tuple[float, float]:
+                           tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd}, with
     its propagated error bound. DomainError where f underflows: theta_odd
     above s ~ 236.8, theta4 below s ~ 1.055e-3."""
@@ -393,53 +368,11 @@ def log_deriv_ratio_bounds(family: ThetaFamily, s: float,
         raise DomainError(
             "log_deriv_ratio_bounds needs theta3, theta4 or theta_odd")
     s = float(s)
-    f = eval_theta(family, s, DerivativeOrder.VALUE, tol,
-                   force_direct=force_direct)
+    f = eval_theta(family, s, DerivativeOrder.VALUE, tol)
     if not f.value - f.error_bound > 0.0:
         raise DomainError(f"{family.kind}({s!r}) = {f.value!r} +/- "
                           f"{f.error_bound!r} underflows, so s f'/f is "
                           "undefined")
-    d = eval_theta(family, s, DerivativeOrder.FIRST, tol,
-                   force_direct=force_direct)
+    d = eval_theta(family, s, DerivativeOrder.FIRST, tol)
     g = ball.div(ball.scale(d, s), f)
     return g.value, g.error_bound
-
-
-def jacobi_identity_residual(s: float, tol: float = DEFAULT_TOL) -> float:
-    """|theta3(1/s) - sqrt(s) theta3(s)|, both sides by direct series.
-
-    The small-s transform is this very identity, so it is disabled here.
-    """
-    s = float(s)
-    lhs = eval_theta(THETA3, 1.0 / s, DerivativeOrder.VALUE, tol,
-                     force_direct=True).value
-    rhs = math.sqrt(s) * eval_theta(THETA3, s, DerivativeOrder.VALUE, tol,
-                                    force_direct=True).value
-    return abs(lhs - rhs)
-
-
-def fact2_residual(s: float, tol: float = DEFAULT_TOL) -> float:
-    """|g3(s) + g3(1/s) + 1/2| with g3 = s theta3'/theta3, direct series.
-
-    The differentiated reflection identity forces the two log-ratios to
-    sum to -1/2 for every s > 0.
-    """
-    s = float(s)
-    ga = log_deriv_ratio_bounds(THETA3, s, tol, force_direct=True)[0]
-    gb = log_deriv_ratio_bounds(THETA3, 1.0 / s, tol, force_direct=True)[0]
-    return abs(ga + gb + 0.5)
-
-
-def theta_odd_poisson_residual(r: float, s: float,
-                               tol: float = DEFAULT_TOL) -> float:
-    """|theta_odd(rs) - theta4(1/(4rs)) / (2 sqrt(rs))|, direct series."""
-    r = float(r)
-    s = float(s)
-    if not (r > 0.0 and s > 0.0):
-        raise DomainError("r and s must be positive")
-    rs = r * s
-    lhs = eval_theta(THETA_ODD, rs, DerivativeOrder.VALUE, tol,
-                     force_direct=True).value
-    rhs = eval_theta(THETA4, 1.0 / (4.0 * rs), DerivativeOrder.VALUE, tol,
-                     force_direct=True).value / (2.0 * math.sqrt(rs))
-    return abs(lhs - rhs)

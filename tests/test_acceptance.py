@@ -13,11 +13,12 @@ import time
 import pytest
 
 import reference_values as ref
+from identities import (direct, fact2_residual, jacobi_identity_residual,
+                        theta_odd_poisson_residual)
 from thetaframe import (THETA3, THETA4, THETA_ODD, eval_theta,
-                        fact2_residual, find_optimal_beta, frame_bounds,
-                        general_family, grid_extrema_F,
-                        jacobi_identity_residual, lattice_params, run_all,
-                        theta4_triple_product, theta_odd_poisson_residual)
+                        find_optimal_beta, frame_bounds, general_family,
+                        grid_extrema_F, lattice_params, run_all,
+                        theta4_triple_product)
 from thetaframe.cli import main
 from thetaframe.grids import GridSpec
 
@@ -61,7 +62,7 @@ def test_criterion_03_triple_product_agreement():
     worst = 0.0
     for s in GridSpec(0.1, 10.0, 100, "log").points():
         p = theta4_triple_product(s, 1e-16)
-        d = eval_theta(THETA4, s, 0, 1e-16, force_direct=True)
+        d = direct("theta4", s, 0, 1e-16)
         worst = max(worst, abs(p.value - d.value) / abs(d.value))
     ok = worst < 1e-12
     assert report(3, ok, "triple product vs direct series, relative",

@@ -354,10 +354,10 @@ class TestHumanOutput:
          "PASS theta3-product-minimum: worst_residual=1e-13 points=1204\n"
          "all checks passed\n"),
         (["oracle", "--n", "2", "--beta", "0.7"],
-         "closed form: lower = 1.66876072008  upper = 2.36113753295\n"
+         "closed form: lower = 1.66876072007  upper = 2.36113753295\n"
          "grid search: min = 1.66876072007 at (0.5, 0.5)  "
          "max = 2.36113753295 at (0.0, 0.0)\n"
-         "differences: lower 1.072e-12  upper 1.289e-12  "
+         "differences: lower 2.220e-16  upper 0.000e+00  "
          "(grid 128, k_max 4)\n"),
     ], ids=["eval", "bounds", "verify", "oracle"])
     def test_exact_stdout(self, capsys, argv, expected):

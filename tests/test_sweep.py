@@ -82,6 +82,19 @@ class TestFindOptimalBeta:
         assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
         assert abs(rep.beta_for_min_B - root) <= rep.bracket_width
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("factor", [2.5, 10.0])
+    def test_uncertain_midpoint_keeps_bisecting(self, n, factor):
+        # lo hi = 1/n puts the first midpoint at the root, where the slope
+        # signs are uncertain; the bracket used to stop there, as wide as
+        # the window. Each end now closes in on it to the resolution, and
+        # the uncertain zone, some 1e-15 wide, adds next to nothing
+        root = 1 / math.sqrt(n)
+        rep = find_optimal_beta(n, (root / factor, root * factor), 1e-9)
+        assert rep.bracket_width <= 2.5e-9
+        assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
+        assert abs(rep.beta_for_min_B - root) <= rep.bracket_width
+
     @pytest.mark.parametrize("n", range(2, 17))
     @pytest.mark.parametrize("res", [1e-6, 1e-8])
     def test_bracket_contains_root(self, n, res):

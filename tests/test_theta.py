@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_values as ref
+from identities import (direct, fact2_residual, jacobi_identity_residual,
+                        theta_odd_poisson_residual)
 from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
                         DerivativeOrder, DomainError, EvalMethod, GridSpec,
-                        ThetaFamily, eval_theta, fact2_residual,
-                        general_family, jacobi_identity_residual,
-                        log_deriv_ratio_bounds, theta4_triple_product,
-                        theta_odd_poisson_residual)
+                        ThetaFamily, eval_theta, general_family,
+                        log_deriv_ratio_bounds, theta4_triple_product)
 from thetaframe.theta import SMALL_S_CUTOFF
 
 ULP = math.ulp(1.0)
@@ -99,7 +99,7 @@ class TestCertifiedBounds:
     def test_containment_forced_direct(self, family):
         for s in (0.05, 0.2, 1.0, 7.0):
             for order in (0, 1, 2):
-                tv = eval_theta(family, s, order, force_direct=True)
+                tv = direct(family.kind, s, order)
                 true = float(self._true(family, s, order))
                 assert abs(tv.value - true) <= tv.error_bound + \
                     2 * math.ulp(abs(true))
@@ -192,7 +192,7 @@ def test_series_tail_bounds_through_majorant():
     from thetaframe import theta
     mp = pytest.importorskip("mpmath")
     s = 1.0 / (8.0 * math.pi)
-    v, b, _ = theta._series("theta3", s, 1, 1e-12, reflected=True)
+    v, b = theta._ball(*theta._series("theta3", s, 1, 1e-12, reflected=True))
     with mp.workdps(50):
         y = [mp.pi * k * k * mp.mpf(s) for k in range(-40, 41)]
         true = sum((t - mp.mpf(0.5)) * mp.exp(-t) for t in y)
@@ -211,30 +211,39 @@ def _both_routes(count):
             + [SMALL_S_CUTOFF, math.nextafter(SMALL_S_CUTOFF, 0.0)])
 
 
-def _check_fused_pass(count):
-    """One fused pass gives theta3, theta4 and, for odd n, theta_odd at s
-    with each one's eval_theta value and bound, bit for bit: orders 0-2,
-    tol 1e-12 and 1e-16, both routes."""
+def _check_thetas(count):
+    """_thetas contains the 50-digit theta3, theta4 and, for odd n,
+    theta_odd at orders 0-2, tol 1e-12 and 1e-16, on both routes; below
+    the cutoff its theta3 and theta4 are eval_theta's, bit for bit."""
     from thetaframe import theta
+    mp = pytest.importorskip("mpmath")
     for s in _both_routes(count):
         for order in (0, 1, 2):
+            want = [ref.theta_reference(kind, s, order)
+                    for kind in ("theta3", "theta4", "theta_odd")]
             for tol in (1e-12, 1e-16):
-                want = [(tv.value, tv.error_bound) for tv in
+                same = [(tv.value, tv.error_bound) for tv in
                         (eval_theta(f, s, order, tol)
-                         for f in (THETA3, THETA4, THETA_ODD))]
+                         for f in (THETA3, THETA4))]
                 for odd in (0, 1):
-                    got = [(b.value, b.error_bound)
-                           for b in theta._thetas(s, order, tol, odd)]
-                    assert got == want[:2 + odd], (s, order, tol, odd)
+                    got = theta._thetas(s, order, tol, odd)
+                    assert len(got) == 2 + odd
+                    with mp.workdps(50):
+                        for g, true in zip(got, want):
+                            assert abs(mp.mpf(g.value) - true) <= \
+                                mp.mpf(g.error_bound), (s, order, tol, odd)
+                    if s < SMALL_S_CUTOFF:
+                        assert [(b.value, b.error_bound)
+                                for b in got[:2]] == same, (s, order, tol)
 
 
-def test_fused_pass_matches_eval_theta():
-    _check_fused_pass(200)
+def test_thetas_contain_reference():
+    _check_thetas(100)
 
 
 @pytest.mark.slow
-def test_fused_pass_matches_eval_theta_dense():
-    _check_fused_pass(4000)
+def test_thetas_contain_reference_dense():
+    _check_thetas(1200)
 
 
 class _RecordedExp:
@@ -253,34 +262,40 @@ class _RecordedExp:
 
 def test_no_exp_argument_repeats(monkeypatch):
     """No exp argument repeats within one integer-index series, direct or
-    reflected, nor within one fused pass: the next term's e^{-p s} is the
-    last tail probe's, and a tail ratio whose exponent is the last term's
-    or the next probe's takes that one. Checked at tol 1e-12 and 1e-16;
-    below about 1e-60 a series runs long enough for a ratio's exponent to
-    equal an earlier term's, which is computed again. P_z, the series
-    behind Theta(z, is) below the cutoff, is exempt: its term index
-    z + (n + 1) and tail probe index (z + n) + 1 can differ in the last
-    bit, so both are computed."""
+    reflected: the next term's e^{-p s} is the last tail probe's, and a
+    tail ratio whose exponent is the last term's takes that one. A
+    _thetas pass runs two series, theta_even and theta_odd, at x = s or
+    1/(4s), and repeats one argument at most: -16 pi x, theta_even's
+    probe at index 4 and, once theta_odd's tail is checked at probe 3,
+    the ratio there, e^{-pi (5^2 - 3^2) x}. The two series do not share
+    it, so each stays a plain single-mode loop. Checked at tol 1e-12 and
+    1e-16; below about 1e-60 a series runs long enough for a ratio's
+    exponent to equal an earlier term's, which is computed again. P_z,
+    the series behind Theta(z, is) below the cutoff, is exempt: its term
+    index z + (n + 1) and tail probe index (z + n) + 1 can differ in the
+    last bit, so both are computed."""
     from thetaframe import theta
     rec = _RecordedExp()
     monkeypatch.setattr(theta, "math", rec)
-
-    def once(fn, *args):
-        rec.args.clear()
-        fn(*args)
-        assert rec.args and len(set(rec.args)) == len(rec.args), \
-            (fn.__name__, args, rec.args)
-
+    shared = 0
     for s in _both_routes(150):
+        x = s if s >= SMALL_S_CUTOFF else 0.25 / s
         for order in (0, 1, 2):
             for tol in (1e-12, 1e-16):
                 for fam in (THETA3, THETA4, THETA_ODD, general_family(0.3)):
                     if fam.z is None or s >= SMALL_S_CUTOFF:
-                        once(eval_theta, fam, s, order, tol)
+                        rec.args.clear()
+                        eval_theta(fam, s, order, tol)
+                        assert len(set(rec.args)) == len(rec.args), \
+                            (fam, s, order, tol, rec.args)
                 for odd in (0, 1):
-                    once(theta._thetas, s, order, tol, odd)
-
-
+                    rec.args.clear()
+                    theta._thetas(s, order, tol, odd)
+                    repeats = len(rec.args) - len(set(rec.args))
+                    assert repeats == rec.args.count(-math.pi * 16 * x) - 1 \
+                        <= 1, (s, order, tol, odd, rec.args)
+                    shared += repeats
+    assert shared
 @pytest.mark.slow
 def test_triple_product_deep_sweep():
     """theta4_triple_product from s = 1e-5 to 1e-3, where its cost grows
@@ -304,8 +319,6 @@ class TestMethodSelection:
                     EvalMethod.TRANSFORM
                 assert eval_theta(fam, 0.3, order).method is \
                     EvalMethod.DIRECT
-                assert eval_theta(fam, 0.1, order, force_direct=True
-                                  ).method is EvalMethod.DIRECT
 
     def test_transform_matches_direct(self):
         families = (THETA3, THETA4, THETA_ODD, general_family(0.0),
@@ -314,18 +327,14 @@ class TestMethodSelection:
             for s in GridSpec(0.01, 0.24, 15, "log").points():
                 for order in (0, 1, 2):
                     t = eval_theta(fam, s, order)
-                    d = eval_theta(fam, s, order, force_direct=True)
+                    d = direct(fam.kind, s, order, z=fam.z)
                     assert abs(t.value - d.value) <= \
                         t.error_bound + d.error_bound, (fam, s, order)
 
     def test_general_is_direct(self):
-        # Theta(z, is) runs the direct series from the cutoff up, and
-        # below it whenever the transform is switched off
-        tv = eval_theta(general_family(0.3), 0.25)
-        assert tv.method is EvalMethod.DIRECT
+        # Theta(z, is) runs the direct series from the cutoff up
         for order in (0, 1, 2):
-            tv = eval_theta(general_family(0.3), 0.05, order,
-                            force_direct=True)
+            tv = eval_theta(general_family(0.3), 0.25, order)
             assert tv.method is EvalMethod.DIRECT
 
 
@@ -342,9 +351,8 @@ class TestSeriesStructure:
         # forces theta3 - theta4 = 2 theta_odd, order by order
         for s in (0.05, 0.4, 1.0, 3.0):
             for order in (0, 1, 2):
-                t3 = eval_theta(THETA3, s, order, force_direct=True)
-                t4 = eval_theta(THETA4, s, order, force_direct=True)
-                to = eval_theta(THETA_ODD, s, order, force_direct=True)
+                t3, t4, to = (direct(kind, s, order)
+                              for kind in ("theta3", "theta4", "theta_odd"))
                 lhs = t3.value - t4.value
                 tol = t3.error_bound + t4.error_bound + \
                     2.0 * to.error_bound + ULP * abs(lhs)
@@ -352,10 +360,10 @@ class TestSeriesStructure:
 
     def test_general_specializes(self):
         for s in GridSpec(0.01, 50.0, 20, "log").points():
-            t3 = eval_theta(THETA3, s, force_direct=True)
+            t3 = direct("theta3", s)
             g0 = eval_theta(general_family(0.0), s)
             assert abs(t3.value - g0.value) <= t3.error_bound + g0.error_bound
-            t4 = eval_theta(THETA4, s, force_direct=True)
+            t4 = direct("theta4", s)
             gh = eval_theta(general_family(0.5), s)
             assert abs(t4.value - gh.value) <= t4.error_bound + gh.error_bound
 
@@ -368,8 +376,8 @@ class TestSeriesStructure:
         assert general_family(1.25).z == 0.25
 
     def test_terms_scale_with_tol(self):
-        loose = eval_theta(THETA3, 0.5, 0, 1e-3, force_direct=True)
-        tight = eval_theta(THETA3, 0.5, 0, 1e-15, force_direct=True)
+        loose = eval_theta(THETA3, 0.5, 0, 1e-3)
+        tight = eval_theta(THETA3, 0.5, 0, 1e-15)
         assert tight.terms_used >= loose.terms_used
         assert abs(tight.value - loose.value) <= \
             loose.error_bound + tight.error_bound
@@ -404,7 +412,7 @@ class TestTripleProduct:
     def test_matches_series(self):
         for s in GridSpec(0.1, 10.0, 30, "log").points():
             p = theta4_triple_product(s, 1e-14)
-            d = eval_theta(THETA4, s, force_direct=True, tol=1e-14)
+            d = direct("theta4", s, 0, 1e-14)
             assert abs(p.value - d.value) <= p.error_bound + d.error_bound
             assert p.method is EvalMethod.PRODUCT
             assert p.terms_used >= 1
