@@ -7,7 +7,7 @@ from .frame import (FrameBounds, LatticeParams, frame_bounds,
                     frame_bounds_even, frame_bounds_odd, lattice_params)
 from .grids import GridSpec
 from .oracle import (ExtremaReport, auto_k_max, frame_bounds_via_F,
-                     grid_extrema_F, janssen_F, naive_theta)
+                     grid_extrema_F, janssen_F)
 from .sweep import (OptimumReport, SweepRow, emit_csv, emit_plot,
                     find_optimal_beta, sweep_beta)
 from .theta import (THETA3, THETA4, THETA_ODD, DerivativeOrder, EvalMethod,
@@ -30,7 +30,7 @@ __all__ = [
     "eval_theta", "theta4_triple_product", "log_deriv_ratio_bounds",
     "LatticeParams", "FrameBounds", "lattice_params",
     "frame_bounds", "frame_bounds_even", "frame_bounds_odd",
-    "ExtremaReport", "naive_theta", "auto_k_max", "janssen_F",
+    "ExtremaReport", "auto_k_max", "janssen_F",
     "grid_extrema_F", "frame_bounds_via_F",
     "CheckResult", "VerifyConfig", "SUITE_NAMES", "run_all", "all_passed",
     "check_monotone_log_ratio", "check_refined_inequalities",

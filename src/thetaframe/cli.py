@@ -84,9 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--grid", type=int, default=128,
-                   help="grid steps per axis (default 128)")
-    p.add_argument("--kmax", type=int, default=None,
-                   help="series cutoff (default: from tail bound)")
+                   help="grid steps per axis, 8 to 4096 (default 128)")
     _add_format(p)
     return parser
 
@@ -107,11 +105,8 @@ def parse_args(argv) -> argparse.Namespace:
             parser.error("--steps must be >= 2")
         if not (args.beta_min < args.beta_max):
             parser.error("--beta-min must be less than --beta-max")
-    if args.subcommand == "oracle":
-        if args.grid < 8:
-            parser.error("--grid must be >= 8")
-        if args.kmax is not None and args.kmax < 1:
-            parser.error("--kmax must be >= 1")
+    if args.subcommand == "oracle" and args.grid < 8:
+        parser.error("--grid must be >= 8")
     return args
 
 
@@ -207,7 +202,7 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     params = lattice_params(args.n, args.beta)
     fb = frame_bounds(params)
-    rep = grid_extrema_F(params, args.grid, args.kmax)
+    rep = grid_extrema_F(params, args.grid)
     diff_lower = abs(fb.lower - rep.min_value)
     diff_upper = abs(fb.upper - rep.max_value)
     if args.format == "json":

@@ -1,14 +1,14 @@
-"""Brute-force reference computations.
+"""Brute-force reference computation of the frame bounds.
 
-naive_theta sums theta series with no certification, as an independent
-cross-check on the main evaluator. janssen_F evaluates the lattice
-time-frequency series
+janssen_F evaluates the lattice time-frequency series
 
     F(x, w) = n sum_{k,l} (-1)^{k l n} e^{-(pi/2)(k^2/beta^2 + l^2/alpha^2)}
                           e^{2 pi i k x} e^{2 pi i l w}
 
 whose infimum/supremum over the unit square reproduce the closed-form
-frame bounds; the sum is real and is folded onto k, l >= 0 cosines.
+frame bounds; the sum is real and is folded onto k, l >= 0 cosines. It
+is truncated at |k|, |l| <= K, with K always derived by auto_k_max, and
+grids have at most 4,096 steps per axis (a 134 MB table of F).
 
 numpy is imported on first use, so importing thetaframe does not pay for
 it unless the lattice oracle runs.
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .frame import FrameBounds, LatticeParams, _theta_args
-from .theta import ThetaFamily
 
 _TAIL_TARGET = 1e-13
+_MAX_GRID_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -36,34 +36,6 @@ class ExtremaReport:
     argmin: tuple[float, float]
     grid_steps: int
     truncation_K: int
-
-
-def naive_theta(family: ThetaFamily, s: float, k_max: int) -> float:
-    """Plain partial sum over |k| <= k_max (odd family: |2k+1| <= 2k_max+1).
-
-    No error control; intended as an independent sanity oracle.
-    """
-    if not isinstance(family, ThetaFamily):
-        raise DomainError(f"expected ThetaFamily, got {family!r}")
-    s = float(s)
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"s={s!r} must be positive")
-    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 0:
-        raise DomainError(f"k_max={k_max!r} must be a non-negative integer")
-    kind = family.kind
-    if kind == "theta_odd":
-        return math.fsum(
-            2.0 * math.exp(-math.pi * (2 * j + 1) ** 2 * s)
-            for j in range(k_max + 1))
-    terms = [1.0]
-    for k in range(1, k_max + 1):
-        t = 2.0 * math.exp(-math.pi * k * k * s)
-        if kind == "theta4" and k % 2:
-            t = -t
-        elif kind == "theta_general":
-            t *= math.cos(2.0 * math.pi * family.z * k)
-        terms.append(t)
-    return math.fsum(terms)
 
 
 def auto_k_max(params: LatticeParams) -> int:
@@ -82,16 +54,13 @@ def auto_k_max(params: LatticeParams) -> int:
     return k
 
 
-def _coefficients(params: LatticeParams, k_max: int | None):
+def _coefficients(params: LatticeParams):
     # the frame_bounds domain caps auto_k_max at 3,904 (122 MB of weights);
     # outside it K can grow to 1e5, and the matrix to 80 GB, before failing
     _theta_args(params.n, params.beta)
     import numpy as np
 
-    if k_max is None:
-        k_max = auto_k_max(params)
-    elif not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-        raise DomainError(f"k_max={k_max!r} must be a positive integer")
+    k_max = auto_k_max(params)
     k = np.arange(k_max + 1)
     ek = np.exp(-0.5 * math.pi * k ** 2 / params.beta ** 2)
     el = np.exp(-0.5 * math.pi * k ** 2 / params.alpha ** 2)
@@ -103,8 +72,7 @@ def _coefficients(params: LatticeParams, k_max: int | None):
     return w, k_max
 
 
-def janssen_F(x: float, omega: float, params: LatticeParams,
-              k_max: int | None = None) -> float:
+def janssen_F(x: float, omega: float, params: LatticeParams) -> float:
     """Evaluate F at a single point of the unit square."""
     x = float(x)
     omega = float(omega)
@@ -114,15 +82,15 @@ def janssen_F(x: float, omega: float, params: LatticeParams,
         raise DomainError(f"expected LatticeParams, got {params!r}")
     import numpy as np
 
-    w, kk = _coefficients(params, k_max)
+    w, kk = _coefficients(params)
     k = np.arange(kk + 1)
     cx = np.cos(2.0 * math.pi * k * x)
     cw = np.cos(2.0 * math.pi * k * omega)
     return math.fsum((w * np.outer(cx, cw)).ravel().tolist())
 
 
-def grid_extrema_F(params: LatticeParams, grid_steps: int = 128,
-                   k_max: int | None = None) -> ExtremaReport:
+def grid_extrema_F(params: LatticeParams,
+                   grid_steps: int = 128) -> ExtremaReport:
     """Extrema of F over the uniform grid {i/grid_steps}^2.
 
     Ties resolve to the lexicographically smallest (i, j). An even
@@ -131,11 +99,12 @@ def grid_extrema_F(params: LatticeParams, grid_steps: int = 128,
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
     if (not isinstance(grid_steps, int) or isinstance(grid_steps, bool)
-            or grid_steps < 8):
-        raise DomainError(f"grid_steps={grid_steps!r} must be an int >= 8")
+            or not 8 <= grid_steps <= _MAX_GRID_STEPS):
+        raise DomainError(f"grid_steps={grid_steps!r} must be an int in "
+                          f"[8, {_MAX_GRID_STEPS}]")
     import numpy as np
 
-    w, kk = _coefficients(params, k_max)
+    w, kk = _coefficients(params)
     k = np.arange(kk + 1)
     xs = np.arange(grid_steps) / grid_steps
     cos_grid = np.cos(2.0 * math.pi * np.outer(k, xs))
@@ -154,8 +123,8 @@ def grid_extrema_F(params: LatticeParams, grid_steps: int = 128,
     )
 
 
-def frame_bounds_via_F(params: LatticeParams, grid_steps: int = 128,
-                       k_max: int | None = None) -> FrameBounds:
+def frame_bounds_via_F(params: LatticeParams,
+                       grid_steps: int = 128) -> FrameBounds:
     """Frame bounds estimated from the grid extrema of F.
 
     error_bound combines the neglected series tail with a Lipschitz
@@ -163,7 +132,7 @@ def frame_bounds_via_F(params: LatticeParams, grid_steps: int = 128,
     """
     import numpy as np
 
-    rep = grid_extrema_F(params, grid_steps, k_max)
+    rep = grid_extrema_F(params, grid_steps)
     kk = rep.truncation_K
     mb = 0.5 * math.pi / params.beta ** 2
     ma = 0.5 * math.pi / params.alpha ** 2

@@ -13,6 +13,7 @@ the whole range. emit_csv / emit_plot write byte-reproducible artifacts.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -80,11 +81,10 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     Bisects the range in log beta on the certified signs of dA/dbeta and
     dB/dbeta (balls from the frame-bound body), keeping A rising and B
     falling at lo and the reverse at hi, so [lo, hi] holds a critical
-    point of each. It stops once hi - lo <= resolution. Where a
-    midpoint's signs are uncertain it bisects [lo, mid] and [mid, hi]
-    instead, moving lo only to certified-left and hi only to
-    certified-right midpoints, so the bracket closes in on the uncertain
-    zone or to the resolution. A range end that still bounds the bracket
+    point of each. lo moves only to certified-left and hi only to
+    certified-right midpoints, each bisecting on until hi - lo <=
+    resolution or it closes in on a zone of uncertain signs. Each beta's
+    signs are computed once. A range end that still bounds the bracket
     must have certified signs, else RangeError. The range must contain
     1/sqrt(n), where both optima provably lie. n = 1 is rejected: there A
     vanishes identically (critical density), so it has no maximum to
@@ -105,6 +105,7 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
             math.isfinite(resolution) and resolution > 0.0):
         raise DomainError(f"resolution must be positive, got {resolution!r}")
 
+    @functools.cache  # per call: both squeezes walk the same midpoints
     def side(beta):
         """-1 left of both optima, +1 right of them, 0 if uncertain."""
         sa, sb = _frame_slopes(n, beta)
@@ -127,18 +128,12 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
                 other = mid
         return keep
 
-    window = (lo, hi)
-    while hi - lo > resolution:
-        mid = math.sqrt(lo * hi)
-        where = side(mid) if lo < mid < hi else 0
-        if where == 0:
-            lo, hi = squeeze(lo, mid, -1), squeeze(hi, mid, 1)
-            break
-        lo, hi = (mid, hi) if where < 0 else (lo, mid)
+    bracket = squeeze(lo, hi, -1), squeeze(hi, lo, 1)
     for end, want in ((lo, -1), (hi, 1)):
-        if end in window and side(end) != want:
+        if end in bracket and side(end) != want:
             raise RangeError(f"slope signs at the range end beta = {end!r} "
                              "are not certified; widen the range")
+    lo, hi = bracket
     beta = math.sqrt(lo * hi)
     fb = frame_bounds(lattice_params(n, beta))
     return OptimumReport(n, beta, fb.lower, beta, fb.upper, hi - lo)

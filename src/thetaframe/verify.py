@@ -191,8 +191,11 @@ def _center_index(pts):
 
 
 def _pair_values(family, r, pts):
-    return [mul(eval_theta(family, r * s), eval_theta(family, r / s))
-            for s in pts]
+    """f(rs) f(r/s) for s in pts, with f evaluated once for each distinct
+    argument: on a grid symmetric about s = 1 most of them repeat."""
+    f = {x: eval_theta(family, x)
+         for x in dict.fromkeys(a for s in pts for a in (r * s, r / s))}
+    return [mul(f[r * s], f[r / s]) for s in pts]
 
 
 def check_product_inequality(family: ThetaFamily, r_values,

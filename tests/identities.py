@@ -1,4 +1,5 @@
-"""Identity residuals of the direct series, for the tests.
+"""Identity residuals of the direct series, and a naive partial sum, for
+the tests.
 
 The small-s transform that eval_theta takes below the cutoff is the very
 identity these residuals measure, so every side here is summed by the
@@ -39,6 +40,23 @@ def fact2_residual(s, tol=1e-12):
     """
     s = float(s)
     return abs(_log_ratio(s, tol) + _log_ratio(1.0 / s, tol) + 0.5)
+
+
+def naive_theta(family, s, k_max):
+    """Plain partial sum over |k| <= k_max (odd family: |2k+1| <= 2k_max+1),
+    with no error control: an independent cross-check on eval_theta."""
+    if family.kind == "theta_odd":
+        return math.fsum(2.0 * math.exp(-math.pi * (2 * j + 1) ** 2 * s)
+                         for j in range(k_max + 1))
+    terms = [1.0]
+    for k in range(1, k_max + 1):
+        t = 2.0 * math.exp(-math.pi * k * k * s)
+        if family.kind == "theta4" and k % 2:
+            t = -t
+        elif family.kind == "theta_general":
+            t *= math.cos(2.0 * math.pi * family.z * k)
+        terms.append(t)
+    return math.fsum(terms)
 
 
 def theta_odd_poisson_residual(r, s, tol=1e-12):

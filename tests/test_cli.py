@@ -57,7 +57,6 @@ class TestParseArgs:
          "--steps", "5", "--out", "x.csv"],
         ["verify", "--suite", "bogus"],
         ["oracle", "--n", "2", "--beta", "0.7", "--grid", "4"],
-        ["oracle", "--n", "2", "--beta", "0.7", "--kmax", "0"],
         ["eval", "--family", "theta9", "--s", "1.0"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
@@ -74,6 +73,7 @@ class TestComputationErrors:
         ["eval", "--family", "theta3", "--s", "-1.0"],
         ["bounds", "--n", "2", "--beta", "-1.0"],
         ["bounds", "--n", "2", "--beta", "1000.0"],
+        ["oracle", "--n", "2", "--beta", "0.7", "--grid", "4097"],
     ])
     def test_domain_errors_exit_1(self, argv, capsys):
         code, out, err = run_main(capsys, argv)

@@ -6,11 +6,11 @@ import math
 import pytest
 
 import reference_values as ref
+from identities import naive_theta
 from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
-                        DomainError, ExtremaReport, ThetaFamily, auto_k_max,
-                        eval_theta, frame_bounds,
-                        frame_bounds_via_F, general_family, grid_extrema_F,
-                        janssen_F, lattice_params, naive_theta)
+                        DomainError, ExtremaReport, auto_k_max, eval_theta,
+                        frame_bounds, frame_bounds_via_F, general_family,
+                        grid_extrema_F, janssen_F, lattice_params, oracle)
 
 
 class TestNaiveTheta:
@@ -43,22 +43,6 @@ class TestNaiveTheta:
         got = naive_theta(fam, 1.0, 30)
         want = eval_theta(general_family(0.25), 1.0)
         assert abs(got - want.value) <= want.error_bound + 1e-14
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            naive_theta(THETA3, 0.0, 5)
-        with pytest.raises(DomainError):
-            naive_theta(THETA3, -1.0, 5)
-        with pytest.raises(DomainError):
-            naive_theta(THETA3, 1.0, -1)
-        with pytest.raises(DomainError):
-            naive_theta(THETA3, 1.0, 1.5)
-        with pytest.raises(DomainError):
-            naive_theta("theta3", 1.0, 5)
-        with pytest.raises(DomainError):
-            naive_theta(ThetaFamily("bogus"), 1.0, 5)
-        with pytest.raises(DomainError):
-            naive_theta(ThetaFamily("theta_general"), 1.0, 5)
 
 
 class TestJanssenF:
@@ -159,25 +143,26 @@ class TestGridExtrema:
         assert rep.max_value == pytest.approx(fb.upper, abs=1e-10)
         assert rep.min_value == pytest.approx(fb.lower, abs=1e-10)
 
-    @pytest.mark.parametrize("bad", [7, 8.0, True, -16])
+    @pytest.mark.parametrize("bad", [7, 8.0, True, -16, 4097])
     def test_bad_grid_steps(self, bad):
+        # 4,097 steps would be a 134 MB table of F: rejected before numpy
         with pytest.raises(DomainError):
             grid_extrema_F(lattice_params(2, 0.7), grid_steps=bad)
-
-    def test_bad_k_max(self):
-        with pytest.raises(DomainError):
-            grid_extrema_F(lattice_params(2, 0.7), k_max=0)
 
     def test_params_type(self):
         with pytest.raises(DomainError):
             grid_extrema_F((2, 0.7))
 
-    def test_explicit_k_max_converges(self):
+    def test_explicit_k_max_converges(self, monkeypatch):
+        # the derived K already holds the extrema to 1e-10: a larger one
+        # does not move them
         params = lattice_params(2, 0.7)
-        a = grid_extrema_F(params, 16, k_max=3)
-        b = grid_extrema_F(params, 16, k_max=12)
+        a = grid_extrema_F(params, 16)
+        monkeypatch.setattr(oracle, "auto_k_max", lambda p: 12)
+        b = grid_extrema_F(params, 16)
         assert a.max_value == pytest.approx(b.max_value, abs=1e-10)
-        assert a.truncation_K == 3
+        assert a.min_value == pytest.approx(b.min_value, abs=1e-10)
+        assert a.truncation_K == auto_k_max(params) < 12
         assert b.truncation_K == 12
 
 

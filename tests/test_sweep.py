@@ -8,7 +8,7 @@ import pytest
 import reference_values as ref
 from thetaframe import (DomainError, GridSpec, OptimumReport, RangeError,
                         SweepRow, emit_csv, emit_plot, find_optimal_beta,
-                        sweep_beta)
+                        sweep, sweep_beta)
 from thetaframe.sweep import _sci17
 
 
@@ -94,6 +94,22 @@ class TestFindOptimalBeta:
         assert rep.bracket_width <= 2.5e-9
         assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
         assert abs(rep.beta_for_min_B - root) <= rep.bracket_width
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_slope_evaluation_per_beta(self, monkeypatch, n):
+        # lo and hi bisect through the same midpoints until the signs turn
+        # uncertain, some 1e-15 from the root, then part
+        real = sweep._frame_slopes
+        betas = []
+
+        def counted(n, beta):
+            betas.append(beta)
+            return real(n, beta)
+
+        monkeypatch.setattr(sweep, "_frame_slopes", counted)
+        root = 1 / math.sqrt(n)
+        find_optimal_beta(n, (0.3 * root, 2 * root), 1e-300)
+        assert len(betas) == len(set(betas)) > 40
 
     @pytest.mark.parametrize("n", range(2, 17))
     @pytest.mark.parametrize("res", [1e-6, 1e-8])

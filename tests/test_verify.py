@@ -144,6 +144,28 @@ class TestProductInequality:
             check_product_inequality(
                 THETA_ODD, (1.0,), GridSpec(0.5, 2.0, 21, "log"))
 
+    @pytest.mark.parametrize("suite,calls", [
+        # 1,779 distinct pair arguments over the four r, and f(r) per r
+        ("theta3-product-minimum", 1783),
+        ("theta4-product-maximum", 1783),
+        # theta_odd and the family at each of the same arguments
+        ("odd-combination-minimum", 3558),
+        ("odd-combination-maximum", 2678),   # three r
+    ])
+    def test_one_evaluation_per_distinct_pair_argument(self, monkeypatch,
+                                                        suite, calls):
+        # the symmetric grid repeats most r s and r/s arguments
+        real = verify.eval_theta
+        args = []
+
+        def counted(family, s):
+            args.append((family, s))
+            return real(family, s)
+
+        monkeypatch.setattr(verify, "eval_theta", counted)
+        assert run_all(VerifyConfig(suites=(suite,)))[0].passed
+        assert len(args) == calls
+
 
 class TestOddCombinations:
     def test_upper(self):
