@@ -57,6 +57,8 @@ class TestParseArgs:
          "--steps", "5", "--out", "x.csv"],
         ["verify", "--suite", "bogus"],
         ["oracle", "--n", "2", "--beta", "0.7", "--grid", "4"],
+        # --kmax was removed (K is always derived); it must now be rejected
+        ["oracle", "--n", "2", "--beta", "0.7", "--kmax", "0"],
         ["eval", "--family", "theta9", "--s", "1.0"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
