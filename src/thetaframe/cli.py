@@ -11,19 +11,13 @@ the library's result record, with null for non-finite numbers.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .frame import frame_bounds, lattice_params
-from .grids import GridSpec
-from .oracle import grid_extrema_F
-from .sweep import emit_csv, emit_plot, sweep_beta
 from .theta import DEFAULT_TOL, FAMILIES, ThetaFamily, eval_theta
-from .verify import SUITE_NAMES, VerifyConfig, all_passed, run_all
 
 
 def _add_format(p):
@@ -75,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tol(p)
 
     p = sub.add_parser("verify", help="run numerical verification suites")
-    p.add_argument("--suite", choices=("all", *SUITE_NAMES), default="all",
+    p.add_argument("--suite", default="all",
                    help="suite name or 'all' (default)")
     _add_format(p)
 
@@ -107,6 +101,13 @@ def parse_args(argv) -> argparse.Namespace:
             parser.error("--beta-min must be less than --beta-max")
     if args.subcommand == "oracle" and args.grid < 8:
         parser.error("--grid must be >= 8")
+    if args.subcommand == "verify":
+        # checked here, not by argparse choices, which would import verify
+        from .verify import SUITE_NAMES
+        names = ("all", *SUITE_NAMES)
+        if args.suite not in names:
+            parser.error(f"argument --suite: invalid choice: {args.suite!r} "
+                         f"(choose from {', '.join(map(repr, names))})")
     return args
 
 
@@ -124,6 +125,7 @@ def _json_ready(x):
 
 
 def _emit(obj):
+    import json
     print(json.dumps(_json_ready(obj), sort_keys=True))
 
 
@@ -146,6 +148,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .frame import frame_bounds, lattice_params
     fb = frame_bounds(lattice_params(args.n, args.beta), args.tol)
     if args.format == "json":
         _emit({"command": "bounds", "n": args.n, "beta": args.beta,
@@ -161,6 +164,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .grids import GridSpec
+    from .sweep import emit_csv, emit_plot, sweep_beta
     scale = "log" if args.log else "linear"
     grid = GridSpec(args.beta_min, args.beta_max, args.steps, scale)
     rows = sweep_beta(args.n, grid, args.tol)
@@ -175,6 +180,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import VerifyConfig, all_passed, run_all
     if args.suite == "all":
         config = VerifyConfig()
     else:
@@ -200,6 +206,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .frame import frame_bounds, lattice_params
+    from .oracle import grid_extrema_F
     params = lattice_params(args.n, args.beta)
     fb = frame_bounds(params)
     rep = grid_extrema_F(params, args.grid)

@@ -50,3 +50,24 @@ def test_traced_run(workload):
 def test_untraced_run():
     # an untraced run reports the end-to-end metrics
     _assert_metrics(_result("pointwise", 0), "end_to_end")
+
+
+def test_tracer_leaves_no_wrapper_in_package():
+    # the package binds its names lazily; names the warm-up used before
+    # the tracer was installed must come back unwrapped after uninstall
+    if not RUN.exists():
+        pytest.skip("bench/ is not part of this checkout")
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(RUN.parent)!r}]\n"
+        "import thetaframe as tf, tracing\n"
+        "tf.frame_bounds(tf.lattice_params(2, 0.7))\n"
+        "with tracing.Tracer() as tracer:\n"
+        "    tf.frame_bounds(tf.lattice_params(3, 0.5))\n"
+        "assert len(tracer.fids) > 0\n"
+        "print(sorted(k for k, v in vars(tf).items()"
+        " if hasattr(v, '__wrapped__')))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -10,9 +10,10 @@ import pytest
 
 import reference_values as ref
 from thetaframe import (CheckResult, DomainError, ThetaFamily, VerifyConfig,
-                        cli, eval_theta, frame_bounds, grid_extrema_F,
+                        eval_theta, frame_bounds, grid_extrema_F,
                         lattice_params, run_all)
 from thetaframe.theta import FAMILIES
+from thetaframe.verify import SUITE_NAMES
 from thetaframe.cli import build_parser, main, parse_args
 
 
@@ -64,6 +65,13 @@ class TestParseArgs:
     def test_usage_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err != ""
+
+    def test_unknown_suite_lists_every_name(self, capsys):
+        assert main(["verify", "--suite", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --suite: invalid choice: 'bogus'" in err
+        for name in ("all", *SUITE_NAMES):
+            assert repr(name) in err
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
@@ -158,7 +166,7 @@ class TestVerify:
 
     def test_failing_suite_exits_3(self, capsys, monkeypatch):
         fake = [CheckResult("x", False, -1.0, 2.0, 5)]
-        monkeypatch.setattr(cli, "run_all", lambda config: fake)
+        monkeypatch.setattr("thetaframe.verify.run_all", lambda config: fake)
         code, out, _ = run_main(capsys, ["verify"])
         assert code == 3
         assert "FAIL x" in out
@@ -167,7 +175,7 @@ class TestVerify:
     def test_informational_failure_exits_0(self, capsys, monkeypatch):
         fake = [CheckResult("x", True, 1.0, None, 5),
                 CheckResult("y", False, -1.0, None, 5, informational=True)]
-        monkeypatch.setattr(cli, "run_all", lambda config: fake)
+        monkeypatch.setattr("thetaframe.verify.run_all", lambda config: fake)
         code, out, _ = run_main(capsys, ["verify"])
         assert code == 0
         assert "[informational]" in out
@@ -298,7 +306,7 @@ class TestJsonEqualsLibrary:
         fake = [CheckResult("x", False, math.nan, (1.0, 2.5), 0),
                 CheckResult("y", False, math.inf, None, 0),
                 CheckResult("w", False, -1.0, (1.0, math.inf), 3)]
-        monkeypatch.setattr(cli, "run_all", lambda config: fake)
+        monkeypatch.setattr("thetaframe.verify.run_all", lambda config: fake)
         code, out, _ = run_main(capsys, ["verify", "--format", "json"])
         assert code == 3
         doc = json.loads(out)
@@ -316,7 +324,7 @@ class TestJsonEqualsLibrary:
 
     def test_verify_human_flags_low_margin(self, capsys, monkeypatch):
         fake = [CheckResult("x", True, 1e-9, 1.0, 4, low_margin=True)]
-        monkeypatch.setattr(cli, "run_all", lambda config: fake)
+        monkeypatch.setattr("thetaframe.verify.run_all", lambda config: fake)
         code, out, _ = run_main(capsys, ["verify"])
         assert code == 0
         assert out.splitlines() == [
@@ -395,6 +403,37 @@ def test_commands_leave_numpy_unimported(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+_CLI_BASE = ("ball", "cli", "errors", "theta")
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["eval", "--family", "theta3", "--s", "1.0"], ()),
+    (["bounds", "--n", "3", "--beta", "0.5"], ("frame",)),
+    (["sweep", "--n", "2", "--beta-min", "0.4", "--beta-max", "1.4",
+      "--steps", "5", "--out", "ROWS"], ("frame", "grids", "sweep")),
+    (["verify", "--suite", "theta3-product-minimum"], ("grids", "verify")),
+    (["oracle", "--n", "2", "--beta", "0.7", "--grid", "16"],
+     ("frame", "oracle")),
+], ids=["eval", "bounds", "sweep", "verify", "oracle"])
+def test_command_imports_only_its_layer(tmp_path, argv, layers):
+    # each subcommand imports its own layer in a fresh interpreter, and
+    # only the oracle pulls in numpy
+    argv = [str(tmp_path / "rows.csv") if a == "ROWS" else a for a in argv]
+    script = (
+        "import sys\n"
+        "from thetaframe.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('thetaframe')),"
+        " 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    expected = sorted(["thetaframe"] + [f"thetaframe.{m}"
+                                        for m in (*_CLI_BASE, *layers)])
+    numpy = argv[0] == "oracle"
+    assert proc.stdout.splitlines()[-1] == f"{expected} {numpy}"
 
 
 def test_build_parser_reusable():
