@@ -169,13 +169,14 @@ def _cmd_sweep(args) -> int:
     scale = "log" if args.log else "linear"
     grid = GridSpec(args.beta_min, args.beta_max, args.steps, scale)
     rows = sweep_beta(args.n, grid, args.tol)
-    emit_csv(rows, args.out)
+    plot = ""
     if args.svg is not None:
+        # emit_plot checks the rows before it opens a file, so a rejected
+        # plot writes no CSV either
         emit_plot(rows, args.svg, args.column)
-        print(f"wrote {len(rows)} rows to {args.out} and plot to "
-              f"{args.svg}")
-    else:
-        print(f"wrote {len(rows)} rows to {args.out}")
+        plot = f" and plot to {args.svg}"
+    emit_csv(rows, args.out)
+    print(f"wrote {len(rows)} rows to {args.out}{plot}")
     return 0
 
 

@@ -26,12 +26,18 @@ from .errors import DomainError
 from .theta import DEFAULT_TOL, S_MAX, S_MIN, _thetas
 
 
+def _theta_args(n: int, beta: float) -> tuple[float, float]:
+    """(a, b) = (n^2 beta^2 / 2, 1 / (2 beta^2)), unchecked."""
+    return 0.5 * (n * beta) * (n * beta), 0.5 / (beta * beta)
+
+
 @dataclass(frozen=True)
 class LatticeParams:
     """A separable lattice alpha Z x beta Z of integer density n.
 
     n and beta determine the lattice; alpha = 1/(n beta) is derived.
-    Construction validates n and beta and stores beta as a float.
+    Construction validates n and beta, rejects a lattice whose theta
+    arguments a and b leave [S_MIN, S_MAX], and stores beta as a float.
     """
 
     n: int
@@ -43,6 +49,11 @@ class LatticeParams:
             raise DomainError(f"n={n!r} must be a positive integer")
         if not (math.isfinite(beta) and beta > 0.0):
             raise DomainError(f"beta={beta!r} must be positive")
+        for arg in _theta_args(n, beta):
+            if not (S_MIN <= arg <= S_MAX):
+                raise DomainError(
+                    f"beta={beta!r} puts theta argument {arg!r} outside "
+                    f"[{S_MIN}, {S_MAX}]")
         object.__setattr__(self, "beta", beta)
 
     @property
@@ -69,17 +80,6 @@ class FrameBounds:
     ratio: float
     error_bound: float
     valid: bool
-
-
-def _theta_args(n: int, beta: float) -> tuple[float, float]:
-    a = 0.5 * (n * beta) * (n * beta)
-    b = 0.5 / (beta * beta)
-    for arg in (a, b):
-        if not (S_MIN <= arg <= S_MAX):
-            raise DomainError(
-                f"beta={beta!r} puts theta argument {arg!r} outside "
-                f"[{S_MIN}, {S_MAX}]")
-    return a, b
 
 
 def _bounds(n, beta, tol, slopes=False):

@@ -8,7 +8,9 @@ janssen_F evaluates the lattice time-frequency series
 whose infimum/supremum over the unit square reproduce the closed-form
 frame bounds; the sum is real and is folded onto k, l >= 0 cosines. It
 is truncated at |k|, |l| <= K, with K always derived by auto_k_max, and
-grids have at most 4,096 steps per axis (a 134 MB table of F).
+grids have at most 4,096 steps per axis (a 134 MB table of F). A lattice
+outside the theta domain is rejected when its LatticeParams is built,
+before any table exists, so K is at most 3,904 (122 MB of weights).
 
 numpy is imported on first use, so importing thetaframe does not pay for
 it unless the lattice oracle runs.
@@ -19,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
-from .frame import FrameBounds, LatticeParams, _theta_args
+from .errors import DomainError
+from .frame import FrameBounds, LatticeParams
 
 _TAIL_TARGET = 1e-13
 _MAX_GRID_STEPS = 4096
@@ -48,16 +50,10 @@ def auto_k_max(params: LatticeParams) -> int:
     k = 1
     while (2 * k + 1) ** 2 * math.exp(-0.5 * math.pi * k * k * m) >= _TAIL_TARGET:
         k += 1
-        if k > 10 ** 5:
-            raise ConvergenceError(
-                "lattice too eccentric: truncation index exceeds 1e5")
     return k
 
 
 def _coefficients(params: LatticeParams):
-    # the frame_bounds domain caps auto_k_max at 3,904 (122 MB of weights);
-    # outside it K can grow to 1e5, and the matrix to 80 GB, before failing
-    _theta_args(params.n, params.beta)
     import numpy as np
 
     k_max = auto_k_max(params)

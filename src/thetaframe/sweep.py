@@ -19,8 +19,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .frame import (LatticeParams, _frame_slopes, _theta_args, frame_bounds,
-                    lattice_params)
+from .frame import LatticeParams, _frame_slopes, frame_bounds, lattice_params
 from .grids import GridSpec
 from .theta import DEFAULT_TOL
 
@@ -90,9 +89,10 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     vanishes identically (critical density), so it has no maximum to
     locate.
     """
-    lo, hi = float(beta_range[0]), float(beta_range[1])
-    for beta in (lo, hi):  # then every midpoint is in the theta domain
-        _theta_args(n, LatticeParams(n, beta).beta)
+    if len(beta_range) != 2:
+        raise DomainError(f"beta_range={beta_range!r} must be (lo, hi)")
+    # lattices at both ends put every midpoint in the theta domain
+    lo, hi = (LatticeParams(n, beta).beta for beta in beta_range)
     if n == 1:
         raise DomainError("n=1 has A = 0 at every beta: no maximum")
     if lo >= hi:
@@ -101,8 +101,9 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     if not (lo < root < hi):
         raise DomainError(f"beta range ({lo}, {hi}) must contain "
                           f"1/sqrt({n}) = {root}")
-    if not (isinstance(resolution, (int, float)) and
-            math.isfinite(resolution) and resolution > 0.0):
+    if not (isinstance(resolution, (int, float))
+            and not isinstance(resolution, bool)
+            and math.isfinite(resolution) and resolution > 0.0):
         raise DomainError(f"resolution must be positive, got {resolution!r}")
 
     @functools.cache  # per call: both squeezes walk the same midpoints

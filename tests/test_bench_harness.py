@@ -71,3 +71,22 @@ def test_tracer_leaves_no_wrapper_in_package():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_frame_beta_range_ends_build_lattices():
+    # the bench draws bounds lattices from frame_beta_range(n); both ends
+    # must lie in the theta domain that LatticeParams enforces
+    if not RUN.exists():
+        pytest.skip("bench/ is not part of this checkout")
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(RUN.parent)!r}]\n"
+        "import thetaframe as tf, workloads\n"
+        "for n in range(1, 9):\n"
+        "    for beta in workloads.frame_beta_range(n):\n"
+        "        tf.lattice_params(n, beta)\n"
+        "print('ok')\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "ok"

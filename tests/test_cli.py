@@ -9,9 +9,10 @@ from dataclasses import asdict
 import pytest
 
 import reference_values as ref
-from thetaframe import (CheckResult, DomainError, ThetaFamily, VerifyConfig,
-                        eval_theta, frame_bounds, grid_extrema_F,
-                        lattice_params, run_all)
+from thetaframe import (CheckResult, DomainError, GridSpec, ThetaFamily,
+                        VerifyConfig, emit_csv, emit_plot, eval_theta,
+                        frame_bounds, grid_extrema_F, lattice_params, run_all,
+                        sweep_beta)
 from thetaframe.theta import FAMILIES
 from thetaframe.verify import SUITE_NAMES
 from thetaframe.cli import build_parser, main, parse_args
@@ -193,6 +194,35 @@ class TestSweep:
         assert "wrote 11 rows" in out
         assert csv.read_bytes().startswith(b"beta,A,B,ratio\n")
         assert svg.read_bytes().startswith(b"<svg")
+
+    def test_rejected_plot_writes_no_file(self, capsys, tmp_path):
+        # the ratio is infinite at n = 1 (A = 0), so the plot is rejected
+        # before either file is opened
+        csv = tmp_path / "x.csv"
+        svg = tmp_path / "x.svg"
+        code, _, err = run_main(capsys, [
+            "sweep", "--n", "1", "--beta-min", "0.5", "--beta-max", "2",
+            "--steps", "3", "--out", str(csv), "--svg", str(svg)])
+        assert code == 1
+        assert err == "error: cannot plot non-finite values\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_files_are_the_librarys_bytes(self, capsys, tmp_path):
+        # writing the plot before the CSV changes neither file's bytes
+        argv = ["sweep", "--n", "3", "--beta-min", "0.3", "--beta-max",
+                "1.0", "--steps", "9", "--log", "--out",
+                str(tmp_path / "cli.csv"), "--svg", str(tmp_path / "cli.svg"),
+                "--column", "B"]
+        code, out, _ = run_main(capsys, argv)
+        assert code == 0
+        assert out == (f"wrote 9 rows to {tmp_path / 'cli.csv'} and plot "
+                       f"to {tmp_path / 'cli.svg'}\n")
+        rows = sweep_beta(3, GridSpec(0.3, 1.0, 9, "log"))
+        emit_csv(rows, tmp_path / "lib.csv")
+        emit_plot(rows, tmp_path / "lib.svg", "B")
+        for ext in ("csv", "svg"):
+            assert (tmp_path / f"cli.{ext}").read_bytes() == \
+                (tmp_path / f"lib.{ext}").read_bytes()
 
     def test_byte_identical_runs(self, capsys, tmp_path):
         argvs = [["sweep", "--n", "3", "--beta-min", "0.3", "--beta-max",

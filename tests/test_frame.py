@@ -7,8 +7,10 @@ import pytest
 
 import reference_values as ref
 from thetaframe import (THETA3, THETA4, THETA_ODD, DomainError,
-                        FrameBounds, LatticeParams, eval_theta, frame_bounds,
-                        frame_bounds_even, frame_bounds_odd, lattice_params)
+                        FrameBounds, GridSpec, LatticeParams, eval_theta,
+                        find_optimal_beta, frame_bounds, frame_bounds_even,
+                        frame_bounds_odd, frame_bounds_via_F, grid_extrema_F,
+                        janssen_F, lattice_params, sweep_beta)
 from thetaframe.ball import mul, scale, sub
 from thetaframe.frame import _frame_slopes
 
@@ -272,3 +274,32 @@ class TestDomain:
     def test_params_type(self):
         with pytest.raises(DomainError):
             frame_bounds((2, 0.7))
+
+
+_PARITY_BOUNDS = {0: frame_bounds_even, 1: frame_bounds_odd}
+
+
+@pytest.mark.parametrize("entry", [
+    LatticeParams,
+    lattice_params,
+    lambda n, beta: _PARITY_BOUNDS[n % 2](n, beta),
+    lambda n, beta: find_optimal_beta(n, (min(beta, 0.5), max(beta, 0.6)),
+                                      1e-6),
+    lambda n, beta: sweep_beta(n, GridSpec(min(beta, 0.5), max(beta, 0.6),
+                                           2)),
+    lambda n, beta: grid_extrema_F(lattice_params(n, beta)),
+    lambda n, beta: frame_bounds_via_F(lattice_params(n, beta)),
+    lambda n, beta: janssen_F(0.5, 0.5, lattice_params(n, beta)),
+], ids=["LatticeParams", "lattice_params", "frame_bounds_parity",
+        "find_optimal_beta", "sweep_beta", "grid_extrema_F",
+        "frame_bounds_via_F", "janssen_F"])
+@pytest.mark.parametrize("n,beta,arg", [
+    (2, 1e-4, "2e-08"), (2, 1e4, "200000000.0"),
+    (3, 1e-4, "4.5000000000000006e-08"), (3, 1e4, "450000000.0")])
+def test_outside_theta_domain_one_error(entry, n, beta, arg):
+    # LatticeParams is the one theta-domain check: every entry point that
+    # takes a lattice reports it in the same words
+    with pytest.raises(DomainError) as exc:
+        entry(n, beta)
+    assert str(exc.value) == (f"beta={beta!r} puts theta argument {arg} "
+                              "outside [1e-06, 1000000.0]")

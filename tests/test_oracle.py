@@ -2,15 +2,17 @@
 
 import cmath
 import math
+import subprocess
+import sys
 
 import pytest
 
 import reference_values as ref
 from identities import naive_theta
-from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
-                        DomainError, ExtremaReport, auto_k_max, eval_theta,
-                        frame_bounds, frame_bounds_via_F, general_family,
-                        grid_extrema_F, janssen_F, lattice_params, oracle)
+from thetaframe import (THETA3, THETA4, THETA_ODD, DomainError, ExtremaReport,
+                        auto_k_max, eval_theta, frame_bounds,
+                        frame_bounds_via_F, general_family, grid_extrema_F,
+                        janssen_F, lattice_params, oracle)
 
 
 class TestNaiveTheta:
@@ -113,17 +115,33 @@ class TestAutoKMax:
         k_flat = auto_k_max(lattice_params(2, 0.1))
         assert k_flat > k_round
 
-    def test_cap(self):
-        with pytest.raises(ConvergenceError):
-            auto_k_max(lattice_params(1, 1e-5))
+    @pytest.mark.parametrize("beta", [2e-6 ** 0.5, 2e-6 ** -0.5])
+    def test_domain_edge(self, beta):
+        # a = 1e-6 or b = 1e-6: the largest K any buildable lattice needs
+        assert auto_k_max(lattice_params(1, beta)) == 3904
 
     @pytest.mark.parametrize("oracle", [
         grid_extrema_F, frame_bounds_via_F,
         lambda params: janssen_F(0.5, 0.5, params)])
     def test_outside_theta_domain_rejected(self, oracle):
-        # auto_k_max is 28,727 here: its weight matrix would take 6.6 GB
+        # auto_k_max would be 28,727 here, a 6.6 GB weight matrix: the
+        # lattice is rejected when it is built
         with pytest.raises(DomainError):
             oracle(lattice_params(2, 1e-4))
+
+    def test_rejected_before_numpy_import(self):
+        script = (
+            "import sys\n"
+            "from thetaframe import DomainError, grid_extrema_F, "
+            "lattice_params\n"
+            "try:\n"
+            "    grid_extrema_F(lattice_params(2, 1e-4))\n"
+            "except DomainError:\n"
+            "    print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestGridExtrema:

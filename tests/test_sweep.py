@@ -53,12 +53,13 @@ class TestFindOptimalBeta:
             find_optimal_beta(2, (0.8, 1.5), 1e-6)
 
     @pytest.mark.parametrize("rng", [(0.0, 1.0), (-0.1, 1.0), (1.5, 0.3),
-                                     (0.5, 0.5), (0.3, math.inf)])
+                                     (0.5, 0.5), (0.3, math.inf),
+                                     (0.3, 1.5, 9.0)])
     def test_bad_range(self, rng):
         with pytest.raises(DomainError):
             find_optimal_beta(2, rng, 1e-6)
 
-    @pytest.mark.parametrize("res", [0.0, -1e-6, math.inf, math.nan])
+    @pytest.mark.parametrize("res", [0.0, -1e-6, math.inf, math.nan, True])
     def test_bad_resolution(self, res):
         with pytest.raises(DomainError):
             find_optimal_beta(2, (0.3, 1.5), res)
