@@ -99,8 +99,8 @@ def parse_args(argv) -> argparse.Namespace:
             parser.error("--steps must be >= 2")
         if not (args.beta_min < args.beta_max):
             parser.error("--beta-min must be less than --beta-max")
-    if args.subcommand == "oracle" and args.grid < 8:
-        parser.error("--grid must be >= 8")
+    if args.subcommand == "oracle" and not 8 <= args.grid <= 4096:
+        parser.error("--grid must be from 8 to 4096")
     if args.subcommand == "verify":
         # checked here, not by argparse choices, which would import verify
         from .verify import SUITE_NAMES

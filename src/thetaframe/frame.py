@@ -49,7 +49,11 @@ class LatticeParams:
             raise DomainError(f"n={n!r} must be a positive integer")
         if not (math.isfinite(beta) and beta > 0.0):
             raise DomainError(f"beta={beta!r} must be positive")
-        for arg in _theta_args(n, beta):
+        try:
+            args = _theta_args(n, beta)
+        except OverflowError:
+            raise DomainError("n * beta overflows a float") from None
+        for arg in args:
             if not (S_MIN <= arg <= S_MAX):
                 raise DomainError(
                     f"beta={beta!r} puts theta argument {arg!r} outside "

@@ -6,11 +6,13 @@ janssen_F evaluates the lattice time-frequency series
                           e^{2 pi i k x} e^{2 pi i l w}
 
 whose infimum/supremum over the unit square reproduce the closed-form
-frame bounds; the sum is real and is folded onto k, l >= 0 cosines. It
-is truncated at |k|, |l| <= K, with K always derived by auto_k_max, and
-grids have at most 4,096 steps per axis (a 134 MB table of F). A lattice
-outside the theta domain is rejected when its LatticeParams is built,
-before any table exists, so K is at most 3,904 (122 MB of weights).
+frame bounds, truncated at |k|, |l| <= K = auto_k_max(params); the theta
+domain checked by LatticeParams keeps K <= 3,904. On k >= 0, with weights
+a_k = c_k e^{-(pi/2) k^2/beta^2} (c_0 = 1, else 2), u(x) = sum a_k
+cos(2 pi k x), v(w) likewise with alpha, and u_o, v_o their odd-k parts,
+F = n u v for even n and n (u v - 2 u_o v_o) for odd n. F is even in x
+and in w, so a grid of G = 8 to 4,096 steps per axis is searched on
+i, j <= G/2: even n builds no table of F, odd n one of (G/2 + 1)^2.
 
 numpy is imported on first use, so importing thetaframe does not pay for
 it unless the lattice oracle runs.
@@ -53,44 +55,44 @@ def auto_k_max(params: LatticeParams) -> int:
     return k
 
 
-def _coefficients(params: LatticeParams):
+def _factors(params: LatticeParams, xs):
+    """L, R with F(xs[i], xs[j]) = (L @ R)[i, j], as factored above; K."""
     import numpy as np
 
     k_max = auto_k_max(params)
     k = np.arange(k_max + 1)
-    ek = np.exp(-0.5 * math.pi * k ** 2 / params.beta ** 2)
-    el = np.exp(-0.5 * math.pi * k ** 2 / params.alpha ** 2)
     c = np.where(k == 0, 1.0, 2.0)
-    w = np.outer(c * ek, c * el) * float(params.n)
+    a = c * np.exp(-0.5 * math.pi * k ** 2 / params.beta ** 2)
+    b = c * np.exp(-0.5 * math.pi * k ** 2 / params.alpha ** 2)
+    a, b = a[:, None], b[:, None]
     if params.n % 2:
-        odd = (np.outer(k, k) % 2).astype(bool)
-        w = np.where(odd, -w, w)
-    return w, k_max
+        odd = (k % 2)[:, None]
+        a, b = np.hstack([a, -2.0 * odd * a]), np.hstack([b, odd * b])
+    cos_grid = 2.0 * math.pi * np.outer(xs, k)
+    np.cos(cos_grid, out=cos_grid)  # in place, so no second table
+    return params.n * (cos_grid @ a), (cos_grid @ b).T, k_max
 
 
 def janssen_F(x: float, omega: float, params: LatticeParams) -> float:
     """Evaluate F at a single point of the unit square."""
-    x = float(x)
-    omega = float(omega)
+    x, omega = float(x), float(omega)
     if not (0.0 <= x <= 1.0 and 0.0 <= omega <= 1.0):
         raise DomainError(f"(x, omega)=({x!r}, {omega!r}) outside [0, 1]^2")
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    import numpy as np
-
-    w, kk = _coefficients(params)
-    k = np.arange(kk + 1)
-    cx = np.cos(2.0 * math.pi * k * x)
-    cw = np.cos(2.0 * math.pi * k * omega)
-    return math.fsum((w * np.outer(cx, cw)).ravel().tolist())
+    left, right, _ = _factors(params, [x, omega])
+    return float(left[0] @ right[:, 1])
 
 
 def grid_extrema_F(params: LatticeParams,
                    grid_steps: int = 128) -> ExtremaReport:
     """Extrema of F over the uniform grid {i/grid_steps}^2.
 
-    Ties resolve to the lexicographically smallest (i, j). An even
-    grid_steps places both (0, 0) and (1/2, 1/2) on the grid.
+    As F(x, w) = F(1 - x, w) = F(x, 1 - w), only i, j <= grid_steps/2 are
+    searched, so an extremum at i > grid_steps/2 is reported at its mirror
+    grid_steps - i. Ties resolve to the lexicographically smallest (i, j)
+    searched; for even n, j only where v is extreme. An even grid_steps
+    places both (0, 0) and (1/2, 1/2) on the grid.
     """
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
@@ -100,23 +102,20 @@ def grid_extrema_F(params: LatticeParams,
                           f"[8, {_MAX_GRID_STEPS}]")
     import numpy as np
 
-    w, kk = _coefficients(params)
-    k = np.arange(kk + 1)
-    xs = np.arange(grid_steps) / grid_steps
-    cos_grid = np.cos(2.0 * math.pi * np.outer(k, xs))
-    f = cos_grid.T @ w @ cos_grid
-    flat_max = int(np.argmax(f))
-    flat_min = int(np.argmin(f))
-    i_max, j_max = divmod(flat_max, grid_steps)
-    i_min, j_min = divmod(flat_min, grid_steps)
-    return ExtremaReport(
-        max_value=float(f.flat[flat_max]),
-        argmax=(float(xs[i_max]), float(xs[j_max])),
-        min_value=float(f.flat[flat_min]),
-        argmin=(float(xs[i_min]), float(xs[j_min])),
-        grid_steps=grid_steps,
-        truncation_K=kk,
-    )
+    steps = np.arange(grid_steps // 2 + 1)
+    left, right, kk = _factors(params, steps / grid_steps)
+    # even n, F = u_i v_j: on either sign of u_i, row i is extreme where v
+    # is, and rounding keeps that order, so two columns hold both extrema
+    cols = (steps if params.n % 2
+            else sorted({int(np.argmin(right)), int(np.argmax(right))}))
+    f = left @ right[:, cols]
+
+    def located(flat):
+        i, j = divmod(int(flat), len(cols))
+        return float(f[i, j]), (i / grid_steps, int(cols[j]) / grid_steps)
+
+    return ExtremaReport(*located(np.argmax(f)), *located(np.argmin(f)),
+                         grid_steps, kk)
 
 
 def frame_bounds_via_F(params: LatticeParams,

@@ -59,6 +59,7 @@ class TestParseArgs:
          "--steps", "5", "--out", "x.csv"],
         ["verify", "--suite", "bogus"],
         ["oracle", "--n", "2", "--beta", "0.7", "--grid", "4"],
+        ["oracle", "--n", "2", "--beta", "0.7", "--grid", "4097"],
         # --kmax was removed (K is always derived); it must now be rejected
         ["oracle", "--n", "2", "--beta", "0.7", "--kmax", "0"],
         ["eval", "--family", "theta9", "--s", "1.0"],
@@ -84,7 +85,8 @@ class TestComputationErrors:
         ["eval", "--family", "theta3", "--s", "-1.0"],
         ["bounds", "--n", "2", "--beta", "-1.0"],
         ["bounds", "--n", "2", "--beta", "1000.0"],
-        ["oracle", "--n", "2", "--beta", "0.7", "--grid", "4097"],
+        # n * beta overflows a float: a domain error, not a traceback
+        ["bounds", "--n", "9" * 400, "--beta", "1.0"],
     ])
     def test_domain_errors_exit_1(self, argv, capsys):
         code, out, err = run_main(capsys, argv)
@@ -397,7 +399,7 @@ class TestHumanOutput:
          "closed form: lower = 1.66876072007  upper = 2.36113753295\n"
          "grid search: min = 1.66876072007 at (0.5, 0.5)  "
          "max = 2.36113753295 at (0.0, 0.0)\n"
-         "differences: lower 2.220e-16  upper 0.000e+00  "
+         "differences: lower 0.000e+00  upper 0.000e+00  "
          "(grid 128, k_max 4)\n"),
     ], ids=["eval", "bounds", "verify", "oracle"])
     def test_exact_stdout(self, capsys, argv, expected):

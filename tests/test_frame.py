@@ -241,6 +241,12 @@ class TestLatticeParams:
         with pytest.raises(DomainError):
             lattice_params(2, beta)
 
+    def test_n_overflowing_a_float(self):
+        # n * beta converts n to a float, which overflows before the
+        # theta domain check could reject the lattice
+        with pytest.raises(DomainError, match="overflows a float"):
+            lattice_params(10 ** 400, 1.0)
+
 
 class TestDomain:
     def test_parity_dispatch_rejects_wrong_n(self):

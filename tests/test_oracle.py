@@ -2,13 +2,16 @@
 
 import cmath
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import reference_values as ref
 from identities import naive_theta
+from lattice_reference import full_grid_F
 from thetaframe import (THETA3, THETA4, THETA_ODD, DomainError, ExtremaReport,
                         auto_k_max, eval_theta, frame_bounds,
                         frame_bounds_via_F, general_family, grid_extrema_F,
@@ -163,7 +166,7 @@ class TestGridExtrema:
 
     @pytest.mark.parametrize("bad", [7, 8.0, True, -16, 4097])
     def test_bad_grid_steps(self, bad):
-        # 4,097 steps would be a 134 MB table of F: rejected before numpy
+        # 4,097 steps is past the cap on the grid: rejected before numpy
         with pytest.raises(DomainError):
             grid_extrema_F(lattice_params(2, 0.7), grid_steps=bad)
 
@@ -182,6 +185,62 @@ class TestGridExtrema:
         assert a.min_value == pytest.approx(b.min_value, abs=1e-10)
         assert a.truncation_K == auto_k_max(params) < 12
         assert b.truncation_K == 12
+
+
+def _reference_cases():
+    # seeded lattices of both parities on every grid, with beta sqrt(n)
+    # = 10^t for t in [-2.5, 2.5], and both ends of that range; at n = 2,
+    # t = 2.5 min u cancels to rounding and min F comes out near or below 0
+    rng = random.Random(16)
+    cases = [(rng.choice(ns), rng.uniform(-2.5, 2.5), grid)
+             for grid in (8, 9, 127, 128, 256)
+             for ns in ((2, 4, 6, 8), (1, 3, 5, 7, 9)) for _ in range(3)]
+    return cases + [(n, t, 128) for n in (2, 3) for t in (-2.5, 2.5)]
+
+
+class TestAgainstFullGrid:
+    @pytest.mark.parametrize("n,t,grid", _reference_cases())
+    def test_extrema_match(self, n, t, grid):
+        params = lattice_params(n, 10.0 ** t / math.sqrt(n))
+        f = full_grid_F(params, grid)
+        rep = grid_extrema_F(params, grid)
+        assert rep.truncation_K == auto_k_max(params)
+        tol = 1e-13 * float(abs(f).max())
+        for value, loc, ref in ((rep.max_value, rep.argmax, f.argmax()),
+                                (rep.min_value, rep.argmin, f.argmin())):
+            ref_i, ref_j = divmod(int(ref), grid)
+            assert abs(value - f[ref_i, ref_j]) <= tol
+            # the same point up to the mirror i <-> G - i, or a tie
+            i, j = (round(v * grid) for v in loc)
+            assert ((i, j) == (min(ref_i, grid - ref_i),
+                               min(ref_j, grid - ref_j))
+                    or abs(f[i, j] - f[ref_i, ref_j]) <= tol)
+
+    def test_four_corners(self, monkeypatch):
+        # a u below zero pairs with the maximum of v, not its minimum
+        u = [3.0, 1.0, -1e-13, 2.0, 0.5]
+        v = [1.0, 0.5, 0.25, 0.75, 0.125]
+        import numpy as np
+        monkeypatch.setattr(oracle, "_factors", lambda params, xs: (
+            np.array(u)[:, None], np.array(v)[None, :], 4))
+        rep = grid_extrema_F(lattice_params(2, 0.7), 8)
+        assert (rep.max_value, rep.argmax) == (3.0, (0.0, 0.0))
+        assert (rep.min_value, rep.argmin) == (-1e-13, (0.25, 0.0))
+
+
+@pytest.mark.parametrize("n,limit", [(2, 1e6), (3, 40e6)])
+def test_peak_memory_at_largest_grid(n, limit):
+    # the full-grid search peaked at about 134 MB here for either parity;
+    # tracemalloc sees numpy's arrays, and numpy is imported beforehand
+    params = lattice_params(n, 1.0 / math.sqrt(n))
+    grid_extrema_F(params, 8)
+    tracemalloc.start()
+    try:
+        grid_extrema_F(params, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 class TestFrameBoundsViaF:
