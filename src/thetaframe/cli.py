@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta-min", type=float, required=True)
     p.add_argument("--beta-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True,
+                   help="grid points, 2 to 100000")
     p.add_argument("--log", action="store_true",
                    help="log-spaced grid (default linear)")
     p.add_argument("--out", required=True, help="CSV output path")
@@ -95,8 +96,8 @@ def parse_args(argv) -> argparse.Namespace:
     if args.subcommand in ("bounds", "sweep", "oracle") and args.n < 1:
         parser.error("--n must be >= 1")
     if args.subcommand == "sweep":
-        if args.steps < 2:
-            parser.error("--steps must be >= 2")
+        if not 2 <= args.steps <= 100_000:
+            parser.error("--steps must be from 2 to 100000")
         if not (args.beta_min < args.beta_max):
             parser.error("--beta-min must be less than --beta-max")
     if args.subcommand == "oracle" and not 8 <= args.grid <= 4096:

@@ -53,6 +53,8 @@ class LatticeParams:
             args = _theta_args(n, beta)
         except OverflowError:
             raise DomainError("n * beta overflows a float") from None
+        except ZeroDivisionError:
+            raise DomainError(f"beta={beta!r}: beta**2 underflows") from None
         for arg in args:
             if not (S_MIN <= arg <= S_MAX):
                 raise DomainError(

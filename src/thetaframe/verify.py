@@ -42,6 +42,10 @@ SYMMETRY_TOL = 1e-12
 # combination holds only for r >= 1
 PRODUCT_R = (0.5, 1.0, 2.0, 5.0)
 ODD_MAXIMUM_R = (1.0, 2.0, 5.0)
+# theta3's terms a e^{-b s} to k = 10, as (log a, b, log b)
+_THETA3_TERMS = ((0.0, 0.0, 0.0),) + tuple(
+    (math.log(2.0), math.pi * k * k, math.log(math.pi * k * k))
+    for k in range(1, 11))
 
 
 @dataclass(frozen=True)
@@ -296,46 +300,31 @@ def check_lemma_odd_ratio(s_grid: GridSpec) -> CheckResult:
     return track.result("odd-log-ratio", len(pts))
 
 
-def check_logconvexity_general(coefficients, s_grid: GridSpec) -> CheckResult:
-    """Log-convexity of a finite sum f(s) = sum a_k e^{-b_k s}.
+def check_logconvexity_general(s_grid: GridSpec) -> CheckResult:
+    """Log-convexity f''f - f'^2 >= 0 of theta3's series to k = 10.
 
-    Checks f''(s) f(s) - f'(s)^2 >= 0 at every grid point: only a ball
-    that lies wholly below zero fails, since the quantity vanishes
-    identically for a single term and exact zero must not fail. Terms of
-    f^{(j)} are formed as (-1)^j exp(log a + j (log b - K) - b s - L), L
-    the largest log a - b s at s and K = max(0, largest log b - 340), so
-    none overflows and the residual is scaled by e^{-2L - 2K}. The radii
-    charge each exp for its own and its argument's rounding, and for one
-    subnormal ulp where it underflows. A leading term with a huge rate
-    (b s of 1e146 and more once K > 0) is charged about b s ulp for its
-    exponent, which bounds nothing: the radius overflows, the point gets
-    no verdict and the check fails with an infinite worst residual.
+    Only a ball wholly below zero fails: past s = 237 every term but the
+    constant underflows and the quantity is exactly 0. Each term
+    a e^{-b s} of f adds (-1)^j exp(log a + j log b - b s - L) to f^{(j)},
+    L the largest log a - b s at s, so none overflows and the residual is
+    scaled by e^{-2L}. The radii charge each exp for its own and its
+    argument's rounding, and for one subnormal ulp where it underflows.
     """
-    coeffs = [(float(a), float(b)) for a, b in coefficients]
-    for a, b in coeffs:
-        if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
-            raise DomainError(f"coefficients must be finite and "
-                              f"non-negative, got ({a!r}, {b!r})")
-    # (log a, b, log b) of the live terms; a zero b has no f', f'' term
-    logs = [(math.log(a), b, math.log(b) if b else 0.0)
-            for a, b in coeffs if a > 0.0]
-    if not logs:
-        raise DomainError("need a coefficient pair with positive amplitude")
-    big = max(0.0, max(lb for _, _, lb in logs) - 340.0)
     pts = s_grid.points()
     track = _Tracker()
     for s in pts:
-        top = max(la - b * s for la, b, _ in logs)
+        top = max(la - b * s for la, b, _ in _THETA3_TERMS)
         sums, errs = ([], [], []), [0.0, 0.0, 0.0]
-        for la, b, lb in logs:
+        for la, b, lb in _THETA3_TERMS:
             x = la - b * s - top
             size = abs(la) + b * s + abs(top)
             for j in range(3 if b else 1):
-                e = math.exp(x + j * (lb - big))
+                e = math.exp(x + j * lb)
                 if e:
                     sums[j].append(-e if j == 1 else e)
-                    errs[j] += e * (3.0 * (size + j * (abs(lb) + big)) + 8.0)
-        f, d, w = (Ball(v, (r + abs(v)) * _EPS + len(logs) * 5e-324)
+                    errs[j] += e * (3.0 * (size + j * abs(lb)) + 8.0)
+        f, d, w = (Ball(v, (r + abs(v)) * _EPS
+                        + len(_THETA3_TERMS) * 5e-324)
                    for v, r in zip(map(math.fsum, sums), errs))
         resid = sub(mul(w, f), mul(d, d))
         track.add(_exact(resid.value + resid.error_bound), s)
@@ -362,10 +351,6 @@ def check_theta4_ratio_conjecture(grid: GridSpec) -> CheckResult:
         track.add(_exact(second.value + second.error_bound), pts[i])
     return track.result("theta4-ratio-conjecture", len(pts),
                         informational=True)
-
-
-_THETA3_COEFFS = ((1.0, 0.0),) + tuple(
-    (2.0, math.pi * k * k) for k in range(1, 11))
 
 
 @dataclass(frozen=True)
@@ -417,7 +402,7 @@ _SUITES = {
                                         c.product_grid),
     "odd-log-ratio": lambda c: check_lemma_odd_ratio(c.odd_ratio_grid),
     "exp-sum-log-convexity":
-        lambda c: check_logconvexity_general(_THETA3_COEFFS, c.logconv_grid),
+        lambda c: check_logconvexity_general(c.logconv_grid),
     "theta4-ratio-conjecture":
         lambda c: check_theta4_ratio_conjecture(c.conjecture_grid),
 }

@@ -57,6 +57,9 @@ class TestParseArgs:
          "--steps", "1", "--out", "x.csv"],
         ["sweep", "--n", "2", "--beta-min", "1.4", "--beta-max", "0.4",
          "--steps", "5", "--out", "x.csv"],
+        # one row per step: a bound keeps a huge sweep from using up memory
+        ["sweep", "--n", "2", "--beta-min", "0.4", "--beta-max", "1.4",
+         "--steps", "100001", "--out", "x.csv"],
         ["verify", "--suite", "bogus"],
         ["oracle", "--n", "2", "--beta", "0.7", "--grid", "4"],
         ["oracle", "--n", "2", "--beta", "0.7", "--grid", "4097"],
@@ -87,6 +90,9 @@ class TestComputationErrors:
         ["bounds", "--n", "2", "--beta", "1000.0"],
         # n * beta overflows a float: a domain error, not a traceback
         ["bounds", "--n", "9" * 400, "--beta", "1.0"],
+        # beta**2 underflows to 0: a domain error, not a traceback
+        ["bounds", "--n", "2", "--beta", "1e-200"],
+        ["oracle", "--n", "2", "--beta", "1e-170"],
     ])
     def test_domain_errors_exit_1(self, argv, capsys):
         code, out, err = run_main(capsys, argv)

@@ -247,6 +247,15 @@ class TestLatticeParams:
         with pytest.raises(DomainError, match="overflows a float"):
             lattice_params(10 ** 400, 1.0)
 
+    @pytest.mark.parametrize("beta", [1e-200, 1.4e-162, 5e-324])
+    def test_beta_squared_underflowing(self, beta):
+        # beta * beta rounds to 0, so b = 1/(2 beta^2) would divide by
+        # zero before the theta domain check could reject the lattice
+        with pytest.raises(DomainError, match="underflows"):
+            LatticeParams(2, beta)
+        with pytest.raises(DomainError, match="underflows"):
+            find_optimal_beta(2, (beta, 1.0), 1e-6)
+
 
 class TestDomain:
     def test_parity_dispatch_rejects_wrong_n(self):

@@ -263,6 +263,16 @@ class TestUncheckedClaims:
         assert math.isnan(res.worst_residual)
         assert res.worst_location == first_nan
 
+    def test_all_infinite_slacks_keep_a_location(self):
+        # every slack is +inf; the first point is reported as the worst
+        track = verify._Tracker()
+        for s in (0.1, 1.0, 10.0):
+            track.add(Ball(math.inf, 0.0), s)
+        res = track.result("x", 3)
+        assert res.passed is False
+        assert res.worst_residual == math.inf
+        assert res.worst_location == 0.1
+
 
 class TestLemmaOddRatio:
     def test_pass(self):
@@ -283,65 +293,44 @@ class TestLemmaOddRatio:
 
 
 class TestLogConvexity:
-    def test_single_term_equality(self):
-        res = check_logconvexity_general(((1.0, 1.0),),
-                                         GridSpec(0.1, 10.0, 30, "log"))
-        assert res.passed
+    """The check runs on theta3's series to k = 10, f = sum a e^{-b s}."""
+
+    def test_default_grid_pinned(self):
+        res = check_logconvexity_general(VerifyConfig().logconv_grid)
+        assert res == CheckResult("exp-sum-log-convexity", True,
+                                  4.482973819850171e-13, 10.0, 200)
 
     def test_constant(self):
-        assert check_logconvexity_general(
-            ((1.0, 0.0),), GridSpec(0.1, 10.0, 30, "log")).passed
+        # past s = 237 every k >= 1 term underflows and f is the constant
+        # 1: f''f - f'^2 is exactly 0, which must not fail, and the slack
+        # is the subnormal radius alone
+        res = check_logconvexity_general(GridSpec(300.0, 1000.0, 5, "log"))
+        assert res.passed
+        assert 0.0 < res.worst_residual < 1e-320
 
     def test_two_terms_strict(self):
-        res = check_logconvexity_general(((1.0, 0.0), (1.0, 1.0)),
-                                         GridSpec(0.1, 10.0, 30, "log"))
+        # on [60, 200] only f = 1 + 2 e^{-pi s} is left, whose
+        # f''f - f'^2 = 2 pi^2 e^{-pi s} is positive and still normal
+        res = check_logconvexity_general(GridSpec(60.0, 200.0, 20, "log"))
         assert res.passed
-        assert res.worst_residual > 0.0
-
-    @pytest.mark.parametrize("coeffs", [(), ((-1.0, 1.0),), ((0.0, 1.0),),
-                                        ((1.0, -2.0),),
-                                        ((math.nan, 1.0), (1.0, 1.0)),
-                                        ((math.inf, 0.0), (1.0, 2.0))])
-    def test_bad_coefficients(self, coeffs):
-        with pytest.raises(DomainError):
-            check_logconvexity_general(coeffs, GridSpec(0.1, 10.0, 10, "log"))
-
-    @pytest.mark.parametrize("coeffs", [((1.0, 1e200), (1.0, 0.0)),
-                                        ((1e300, 1.0), (1e300, 2.0))])
-    def test_large_coefficients_pass(self, coeffs):
-        # unscaled, f''f - f'^2 would overflow to inf*0 or inf - inf; the
-        # terms scaled by the largest one give every point a verdict
-        grid = GridSpec(0.1, 10.0, 10, "log")
-        res = check_logconvexity_general(coeffs, grid)
-        assert res.passed is True
-        assert 0.0 < res.worst_residual < math.inf
-
-    @pytest.mark.parametrize("coeffs", [((1.0, 1e200),),
-                                        ((1.0, 1e155), (2.0, 3e154))])
-    def test_huge_leading_rates_fail_without_overflow(self, coeffs):
-        # f' and f'' are scaled by e^{-K} and e^{-2K}, so no exp overflows;
-        # a leading exponent b s of 1e154 and more is charged a rounding
-        # no float radius holds, so no point gets a verdict
-        res = check_logconvexity_general(coeffs, GridSpec(0.1, 10, 5, "log"))
-        assert res.passed is False
-        assert res.worst_residual == math.inf
-
-    def test_all_infinite_slacks_keep_a_location(self):
-        # every slack is +inf; the first point is reported as the worst
-        res = check_logconvexity_general(((1.0, 1e200),),
-                                         GridSpec(0.1, 10, 5, "log"))
-        assert res.passed is False
-        assert res.worst_location == 0.1
-        assert res.points_tested == 5
+        assert res.worst_location == 200.0
+        assert res.worst_residual == pytest.approx(
+            2.0 * math.pi ** 2 * math.exp(-200.0 * math.pi), rel=1e-11)
 
     def test_residual_scaled_by_largest_term(self):
-        # at s = 10, L = log 1e300 - 10 and e^{-2L} (f''f - f'^2) = e^{-10};
-        # the reported residual adds the radius, ~4e-12 from |log a| ~ 690
-        res = check_logconvexity_general(((1e300, 1.0), (1e300, 2.0)),
-                                         GridSpec(0.1, 10.0, 10, "log"))
-        assert res.worst_location == 10.0
-        assert res.worst_residual == pytest.approx(math.exp(-10.0),
-                                                   abs=1e-11)
+        # below s = ln 2/pi the k = 1 terms lead, so L = ln 2 - pi s > 0
+        # and the residual is e^{-2L} (f''f - f'^2) plus its small radius
+        mp = pytest.importorskip("mpmath")
+        res = check_logconvexity_general(GridSpec(0.05, 0.2, 50, "log"))
+        assert res.passed
+        with mp.workdps(40):
+            s = mp.mpf(res.worst_location)
+            f0, f1, f2 = (mp.fsum((2 if k else 1) * (-mp.pi * k * k) ** j
+                                  * mp.exp(-mp.pi * k * k * s)
+                                  for k in range(11)) for j in range(3))
+            want = mp.exp(-2 * (mp.log(2) - mp.pi * s)) * (f2 * f0 - f1 ** 2)
+        assert math.log(2.0) / math.pi > res.worst_location
+        assert res.worst_residual == pytest.approx(float(want), rel=1e-12)
 
 
 class TestConjecture:
