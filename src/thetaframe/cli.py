@@ -17,7 +17,7 @@ from dataclasses import asdict
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .theta import DEFAULT_TOL, FAMILIES, ThetaFamily, eval_theta
+from .theta import DEFAULT_TOL, FAMILIES, TOL_FLOOR, ThetaFamily, eval_theta
 
 
 def _add_format(p):
@@ -27,7 +27,8 @@ def _add_format(p):
 
 def _add_tol(p):
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="evaluation tolerance (default %(default)g)")
+                   help=f"evaluation tolerance, {TOL_FLOOR:g} <= tol < 1 "
+                        "(default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:

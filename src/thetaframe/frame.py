@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .ball import mul, scale, sub
 from .errors import DomainError
-from .theta import DEFAULT_TOL, S_MAX, S_MIN, _thetas
+from .theta import DEFAULT_TOL, S_MAX, S_MIN, _check_tol, _thetas
 
 
 def _theta_args(n: int, beta: float) -> tuple[float, float]:
@@ -121,13 +121,10 @@ def _frame_slopes(n: int, beta: float):
 
 def frame_bounds(params: LatticeParams,
                  tol: float = DEFAULT_TOL) -> FrameBounds:
-    """Bounds of a lattice; its LatticeParams were validated on creation."""
+    """Bounds of a lattice (validated on creation), tol in [1e-280, 1)."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    tol = float(tol)
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"tol={tol!r} outside (0, 1)")
-    lower, upper = _bounds(params.n, params.beta, tol)
+    lower, upper = _bounds(params.n, params.beta, _check_tol(tol))
     error_bound = max(lower.error_bound, upper.error_bound)
     ratio = upper.value / lower.value if lower.value > 0.0 else math.inf
     return FrameBounds(lower.value, upper.value, ratio, error_bound,

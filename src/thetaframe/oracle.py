@@ -48,6 +48,8 @@ def auto_k_max(params: LatticeParams) -> int:
     Uses (2K+1)^2 e^{-(pi/2) K^2 m} < 1e-13 with m = min(1/beta^2,
     1/alpha^2), the crude envelope of the neglected coefficient mass.
     """
+    if not isinstance(params, LatticeParams):
+        raise DomainError(f"expected LatticeParams, got {params!r}")
     m = min(1.0 / params.beta ** 2, 1.0 / params.alpha ** 2)
     k = 1
     while (2 * k + 1) ** 2 * math.exp(-0.5 * math.pi * k * k * m) >= _TAIL_TARGET:
@@ -78,8 +80,6 @@ def janssen_F(x: float, omega: float, params: LatticeParams) -> float:
     x, omega = float(x), float(omega)
     if not (0.0 <= x <= 1.0 and 0.0 <= omega <= 1.0):
         raise DomainError(f"(x, omega)=({x!r}, {omega!r}) outside [0, 1]^2")
-    if not isinstance(params, LatticeParams):
-        raise DomainError(f"expected LatticeParams, got {params!r}")
     left, right, _ = _factors(params, [x, omega])
     return float(left[0] @ right[:, 1])
 
@@ -94,8 +94,6 @@ def grid_extrema_F(params: LatticeParams,
     searched; for even n, j only where v is extreme. An even grid_steps
     places both (0, 0) and (1/2, 1/2) on the grid.
     """
-    if not isinstance(params, LatticeParams):
-        raise DomainError(f"expected LatticeParams, got {params!r}")
     if (not isinstance(grid_steps, int) or isinstance(grid_steps, bool)
             or not 8 <= grid_steps <= _MAX_GRID_STEPS):
         raise DomainError(f"grid_steps={grid_steps!r} must be an int in "

@@ -53,6 +53,11 @@ S_MAX = 1e6
 SMALL_S_CUTOFF = 0.25
 TERM_CAP = 10 ** 6
 DEFAULT_TOL = 1e-12
+# smallest accepted tol: an underflowed term is charged R * 5e-324 against
+# tol/2 over the transform's s^{-m-1/2}, 1e15 at s = 1e-6, m = 2, where R
+# is 3e14. theta3 there needs tol >= 3e-294, the most of any family and
+# order on 241 log-spaced s; below that a series runs to TERM_CAP.
+TOL_FLOOR = 1e-280
 
 _EPS = math.ulp(1.0)
 _TINY = 5e-324  # smallest positive subnormal, floor for underflowed tails
@@ -145,12 +150,19 @@ class ThetaValue:
     method: EvalMethod
 
 
-def _check_domain(s: float, tol: float) -> None:
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not (TOL_FLOOR <= tol < 1.0):
+        raise DomainError(f"tol={tol!r} outside [{TOL_FLOOR}, 1)")
+    return tol
+
+
+def _check_domain(s: float, tol: float) -> tuple[float, float]:
+    s = float(s)
     if not (S_MIN <= s <= S_MAX):
         raise DomainError(
             f"s={s!r} outside supported domain [{S_MIN}, {S_MAX}]")
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"tol={tol!r} outside (0, 1)")
+    return s, _check_tol(tol)
 
 
 # rows (c0, c1, c2) of Q(p): the weights 1, -p, p^2 of the direct series'
@@ -290,8 +302,8 @@ def eval_theta(family: ThetaFamily, s: float,
     order : int
         Derivative order in s, one of 0, 1, 2.
     tol : float
-        Absolute truncation target in (0, 1); the reported error bound
-        additionally accounts for rounding.
+        Absolute truncation target in [TOL_FLOOR, 1) = [1e-280, 1); the
+        reported error bound additionally accounts for rounding.
 
     Returns
     -------
@@ -311,9 +323,7 @@ def eval_theta(family: ThetaFamily, s: float,
             f"derivative order must be 0, 1 or 2, got {order!r}") from exc
     if not isinstance(family, ThetaFamily):
         raise DomainError(f"expected ThetaFamily, got {family!r}")
-    s = float(s)
-    tol = float(tol)
-    _check_domain(s, tol)
+    s, tol = _check_domain(s, tol)
     if s >= SMALL_S_CUTOFF:
         coef, method = None, EvalMethod.DIRECT
         terms, rest = _series(family.kind, s, order, tol, family.z)
@@ -337,9 +347,7 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     normal range rounding is absolute, so each of the 3k rounded
     multiplications adds one subnormal ulp.
     """
-    s = float(s)
-    tol = float(tol)
-    _check_domain(s, tol)
+    s, tol = _check_domain(s, tol)
     q = math.exp(-math.pi * s)
     prod = 1.0
     k = 0
@@ -359,20 +367,20 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     return ThetaValue(prod, bound, k, EvalMethod.PRODUCT)
 
 
-def log_deriv_ratio_bounds(family: ThetaFamily, s: float,
-                           tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd}, with
-    its propagated error bound. DomainError where f underflows: theta_odd
-    above s ~ 236.8, theta4 below s ~ 1.055e-3."""
-    if family.kind == "theta_general":
+def log_deriv_ratio_bounds(family: ThetaFamily,
+                           s: float) -> tuple[float, float]:
+    """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd} at
+    DEFAULT_TOL, with its propagated error bound. DomainError where f
+    underflows: theta_odd above s ~ 236.8, theta4 below s ~ 1.055e-3."""
+    if family not in (THETA3, THETA4, THETA_ODD):
         raise DomainError(
             "log_deriv_ratio_bounds needs theta3, theta4 or theta_odd")
     s = float(s)
-    f = eval_theta(family, s, DerivativeOrder.VALUE, tol)
+    f = eval_theta(family, s)
     if not f.value - f.error_bound > 0.0:
         raise DomainError(f"{family.kind}({s!r}) = {f.value!r} +/- "
                           f"{f.error_bound!r} underflows, so s f'/f is "
                           "undefined")
-    d = eval_theta(family, s, DerivativeOrder.FIRST, tol)
+    d = eval_theta(family, s, DerivativeOrder.FIRST)
     g = ball.div(ball.scale(d, s), f)
     return g.value, g.error_bound

@@ -118,10 +118,10 @@ def check_monotone_log_ratio(family: ThetaFamily,
     margins stay resolvable. theta4: g decreasing and positive.
     low_margin flags margins below 1e-6 relative to the compared values.
     """
-    if family.kind not in ("theta3", "theta4"):
+    if family not in (THETA3, THETA4):
         raise DomainError("monotone log-ratio check needs theta3 or theta4")
     pts = grid.points()
-    reflect = family.kind == "theta3"
+    reflect = family == THETA3
     args = [1.0 / s if reflect and s < 1.0 else s for s in pts]
     g = _ratios(family, args)
     track = _Tracker()
@@ -202,23 +202,23 @@ def _pair_values(family, r, pts):
     return [mul(f[r * s], f[r / s]) for s in pts]
 
 
-def check_product_inequality(family: ThetaFamily, r_values,
+def check_product_inequality(family: ThetaFamily,
                              s_grid: GridSpec) -> CheckResult:
     """f(rs) f(r/s) versus f(r)^2 on a grid symmetric about s = 1.
 
-    theta3 products dip to their minimum exactly at s = 1; theta4 products
-    peak there. Asserts strict margins off-center, two-sided equality at
-    the center to 1e-13, and the s <-> 1/s symmetry of the product to
-    1e-12.
+    For each r in PRODUCT_R, theta3 products dip to their minimum exactly
+    at s = 1 and theta4 products peak there. Asserts strict margins
+    off-center, two-sided equality at the center to 1e-13, and the
+    s <-> 1/s symmetry of the product to 1e-12.
     """
-    if family.kind not in ("theta3", "theta4"):
+    if family not in (THETA3, THETA4):
         raise DomainError("product inequality check needs theta3 or theta4")
-    maximum = family.kind == "theta4"
+    maximum = family == THETA4
     name = "theta4-product-maximum" if maximum else "theta3-product-minimum"
     pts = s_grid.points()
     center = _center_index(pts)
     track = _Tracker()
-    for r in r_values:
+    for r in PRODUCT_R:
         f = eval_theta(family, r)
         rhs = mul(f, f)
         vals = _pair_values(family, r, pts)
@@ -226,11 +226,9 @@ def check_product_inequality(family: ThetaFamily, r_values,
                   (r, pts[center]))
         _extremum_at_center(track, vals, pts, center, r, maximum, rhs)
         for i in range(len(pts) // 2):
-            j = len(pts) - 1 - i
-            track.add(_exact(SYMMETRY_TOL - abs(vals[i].value
-                                                - vals[j].value)),
-                      (r, pts[i]))
-    return track.result(name, len(r_values) * len(pts))
+            gap = abs(vals[i].value - vals[-1 - i].value)
+            track.add(_exact(SYMMETRY_TOL - gap), (r, pts[i]))
+    return track.result(name, len(PRODUCT_R) * len(pts))
 
 
 def _extremum_at_center(track, vals, pts, center, r, maximum, ref=None):
@@ -243,24 +241,21 @@ def _extremum_at_center(track, vals, pts, center, r, maximum, ref=None):
             track.add(gap, (r, pts[i]))
 
 
-def check_odd_combination(family: ThetaFamily, r_values,
+def check_odd_combination(family: ThetaFamily,
                           s_grid: GridSpec) -> CheckResult:
     """f(rs) f(r/s) - 2 theta_odd(rs) theta_odd(r/s) on a grid symmetric
     about s = 1.
 
-    theta4: the combination peaks at s = 1; only valid for r >= 1, so
-    smaller r is rejected. theta3: it dips to its minimum there, and the
-    theta_odd product alone must peak there (the component fact used when
-    combining the bounds).
+    theta4: the combination peaks at s = 1, for r in ODD_MAXIMUM_R.
+    theta3: it dips to its minimum there, and the theta_odd product alone
+    must peak there (the component fact used when combining the bounds),
+    for r in PRODUCT_R.
     """
-    if family.kind not in ("theta3", "theta4"):
+    if family not in (THETA3, THETA4):
         raise DomainError("odd combination check needs theta3 or theta4")
-    maximum = family.kind == "theta4"
-    if maximum:
-        for r in r_values:
-            if r < 1.0:
-                raise DomainError(f"r={r!r} must be >= 1 for the theta4 "
-                                  "combination")
+    maximum = family == THETA4
+    name = "odd-combination-maximum" if maximum else "odd-combination-minimum"
+    r_values = ODD_MAXIMUM_R if maximum else PRODUCT_R
     pts = s_grid.points()
     center = _center_index(pts)
     track = _Tracker()
@@ -271,8 +266,6 @@ def check_odd_combination(family: ThetaFamily, r_values,
         _extremum_at_center(track, comb, pts, center, r, maximum)
         if not maximum:
             _extremum_at_center(track, odd, pts, center, r, maximum=True)
-    name = ("odd-combination-maximum" if maximum
-            else "odd-combination-minimum")
     return track.result(name, len(r_values) * len(pts))
 
 
@@ -372,6 +365,9 @@ class VerifyConfig:
     conjecture_grid: GridSpec = GridSpec(0.5, 5.0, 200, "linear")
 
     def __post_init__(self):
+        for name, grid in vars(self).items():
+            if name != "suites" and not isinstance(grid, GridSpec):
+                raise DomainError(f"{name}={grid!r} must be a GridSpec")
         if self.suites is not None:
             object.__setattr__(self, "suites", tuple(self.suites))
             if not self.suites:
@@ -392,14 +388,13 @@ _SUITES = {
     "refined-log-convexity-concavity":
         lambda c: check_refined_inequalities(c.refined_grid),
     "theta3-product-minimum":
-        lambda c: check_product_inequality(THETA3, PRODUCT_R, c.product_grid),
+        lambda c: check_product_inequality(THETA3, c.product_grid),
     "theta4-product-maximum":
-        lambda c: check_product_inequality(THETA4, PRODUCT_R, c.product_grid),
+        lambda c: check_product_inequality(THETA4, c.product_grid),
     "odd-combination-minimum":
-        lambda c: check_odd_combination(THETA3, PRODUCT_R, c.product_grid),
+        lambda c: check_odd_combination(THETA3, c.product_grid),
     "odd-combination-maximum":
-        lambda c: check_odd_combination(THETA4, ODD_MAXIMUM_R,
-                                        c.product_grid),
+        lambda c: check_odd_combination(THETA4, c.product_grid),
     "odd-log-ratio": lambda c: check_lemma_odd_ratio(c.odd_ratio_grid),
     "exp-sum-log-convexity":
         lambda c: check_logconvexity_general(c.logconv_grid),

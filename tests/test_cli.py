@@ -82,6 +82,12 @@ class TestParseArgs:
         assert main(["--help"]) == 0
         assert "thetaframe" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["eval", "bounds", "sweep"])
+    def test_tol_help_states_range(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "1e-280 <= tol < 1 (default 1e-12)" in out
+
 
 class TestComputationErrors:
     @pytest.mark.parametrize("argv", [
@@ -93,6 +99,10 @@ class TestComputationErrors:
         # beta**2 underflows to 0: a domain error, not a traceback
         ["bounds", "--n", "2", "--beta", "1e-200"],
         ["oracle", "--n", "2", "--beta", "1e-170"],
+        # tol below the floor: rejected before any series runs
+        ["eval", "--family", "theta3", "--s", "1e-6", "--order", "2",
+         "--tol", "1e-300"],
+        ["bounds", "--n", "2", "--beta", "0.7", "--tol", "5e-324"],
     ])
     def test_domain_errors_exit_1(self, argv, capsys):
         code, out, err = run_main(capsys, argv)

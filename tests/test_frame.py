@@ -279,7 +279,7 @@ class TestDomain:
 
     @pytest.mark.parametrize("tol", [math.nan, 1.0, -1e-3])
     def test_bad_tol_message(self, tol):
-        # frame_bounds checks tol itself, with eval_theta's wording
+        # frame_bounds runs eval_theta's tol check, so the wording matches
         with pytest.raises(DomainError) as want:
             eval_theta(THETA3, 1.0, 0, tol)
         with pytest.raises(DomainError) as got:

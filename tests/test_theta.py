@@ -15,7 +15,8 @@ from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
                         DerivativeOrder, DomainError, EvalMethod, GridSpec,
                         ThetaFamily, eval_theta, general_family,
                         log_deriv_ratio_bounds, theta4_triple_product)
-from thetaframe.theta import SMALL_S_CUTOFF
+from thetaframe import frame, theta
+from thetaframe.theta import S_MAX, S_MIN, SMALL_S_CUTOFF, TOL_FLOOR
 
 ULP = math.ulp(1.0)
 
@@ -189,7 +190,6 @@ def test_series_tail_bounds_through_majorant():
     # Q(p) = P_1(p s) = p s - 1/2 vanishes at index 2 for s = 1/(8 pi); a
     # tail bounded by |Q| at the next index would stop there and drop the
     # index-3 term, ~0.4
-    from thetaframe import theta
     mp = pytest.importorskip("mpmath")
     s = 1.0 / (8.0 * math.pi)
     v, b = theta._ball(*theta._series("theta3", s, 1, 1e-12, reflected=True))
@@ -215,7 +215,6 @@ def _check_thetas(count):
     """_thetas contains the 50-digit theta3, theta4 and, for odd n,
     theta_odd at orders 0-2, tol 1e-12 and 1e-16, on both routes; below
     the cutoff its theta3 and theta4 are eval_theta's, bit for bit."""
-    from thetaframe import theta
     mp = pytest.importorskip("mpmath")
     for s in _both_routes(count):
         for order in (0, 1, 2):
@@ -274,7 +273,6 @@ def test_no_exp_argument_repeats(monkeypatch):
     the series behind Theta(z, is) below the cutoff, is exempt: its term
     index z + (n + 1) and tail probe index (z + n) + 1 can differ in the
     last bit, so both are computed."""
-    from thetaframe import theta
     rec = _RecordedExp()
     monkeypatch.setattr(theta, "math", rec)
     shared = 0
@@ -470,6 +468,38 @@ class TestDomainValidation:
     def test_bad_tol(self, tol):
         with pytest.raises(DomainError):
             eval_theta(THETA3, 1.0, 0, tol)
+
+    @pytest.mark.parametrize("tol", [math.nextafter(TOL_FLOOR, 0.0), 1e-300,
+                                     5e-324])
+    def test_tol_below_floor_runs_no_series(self, monkeypatch, tol):
+        # rejected up front: below the floor a series could run to TERM_CAP
+        def no_series(*args):
+            raise AssertionError("a series ran")
+
+        monkeypatch.setattr(theta, "_series", no_series)
+        monkeypatch.setattr(frame, "_thetas", no_series)
+        with pytest.raises(DomainError, match="tol="):
+            eval_theta(THETA3, 1e-6, 2, tol)
+        with pytest.raises(DomainError, match="tol="):
+            theta4_triple_product(1.0, tol)
+        with pytest.raises(DomainError, match="tol="):
+            frame.frame_bounds(frame.LatticeParams(2, 0.7), tol)
+
+    def test_every_route_certifies_at_the_floor(self):
+        # the smallest certifying tol is about 3e-294 (theta3, s = 1e-6,
+        # order 2); the floor must certify everywhere, with margin
+        pts = GridSpec(S_MIN, S_MAX, 241, "log").points() + [
+            math.nextafter(SMALL_S_CUTOFF, 0.0), SMALL_S_CUTOFF,
+            math.nextafter(SMALL_S_CUTOFF, 1.0)]
+        for fam in (THETA3, THETA4, THETA_ODD, general_family(0.0),
+                    general_family(0.3), general_family(0.5)):
+            for order in (0, 1, 2):
+                for s in pts:
+                    tight = eval_theta(fam, s, order, TOL_FLOOR)
+                    usual = eval_theta(fam, s, order)
+                    assert abs(tight.value - usual.value) <= \
+                        tight.error_bound + usual.error_bound, \
+                        (fam, order, s)
 
     def test_bad_order(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ import pytest
 
 from thetaframe import (THETA3, THETA4, THETA_ODD, CheckResult, DomainError,
                         GridSpec, SUITE_NAMES, ThetaValue, VerifyConfig,
-                        all_passed,
+                        all_passed, auto_k_max,
                         check_lemma_odd_ratio, check_logconvexity_general,
                         check_monotone_log_ratio, check_odd_combination,
                         check_product_inequality,
@@ -127,22 +127,21 @@ class TestRefined:
 
 
 class TestProductInequality:
+    GRID = GridSpec(1 / 3, 3.0, 61, "log")
+
     def test_theta3_min(self):
-        res = check_product_inequality(
-            THETA3, (0.5, 2.0), GridSpec(1 / 3, 3.0, 61, "log"))
+        res = check_product_inequality(THETA3, self.GRID)
         assert res.passed
         assert res.name == "theta3-product-minimum"
 
     def test_theta4_max(self):
-        res = check_product_inequality(
-            THETA4, (1.0, 5.0), GridSpec(1 / 3, 3.0, 61, "log"))
+        res = check_product_inequality(THETA4, self.GRID)
         assert res.passed
         assert res.name == "theta4-product-maximum"
 
     def test_rejects_odd_family(self):
         with pytest.raises(DomainError):
-            check_product_inequality(
-                THETA_ODD, (1.0,), GridSpec(0.5, 2.0, 21, "log"))
+            check_product_inequality(THETA_ODD, GridSpec(0.5, 2.0, 21, "log"))
 
     @pytest.mark.parametrize("suite,calls", [
         # 1,779 distinct pair arguments over the four r, and f(r) per r
@@ -168,28 +167,21 @@ class TestProductInequality:
 
 
 class TestOddCombinations:
+    GRID = GridSpec(1 / 3, 3.0, 61, "log")
+
     def test_upper(self):
-        res = check_odd_combination(THETA3, (0.5, 1.0, 2.0),
-                                    GridSpec(1 / 3, 3.0, 61, "log"))
+        res = check_odd_combination(THETA3, self.GRID)
         assert res.passed
         assert res.name == "odd-combination-minimum"
 
     def test_lower(self):
-        res = check_odd_combination(THETA4, (1.0, 2.0),
-                                    GridSpec(1 / 3, 3.0, 61, "log"))
+        res = check_odd_combination(THETA4, self.GRID)
         assert res.passed
         assert res.name == "odd-combination-maximum"
 
-    def test_lower_rejects_small_r(self):
-        # the theta4 combination needs r >= 1
-        with pytest.raises(DomainError):
-            check_odd_combination(THETA4, (0.5,),
-                                  GridSpec(0.5, 2.0, 21, "log"))
-
     def test_rejects_odd_family(self):
         with pytest.raises(DomainError):
-            check_odd_combination(THETA_ODD, (1.0,),
-                                  GridSpec(0.5, 2.0, 21, "log"))
+            check_odd_combination(THETA_ODD, GridSpec(0.5, 2.0, 21, "log"))
 
 
 def _scale_first_call(monkeypatch, family, s, factor):
@@ -209,7 +201,10 @@ def _scale_first_call(monkeypatch, family, s, factor):
 
 
 class TestNegativeControls:
-    """One pair value pushed past the center value must fail there."""
+    """One pair value pushed past the center value must fail there.
+
+    Each suite runs all of its fixed r values; no other r evaluates the
+    perturbed argument r s_k on this grid, so only r fails."""
 
     GRID = GridSpec(1 / 3, 3.0, 21, "log")
 
@@ -228,7 +223,7 @@ class TestNegativeControls:
         pts = self.GRID.points()
         s_k = pts[len(pts) // 2 - 1]  # next to the center s = 1
         _scale_first_call(monkeypatch, family, r * s_k, factor)
-        res = check((r,), self.GRID)
+        res = check(self.GRID)
         assert res.passed is False
         assert res.worst_location == (r, s_k)
 
@@ -236,15 +231,9 @@ class TestNegativeControls:
 class TestUncheckedClaims:
     """A suite passes only on a positive, finite worst slack."""
 
-    @pytest.mark.parametrize("check", [
-        functools.partial(check_product_inequality, THETA3),
-        functools.partial(check_product_inequality, THETA4),
-        functools.partial(check_odd_combination, THETA3),
-        functools.partial(check_odd_combination, THETA4),
-    ], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
-    def test_no_r_values_fails(self, check):
-        res = check((), GridSpec(1 / 3, 3.0, 21, "log"))
-        assert res.points_tested == 0
+    def test_no_assertions_fails(self):
+        # a tracker that asserted nothing has no worst slack to report
+        res = verify._Tracker().result("x", 0)
         assert res.passed is False
         assert res.worst_residual == math.inf
         assert res.worst_location is None
@@ -272,6 +261,27 @@ class TestUncheckedClaims:
         assert res.passed is False
         assert res.worst_residual == math.inf
         assert res.worst_location == 0.1
+
+
+class TestForeignArguments:
+    """A family name, a tuple of lattice parameters or a tuple of grid
+    fields in place of the library's objects is a DomainError."""
+
+    GRID = GridSpec(1 / 3, 3.0, 21, "log")
+
+    @pytest.mark.parametrize("call", [
+        lambda: log_deriv_ratio_bounds("theta3", 1.0),
+        lambda: check_monotone_log_ratio("theta3", TestForeignArguments.GRID),
+        lambda: check_product_inequality("theta3", TestForeignArguments.GRID),
+        lambda: check_odd_combination("theta4", TestForeignArguments.GRID),
+        lambda: auto_k_max((2, 0.7)),
+        lambda: run_all(VerifyConfig(suites=("odd-log-ratio",),
+                                     odd_ratio_grid=(1e-3, 10.0, 50))),
+    ], ids=["log-ratio", "monotone", "product", "odd-combination",
+            "auto-k-max", "verify-config"])
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestLemmaOddRatio:
