@@ -238,6 +238,22 @@ class TestUncheckedClaims:
         assert res.worst_residual == math.inf
         assert res.worst_location is None
 
+    @pytest.mark.parametrize("check", [
+        functools.partial(check_product_inequality, THETA3),
+        functools.partial(check_product_inequality, THETA4),
+        functools.partial(check_odd_combination, THETA3),
+        functools.partial(check_odd_combination, THETA4),
+    ], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
+    def test_no_r_values_fails(self, monkeypatch, check):
+        # with its fixed r values emptied, a pair check asserts nothing
+        monkeypatch.setattr(verify, "PRODUCT_R", ())
+        monkeypatch.setattr(verify, "ODD_MAXIMUM_R", ())
+        res = check(GridSpec(1 / 3, 3.0, 21, "log"))
+        assert res.points_tested == 0
+        assert res.passed is False
+        assert res.worst_residual == math.inf
+        assert res.worst_location is None
+
     @pytest.mark.parametrize("slacks,first_nan", [
         ((math.nan, -5.0, 1.0), 0),
         ((1.0, -5.0, math.nan), 2),
