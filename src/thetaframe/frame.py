@@ -90,7 +90,7 @@ class FrameBounds:
 
 def _bounds(n, beta, tol, slopes=False):
     """(A, B) as balls, n pair(theta4) and n pair(theta3), less 2n
-    pair(theta_odd) for odd n, from the theta Balls at a and b. pair(f)
+    pair(theta_odd) for odd n, from the theta balls at a and b. pair(f)
     is f(a) f(b), or with slopes a f'(a) f(b) - b f(a) f'(b), which is
     (beta/2) d/dbeta [f(a) f(b)] as da/dbeta = 2a/beta, db/dbeta = -2b/beta.
     """
@@ -110,8 +110,9 @@ def _bounds(n, beta, tol, slopes=False):
 
 
 def _frame_slopes(n: int, beta: float):
-    """Balls of (beta/2) dA/dbeta and (beta/2) dB/dbeta at a validated
-    lattice, with the theta arguments rounded as frame_bounds rounds them.
+    """Balls (value, radius) of (beta/2) dA/dbeta and (beta/2) dB/dbeta at
+    a validated lattice, with the theta arguments rounded as frame_bounds
+    rounds them.
 
     Near the optimum the slopes are tiny, so a 1e-12 truncation target
     would hide their sign (1e-10 from it at n = 5); 1e-16 leaves rounding.
@@ -124,11 +125,11 @@ def frame_bounds(params: LatticeParams,
     """Bounds of a lattice (validated on creation), tol in [1e-280, 1)."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    lower, upper = _bounds(params.n, params.beta, _check_tol(tol))
-    error_bound = max(lower.error_bound, upper.error_bound)
-    ratio = upper.value / lower.value if lower.value > 0.0 else math.inf
-    return FrameBounds(lower.value, upper.value, ratio, error_bound,
-                       lower.value > error_bound)
+    (lower, r_lower), (upper, r_upper) = _bounds(params.n, params.beta,
+                                                 _check_tol(tol))
+    error_bound = max(r_lower, r_upper)
+    ratio = upper / lower if lower > 0.0 else math.inf
+    return FrameBounds(lower, upper, ratio, error_bound, lower > error_bound)
 
 
 def _parity_bounds(n, beta, parity):

@@ -109,10 +109,10 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     @functools.cache  # per call: both squeezes walk the same midpoints
     def side(beta):
         """-1 left of both optima, +1 right of them, 0 if uncertain."""
-        sa, sb = _frame_slopes(n, beta)
-        if sa.value - sa.error_bound > 0.0 and sb.value + sb.error_bound < 0.0:
+        (sa, ra), (sb, rb) = _frame_slopes(n, beta)
+        if sa - ra > 0.0 and sb + rb < 0.0:
             return -1
-        if sa.value + sa.error_bound < 0.0 and sb.value - sb.error_bound > 0.0:
+        if sa + ra < 0.0 and sb - rb > 0.0:
             return 1
         return 0
 
@@ -140,30 +140,22 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     return OptimumReport(n, beta, fb.lower, beta, fb.upper, hi - lo)
 
 
-def _sci17(x: float) -> str:
-    """17-significant-digit lower-case scientific text, e.g. 1.25e-3.
-
-    The exponent carries no sign padding or leading zeros so the encoding
-    of a given double is unique (bit-exact reproducibility).
-    """
-    if not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    mantissa, exponent = f"{x:.16e}".split("e")
-    return f"{mantissa}e{int(exponent)}"
-
-
 def emit_csv(rows: list[SweepRow], destination) -> None:
     """Write the sweep table as CSV: header beta,A,B,ratio then one line
-    per row, 17-digit scientific fields, LF endings, one trailing LF."""
+    per row, LF endings, one trailing LF.
+
+    Fields are 17-significant-digit lower-case scientific text, e.g.
+    1.25e-3, or nan, inf, -inf. The exponent carries no sign padding or
+    leading zeros (e+05 -> e5, e-05 -> e-5), so the encoding of a given
+    double is unique (bit-exact reproducibility).
+    """
     if not rows:
         raise DomainError("no rows to write")
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join((_sci17(r.beta), _sci17(r.lower),
-                               _sci17(r.upper), _sci17(r.ratio))))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    text = "".join(["%.16e,%.16e,%.16e,%.16e\n"
+                    % (r.beta, r.lower, r.upper, r.ratio) for r in rows])
+    text = text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
     with open(os.fspath(destination), "wb") as fh:
-        fh.write(data)
+        fh.write(f"{CSV_HEADER}\n{text}".encode("utf-8"))
 
 
 def _span(vals):
@@ -234,8 +226,7 @@ def emit_plot(rows: list[SweepRow], destination, which: str) -> None:
                      f'y="{_fmt(py + 4)}" font-family="monospace" '
                      'font-size="12" '
                      f'text-anchor="end">{fy:.6g}</text>')
-    points = " ".join("{},{}".format(_fmt(px), _fmt(py))
-                      for px, py in (to_px(x, y) for x, y in zip(xs, ys)))
+    points = " ".join(["%.3f,%.3f" % to_px(x, y) for x, y in zip(xs, ys)])
     parts.append(f'<polyline points="{points}" fill="none" stroke="blue" '
                  'stroke-width="1.5"/>')
     parts.append(f'<text x="{_fmt(_MARGIN_L + px_w / 2.0)}" '

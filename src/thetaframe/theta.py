@@ -252,7 +252,8 @@ def _ball(terms, rest, c=None):
     or of c times it for a transform coefficient c (None when direct): the
     square root, s^m, their product, the division and the product with
     the sum round at most five times by half an ulp, inside 4 ulps; one
-    more ulp of the value is added. A pair: a Ball costs eval_theta 4%."""
+    more ulp of the value is added. The pair is a ball, as ball.py's
+    rules take it."""
     value = math.fsum(terms)
     bound = rest + _EPS * abs(value)
     if c is None:
@@ -262,7 +263,7 @@ def _ball(terms, rest, c=None):
 
 
 def _thetas(s: float, order: int, tol: float, odd: int):
-    """theta3, theta4 and, if odd, theta_odd at s and one order as Balls,
+    """theta3, theta4 and, if odd, theta_odd at s and one order as balls,
     each one fsum over the signed terms of the even- and odd-index series
     E and O, both to half of tol over the coefficient: E + O, E - O and O
     at s from the cutoff up; below it c E, c O and (c/2)(E - O) at 1/(4s)
@@ -272,19 +273,18 @@ def _thetas(s: float, order: int, tol: float, odd: int):
     else:
         c = 1.0 / ((1.0, s, s * s)[order] * math.sqrt(s))
         x, t = 0.25 / s, 0.5 * tol / c
-    Ball, reflected = ball.Ball, c is not None
+    reflected = c is not None
     ev, e_rest = _series("theta_even", x, order, t, None, reflected)
     od, o_rest = _series("theta_odd", x, order, t, None, reflected)
     rest = e_rest + o_rest
     if c is None:
-        out = [Ball(*_ball(ev + od, rest)),
-               Ball(*_ball(ev + [-v for v in od], rest))]
+        out = [_ball(ev + od, rest), _ball(ev + [-v for v in od], rest)]
         if odd:
-            out.append(Ball(*_ball(od, o_rest)))
+            out.append(_ball(od, o_rest))
     else:
-        out = [Ball(*_ball(ev, e_rest, c)), Ball(*_ball(od, o_rest, c))]
+        out = [_ball(ev, e_rest, c), _ball(od, o_rest, c)]
         if odd:
-            out.append(Ball(*_ball(ev + [-v for v in od], rest, 0.5 * c)))
+            out.append(_ball(ev + [-v for v in od], rest, 0.5 * c))
     return out
 
 
@@ -382,5 +382,5 @@ def log_deriv_ratio_bounds(family: ThetaFamily,
                           f"{f.error_bound!r} underflows, so s f'/f is "
                           "undefined")
     d = eval_theta(family, s, DerivativeOrder.FIRST)
-    g = ball.div(ball.scale(d, s), f)
-    return g.value, g.error_bound
+    return ball.div(ball.scale((d.value, d.error_bound), s),
+                    (f.value, f.error_bound))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ball import Ball, add, div, fsum, mul, neg, scale, sub
+from .ball import add, div, fsum, mul, neg, scale, sub
 from .errors import DomainError
 from .grids import GridSpec
 from .theta import (THETA3, THETA4, THETA_ODD, DerivativeOrder,
@@ -79,7 +79,7 @@ class _Tracker:
 
     def add(self, margin, location, magnitude=None):
         """Record a margin ball; magnitude sets a relative low-margin test."""
-        m, err = margin.value, margin.error_bound
+        m, err = margin
         slack = m - err
         # a nan slack (unevaluable margin) is the worst and stays so
         if (self.location is None
@@ -97,15 +97,20 @@ class _Tracker:
 
 
 def _exact(x):
-    return Ball(x, 0.0)
+    return x, 0.0
 
 
 _HALF = _exact(0.5)
 
 
+def _ball(tv):
+    """A ThetaValue as a ball: its value and error bound."""
+    return tv.value, tv.error_bound
+
+
 def _ratios(family, args):
     """g(s) = s theta'/theta as a ball, once for each distinct s in args."""
-    return {s: Ball(*log_deriv_ratio_bounds(family, s))
+    return {s: log_deriv_ratio_bounds(family, s)
             for s in dict.fromkeys(args)}
 
 
@@ -135,7 +140,7 @@ def check_monotone_log_ratio(family: ThetaFamily,
         else:  # g3(b) - g3(a) = g3(b) + 1/2 + g3(1/a)
             margin = add(add(gb, _HALF), ga)
         track.add(margin, (a, b),
-                  magnitude=abs(ga.value) + abs(gb.value) + 1e-300)
+                  magnitude=abs(ga[0]) + abs(gb[0]) + 1e-300)
     for s, x in zip(pts, args):
         if reflect:
             track.add(neg(g[x]), s)
@@ -152,7 +157,7 @@ def _dlog_product(v, d, s):
 
 def _chain(family, s):
     """theta''theta - theta'^2 + theta'theta/s and theta'theta/s as balls."""
-    v, d, w = (eval_theta(family, s, m) for m in DerivativeOrder)
+    v, d, w = (_ball(eval_theta(family, s, m)) for m in DerivativeOrder)
     dv = _dlog_product(v, d, s)
     return fsum((mul(w, v), neg(mul(d, d)), dv)), dv
 
@@ -176,9 +181,9 @@ def check_refined_inequalities(grid: GridSpec) -> CheckResult:
         else:
             u = _exact(1.0 / s)  # m1(1/u) = u^5 m1(u) at the rounded u
             u2 = mul(u, u)
-            m1 = mul(mul(mul(u2, u2), u), _chain(THETA3, u.value)[0])
-            dv = _dlog_product(eval_theta(THETA3, s, 0),
-                               eval_theta(THETA3, s, 1), s)
+            m1 = mul(mul(mul(u2, u2), u), _chain(THETA3, u[0])[0])
+            dv = _dlog_product(_ball(eval_theta(THETA3, s, 0)),
+                               _ball(eval_theta(THETA3, s, 1)), s)
         track.add(m1, s)
         track.add(neg(dv), s)
         # theta4 chain (signs flipped; below the cutoff all three orders
@@ -197,7 +202,7 @@ def _center_index(pts):
 def _pair_values(family, r, pts):
     """f(rs) f(r/s) for s in pts, with f evaluated once for each distinct
     argument: on a grid symmetric about s = 1 most of them repeat."""
-    f = {x: eval_theta(family, x)
+    f = {x: _ball(eval_theta(family, x))
          for x in dict.fromkeys(a for s in pts for a in (r * s, r / s))}
     return [mul(f[r * s], f[r / s]) for s in pts]
 
@@ -219,14 +224,14 @@ def check_product_inequality(family: ThetaFamily,
     center = _center_index(pts)
     track = _Tracker()
     for r in PRODUCT_R:
-        f = eval_theta(family, r)
+        f = _ball(eval_theta(family, r))
         rhs = mul(f, f)
         vals = _pair_values(family, r, pts)
-        track.add(_exact(EQUALITY_TOL - abs(vals[center].value - rhs.value)),
+        track.add(_exact(EQUALITY_TOL - abs(vals[center][0] - rhs[0])),
                   (r, pts[center]))
         _extremum_at_center(track, vals, pts, center, r, maximum, rhs)
         for i in range(len(pts) // 2):
-            gap = abs(vals[i].value - vals[-1 - i].value)
+            gap = abs(vals[i][0] - vals[-1 - i][0])
             track.add(_exact(SYMMETRY_TOL - gap), (r, pts[i]))
     return track.result(name, len(PRODUCT_R) * len(pts))
 
@@ -287,9 +292,9 @@ def check_lemma_odd_ratio(s_grid: GridSpec) -> CheckResult:
     for s in pts:
         if s <= 0.25:
             track.add(sub(g[s], g[1.0]), s)
-    gap = add(g[1e-3], _HALF)
+    gap, r_gap = add(g[1e-3], _HALF)
     # |x| has the radius of x
-    track.add(sub(_exact(0.05), Ball(abs(gap.value), gap.error_bound)), 1e-3)
+    track.add(sub(_exact(0.05), (abs(gap), r_gap)), 1e-3)
     return track.result("odd-log-ratio", len(pts))
 
 
@@ -316,11 +321,10 @@ def check_logconvexity_general(s_grid: GridSpec) -> CheckResult:
                 if e:
                     sums[j].append(-e if j == 1 else e)
                     errs[j] += e * (3.0 * (size + j * abs(lb)) + 8.0)
-        f, d, w = (Ball(v, (r + abs(v)) * _EPS
-                        + len(_THETA3_TERMS) * 5e-324)
+        f, d, w = ((v, (r + abs(v)) * _EPS + len(_THETA3_TERMS) * 5e-324)
                    for v, r in zip(map(math.fsum, sums), errs))
-        resid = sub(mul(w, f), mul(d, d))
-        track.add(_exact(resid.value + resid.error_bound), s)
+        resid, r_resid = sub(mul(w, f), mul(d, d))
+        track.add(_exact(resid + r_resid), s)
     return track.result("exp-sum-log-convexity", len(pts))
 
 
@@ -340,8 +344,8 @@ def check_theta4_ratio_conjecture(grid: GridSpec) -> CheckResult:
         track.add(sub(hs[i], hs[i + 1]), (pts[i], pts[i + 1]))
     for i in range(1, len(pts) - 1):
         # convexity up to the error: second difference >= -its radius
-        second = add(sub(hs[i + 1], scale(hs[i], 2.0)), hs[i - 1])
-        track.add(_exact(second.value + second.error_bound), pts[i])
+        second, r_second = add(sub(hs[i + 1], scale(hs[i], 2.0)), hs[i - 1])
+        track.add(_exact(second + r_second), pts[i])
     return track.result("theta4-ratio-conjecture", len(pts),
                         informational=True)
 

@@ -9,27 +9,26 @@ floats with no bound: the tests compare them with fixed thresholds.
 
 import math
 
-from thetaframe import DomainError, ball, theta
+from thetaframe import DomainError, theta
 
 
 def direct(kind, s, order=0, tol=1e-12, z=None):
-    """The direct series' Ball of a family at s, on either side of the
-    cutoff: eval_theta's value and bound from s = 1/4 up."""
-    terms, rest = theta._series(kind, float(s), order, tol, z)
-    return ball.Ball(*theta._ball(terms, rest))
+    """The direct series' ball (value, radius) of a family at s, on either
+    side of the cutoff: eval_theta's value and bound from s = 1/4 up."""
+    return theta._ball(*theta._series(kind, float(s), order, tol, z))
 
 
 def jacobi_identity_residual(s, tol=1e-12):
     """|theta3(1/s) - sqrt(s) theta3(s)|."""
     s = float(s)
-    lhs = direct("theta3", 1.0 / s, 0, tol).value
-    return abs(lhs - math.sqrt(s) * direct("theta3", s, 0, tol).value)
+    lhs = direct("theta3", 1.0 / s, 0, tol)[0]
+    return abs(lhs - math.sqrt(s) * direct("theta3", s, 0, tol)[0])
 
 
 def _log_ratio(s, tol):
     """s theta3'(s) / theta3(s)."""
-    return s * direct("theta3", s, 1, tol).value / direct("theta3", s, 0,
-                                                          tol).value
+    return s * direct("theta3", s, 1, tol)[0] / direct("theta3", s, 0,
+                                                       tol)[0]
 
 
 def fact2_residual(s, tol=1e-12):
@@ -66,6 +65,6 @@ def theta_odd_poisson_residual(r, s, tol=1e-12):
     if not (r > 0.0 and s > 0.0):
         raise DomainError("r and s must be positive")
     rs = r * s
-    rhs = direct("theta4", 1.0 / (4.0 * rs), 0, tol).value
-    return abs(direct("theta_odd", rs, 0, tol).value
+    rhs = direct("theta4", 1.0 / (4.0 * rs), 0, tol)[0]
+    return abs(direct("theta_odd", rs, 0, tol)[0]
                - rhs / (2.0 * math.sqrt(rs)))

@@ -2,7 +2,8 @@
 
 For + - * and / (divisor ball away from 0) the image of the operand box
 takes its extremes at the box corners, so a result ball that contains the
-exact value at every corner contains the whole image.
+exact value at every corner contains the whole image. A ball is a plain
+(value, radius) pair.
 """
 
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from thetaframe import THETA3, eval_theta
-from thetaframe.ball import Ball, add, div, fsum, mul, neg, scale, sub
+from thetaframe.ball import add, div, fsum, mul, neg, scale, sub
 
 DRAWS = 1000
 
@@ -43,18 +44,18 @@ def _ball(rng):
         r = abs(m) * 2.0 ** rng.randint(1, 40) + 5e-324
     else:
         r = abs(m) * 2.0 ** rng.randint(-60, 0)
-    return Ball(m, r)
+    return m, r
 
 
 def _corners(b):
-    m, r = Fraction(b.value), Fraction(b.error_bound)
+    m, r = map(Fraction, b)
     return (m - r, m + r)
 
 
 def _contains(result, exact_values):
-    if math.isinf(result.error_bound):
+    if math.isinf(result[1]):
         return True
-    m, r = Fraction(result.value), Fraction(result.error_bound)
+    m, r = map(Fraction, result)
     return all(abs(e - m) <= r for e in exact_values)
 
 
@@ -67,31 +68,29 @@ def test_binary_rules_contain_corners(rule, op):
         x, y = _ball(rng), _ball(rng)
         got = rule(x, y)
         exact = [op(a, b) for a in _corners(x) for b in _corners(y)]
-        assert _contains(got, exact), (x.value, x.error_bound,
-                                       y.value, y.error_bound)
+        assert _contains(got, exact), (x, y)
 
 
 def test_div_contains_corners():
     rng = random.Random("ball-div")
     for _ in range(DRAWS):
         x, y = _ball(rng), _ball(rng)
-        if y.value == 0.0:
+        if y[0] == 0.0:
             continue
         # keep the divisor ball away from 0
-        y = Ball(y.value, min(y.error_bound, abs(y.value) / 2.0))
+        y = (y[0], min(y[1], abs(y[0]) / 2.0))
         exact = [a / b for a in _corners(x) for b in _corners(y)]
         if max(map(abs, exact)) > 2 ** 1000:
             continue  # the quotient overflows float64
         got = div(x, y)
-        assert math.isfinite(got.error_bound)
-        assert _contains(got, exact), (x.value, x.error_bound,
-                                       y.value, y.error_bound)
+        assert math.isfinite(got[1])
+        assert _contains(got, exact), (x, y)
 
 
 def test_div_by_ball_containing_zero_is_unbounded():
-    assert div(Ball(1.0, 0.0), Ball(1e-3, 1e-3)).error_bound == math.inf
+    assert div((1.0, 0.0), (1e-3, 1e-3))[1] == math.inf
     with pytest.raises(ZeroDivisionError):
-        div(Ball(1.0, 0.0), Ball(0.0, 0.0))
+        div((1.0, 0.0), (0.0, 0.0))
 
 
 def test_scale_and_neg_contain_corners():
@@ -102,7 +101,7 @@ def test_scale_and_neg_contain_corners():
         for got, exact in ((scale(x, c), [Fraction(c) * a
                                           for a in _corners(x)]),
                            (neg(x), [-a for a in _corners(x)])):
-            assert _contains(got, exact), (x.value, x.error_bound, c)
+            assert _contains(got, exact), (x, c)
 
 
 def test_fsum_contains_corners():
@@ -112,12 +111,23 @@ def test_fsum_contains_corners():
         got = fsum(balls)
         # a sum takes its extremes with every operand at the same end
         exact = [sum(c[k] for c in map(_corners, balls)) for k in (0, 1)]
-        assert _contains(got, exact), [(b.value, b.error_bound)
-                                       for b in balls]
+        assert _contains(got, exact), balls
 
 
-def test_theta_values_are_operands():
+def test_theta_values_are_not_operands():
+    """A ThetaValue is a record, not a ball: every rule rejects it with
+    TypeError, in each operand place, so a wrong operand is never read
+    silently. (tv.value, tv.error_bound) is the operand."""
     t = eval_theta(THETA3, 1.0)
-    p = mul(t, t)
-    assert p.value == t.value * t.value
-    assert p.error_bound >= 2.0 * t.value * t.error_bound
+    pair = (t.value, t.error_bound)
+    calls = [(rule, args) for rule in (add, sub, mul, div)
+             for args in ((t, pair), (pair, t))]
+    calls += [(neg, (t,)), (scale, (t, 2.0)), (fsum, ([t, pair],)),
+              (fsum, ([pair, t],))]
+    for rule, args in calls:
+        with pytest.raises(TypeError):
+            rule(*args)
+    p = mul(pair, pair)
+    assert p[0] == t.value * t.value
+    assert p[1] >= 2.0 * t.value * t.error_bound
+

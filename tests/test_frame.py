@@ -144,9 +144,9 @@ def test_slope_containment_against_reference():
                         - b * f(kind, a, 0) * f(kind, b, 1))
             odd = 2 * pair("theta_odd") if n % 2 else 0
             truth = (n * (pair("theta4") - odd), n * (pair("theta3") - odd))
-            for got, true in zip(slopes, truth):
-                assert abs(mp.mpf(got.value) - true) <= \
-                    mp.mpf(got.error_bound), (n, beta, got.value, true)
+            for (got, radius), true in zip(slopes, truth):
+                assert abs(mp.mpf(got) - true) <= mp.mpf(radius), \
+                    (n, beta, got, true)
 
 
 def _composed(n, beta, tol, slopes):
@@ -156,12 +156,16 @@ def _composed(n, beta, tol, slopes):
     a = 0.5 * (n * beta) * (n * beta)
     b = 0.5 / (beta * beta)
 
+    def ev(family, s, order):
+        tv = eval_theta(family, s, order, tol)
+        return tv.value, tv.error_bound
+
     def pair(family):
-        fa, fb = eval_theta(family, a, 0, tol), eval_theta(family, b, 0, tol)
+        fa, fb = ev(family, a, 0), ev(family, b, 0)
         if not slopes:
             return mul(fa, fb)
-        return sub(mul(scale(eval_theta(family, a, 1, tol), a), fb),
-                   mul(fa, scale(eval_theta(family, b, 1, tol), b)))
+        return sub(mul(scale(ev(family, a, 1), a), fb),
+                   mul(fa, scale(ev(family, b, 1), b)))
 
     lo, hi = pair(THETA4), pair(THETA3)
     if n % 2:
@@ -201,17 +205,15 @@ def _check_composition(betas_per_n):
                 fb = frame_bounds(lattice_params(n, beta), tol)
                 lo, hi = _composed(n, beta, tol, False)
                 assert fb.error_bound <= (1 + 1e-9) * max(
-                    lo.error_bound, hi.error_bound), (n, beta, tol)
+                    lo[1], hi[1]), (n, beta, tol)
                 for got, true in zip((fb.lower, fb.upper), exact):
                     assert abs(mp.mpf(got) - true) <= \
                         mp.mpf(fb.error_bound), (n, beta, tol)
-            for got, comp, true in zip(_frame_slopes(n, beta),
-                                       _composed(n, beta, 1e-16, True),
-                                       exact_slopes):
-                assert got.error_bound <= (1 + 1e-9) * comp.error_bound, \
-                    (n, beta)
-                assert abs(mp.mpf(got.value) - true) <= \
-                    mp.mpf(got.error_bound), (n, beta)
+            for (got, radius), comp, true in zip(
+                    _frame_slopes(n, beta), _composed(n, beta, 1e-16, True),
+                    exact_slopes):
+                assert radius <= (1 + 1e-9) * comp[1], (n, beta)
+                assert abs(mp.mpf(got) - true) <= mp.mpf(radius), (n, beta)
 
 
 def test_bounds_and_slopes_within_composition():

@@ -1,0 +1,181 @@
+"""Bit pins of frame_bounds, _frame_slopes, find_optimal_beta and run_all.
+
+The mpmath containment tests accept any ball that contains the true
+value, so a last-bit move in a midpoint or a radius passes them. These
+pins fail on it: each float is pinned as its float.hex text, and
+run_all() as the SHA-256 of its repr.
+"""
+
+import hashlib
+
+import pytest
+
+from thetaframe import (LatticeParams, find_optimal_beta, frame_bounds,
+                        run_all)
+from thetaframe.frame import _frame_slopes
+
+# (n, beta) -> (lower, upper, ratio, error_bound) of frame_bounds at the
+# default tol, then (value, radius) of the (beta/2) dA/dbeta ball and of
+# the (beta/2) dB/dbeta ball of _frame_slopes. beta runs near 1/sqrt(n)
+# for n = 1-9 (a and b on the direct route), at both ends of the beta
+# domain for n = 1, 2, 3, 6, 9 (one argument at the top of the theta
+# domain, the other at the bottom, transformed), at a = 0.1 for n = 2, 5
+# and 7 and at b = 0.1 for n = 4 and 8 (one argument transformed).
+FRAME = {
+    (1, 1.001): (
+        ("-0x1.0000000000000p-54", "0x1.ab546a9c7ebcep+0", "inf",
+         "0x1.1fb2973f0439bp-47"),
+        ("-0x1.0000000000000p-53", "0x1.aef805374e112p-47",
+         "0x1.9e52dead58500p-9", "0x1.291f7e11b27dep-46")),
+    (2, 0.707813887967734): (
+        ("0x1.ab53e49eb5c87p+0", "0x1.2e2af2aa3429bp+1",
+         "0x1.6a0a57ecf50b5p+0", "0x1.f1e921bcf4dabp-49"),
+        ("-0x1.3c80bdadabd40p-8", "0x1.5ac71105dc1c3p-48",
+         "0x1.24f89a58d2880p-8", "0x1.97c98368c36eep-48")),
+    (3, 0.5779276194588153): (
+        ("0x1.7213c606d185cp+1", "0x1.8dacc4a1e8dbfp+1",
+         "0x1.1317313494359p+0", "0x1.1c6c2e897cad0p-48"),
+        ("-0x1.ebb961c0e6071p-9", "0x1.b1ba7480da0c5p-49",
+         "0x1.f085446d613cfp-9", "0x1.c06b6248f9c8ap-49")),
+    (4, 0.5005): (
+        ("0x1.fc2eaf8235547p+1", "0x1.01ea7c4c7a09ap+2",
+         "0x1.03da7f96ed2d3p+0", "0x1.0cbeba228a407p-48"),
+        ("-0x1.040faeeca6bc0p-9", "0x1.3f4869b47223ap-50",
+         "0x1.03b1a386c2e60p-9", "0x1.41aab2c8c4b22p-50")),
+    (5, 0.44766080909545786): (
+        ("0x1.3f80bb02d5d70p+2", "0x1.407f2bb4c7654p+2",
+         "0x1.00cbde702fed0p+0", "0x1.93d2ab1120aa7p-48"),
+        ("-0x1.b5fd0d50eb28ep-11", "0x1.d1b998abcbc0ep-52",
+         "0x1.b61674e1ba10ap-11", "0x1.d271f50e27e71p-52")),
+    (6, 0.40865653875432684): (
+        ("0x1.7fe043e329236p+2", "0x1.801fbd6c794d0p+2",
+         "0x1.002a5485c4cd0p+0", "0x1.8104ac80c36b6p-48"),
+        ("-0x1.425d026c72990p-12", "0x1.3359e392c7349p-53",
+         "0x1.4259d90738038p-12", "0x1.337341576c76ap-53")),
+    (7, 0.37834243748223645): (
+        ("0x1.bff84d60c0440p+2", "0x1.c007b28e53e03p+2",
+         "0x1.0008cc40be369p+0", "0x1.182398659a5ddp-47"),
+        ("-0x1.b0deba8a91585p-14", "0x1.7d70e7e1644d8p-55",
+         "0x1.b0df78f8a8517p-14", "0x1.7d77721bb55dcp-55")),
+    (8, 0.353906943983867): (
+        ("0x1.fffe2bcd72c55p+2", "0x1.0000ea19b1956p+3",
+         "0x1.0001d434a4591p+0", "0x1.0008f22efb494p-47"),
+        ("-0x1.100237c2e45f0p-15", "0x1.c22f160e93c19p-57",
+         "0x1.10022243c1a60p-15", "0x1.c230b0f9ab058p-57")),
+    (9, 0.3336666666666666): (
+        ("0x1.1fffc93f7aa48p+3", "0x1.200036c080283p+3",
+         "0x1.00006156504bap+0", "0x1.680250520005fp-47"),
+        ("-0x1.45247bb98e46ep-17", "0x1.001865501fca0p-58",
+         "0x1.4524806d78c46p-17", "0x1.001895e07713bp-58")),
+    (1, 0.001414213562373095): (
+        ("0x0.0p+0", "0x1.f400000000000p+9", "inf", "0x1.388000000000cp-39"),
+        ("0x0.0p+0", "0x0.000069c01f290p-1022", "-0x1.f3fffffffffffp+8",
+         "0x1.7700000000015p-40")),
+    (1, 707.1067811865476): (
+        ("0x0.0p+0", "0x1.f400000000000p+9", "inf", "0x1.388000000000cp-39"),
+        ("0x0.0p+0", "0x0.000069c01f290p-1022", "0x1.f3fffffffffffp+8",
+         "0x1.7700000000015p-40")),
+    (2, 0.0007071067811865475): (
+        ("0x0.0p+0", "0x1.f400000000000p+10", "inf", "0x1.1940000000008p-38"),
+        ("0x0.0p+0", "0x0.0000695482148p-1022", "-0x1.f3fffffffffffp+9",
+         "0x1.57c0000000010p-39")),
+    (2, 707.1067811865474): (
+        ("0x0.0p+0", "0x1.f400000000000p+10", "inf", "0x1.1940000000008p-38"),
+        ("0x0.0p+0", "0x0.0000695482148p-1022", "0x1.f3fffffffffffp+9",
+         "0x1.57c0000000011p-39")),
+    (3, 0.0007071067811865475): (
+        ("0x0.0p+0", "0x1.f400000000001p+10", "inf", "0x1.388000000000dp-38"),
+        ("0x0.0p+0", "0x0.0001d77f1da19p-1022", "-0x1.f400000000001p+9",
+         "0x1.7700000000017p-39")),
+    (3, 471.40452079103164): (
+        ("0x0.0p+0", "0x1.f3ffffffffffep+10", "inf", "0x1.388000000000cp-38"),
+        ("0x0.0p+0", "0x0.0001d77f1da19p-1022", "0x1.f3ffffffffffep+9",
+         "0x1.7700000000015p-39")),
+    (6, 0.0007071067811865475): (
+        ("0x0.0p+0", "0x1.f400000000001p+10", "inf", "0x1.1940000000009p-38"),
+        ("0x0.0p+0", "0x0.00000bb40ec58p-1022", "-0x1.f400000000001p+9",
+         "0x1.57c0000000012p-39")),
+    (6, 235.70226039551582): (
+        ("0x0.0p+0", "0x1.f3ffffffffffep+10", "inf", "0x1.1940000000007p-38"),
+        ("0x0.0p+0", "0x0.00000bb40ec58p-1022", "0x1.f3ffffffffffep+9",
+         "0x1.57c0000000010p-39")),
+    (9, 0.0007071067811865475): (
+        ("0x0.0p+0", "0x1.f3fffffffffffp+10", "inf", "0x1.388000000000bp-38"),
+        ("0x0.0p+0", "0x0.0001ade2791c5p-1022", "-0x1.f3fffffffffffp+9",
+         "0x1.7700000000016p-39")),
+    (9, 157.1348402636772): (
+        ("0x0.0p+0", "0x1.f3fffffffffffp+10", "inf", "0x1.388000000000bp-38"),
+        ("0x0.0p+0", "0x0.0001ade2791c5p-1022", "0x1.f3fffffffffffp+9",
+         "0x1.7700000000016p-39")),
+    (2, 0.22360679774997896): (
+        ("0x1.41cf43f9f9208p-8", "0x1.94c583ada5ddap+2",
+         "0x1.41ff0e4ee19e7p+10", "0x1.c75e34235c0a4p-47"),
+        ("0x1.27d2a0b1934d2p-5", "0x1.9dab0bea34ad4p-52",
+         "-0x1.94c583ad9bf15p+1", "0x1.1647ca878ff1cp-47")),
+    (5, 0.08944271909999159): (
+        ("0x1.924314f8777cbp-7", "0x1.f9f6e4990f3bcp+3",
+         "0x1.41ff0e4ee17e5p+10", "0x1.3c3a4edfa9f92p-45"),
+        ("0x1.71c748ddf881cp-4", "0x1.08520495d8446p-50",
+         "-0x1.f9f6e49909080p+2", "0x1.7b792b72e508dp-46")),
+    (7, 0.06388765649999399): (
+        ("0x1.19955b7aba0a8p-6", "0x1.622cd337f1103p+4",
+         "0x1.41ff0e4ee17e4p+10", "0x1.bab80805edf66p-45"),
+        ("0x1.02d84c9b6127ap-3", "0x1.720c6cd1c85fcp-50",
+         "-0x1.622cd337ecb8dp+3", "0x1.09a19e6a06b96p-45")),
+    (4, 2.23606797749979): (
+        ("0x1.41cf43f9f9301p-7", "0x1.94c583ada5c98p+3",
+         "0x1.41ff0e4ee17eep+10", "0x1.c75e34235b3b9p-46"),
+        ("-0x1.27d2a0b1939a8p-4", "0x1.9dab0bea33cf7p-51",
+         "0x1.94c583ada0d34p+2", "0x1.1647ca8776c66p-46")),
+    (8, 2.23606797749979): (
+        ("0x1.41cf43f9f9301p-6", "0x1.94c583ada5c98p+4",
+         "0x1.41ff0e4ee17eep+10", "0x1.c75e34235b3b9p-45"),
+        ("-0x1.27d2a0b1939a8p-3", "0x1.9dab0bea33cf7p-50",
+         "0x1.94c583ada0d34p+3", "0x1.1647ca8776c66p-45")),
+}
+
+# n -> (beta_for_max_A, max_A, beta_for_min_B, min_B, bracket_width) of
+# find_optimal_beta(n, (0.3, 1.5), 1e-10)
+OPTIMA = {
+    2: ("0x1.6a09e667d67afp-1", "0x1.ab54359ab5344p+0", "0x1.6a09e667d67afp-1",
+        "0x1.2e2acd2eea497p+1", "0x1.2356e00000000p-34"),
+    3: ("0x1.279a74592f297p-1", "0x1.7213e57b32d48p+1", "0x1.279a74592f297p-1",
+        "0x1.8daca4defbc06p+1", "0x1.dbc1400000000p-35"),
+    4: ("0x1.000000002f1a3p-1", "0x1.fc2ec024e8973p+1", "0x1.000000002f1a3p-1",
+        "0x1.01ea73fe2271cp+2", "0x1.9c04200000000p-34"),
+    5: ("0x1.c9f25c5c18d99p-2", "0x1.3f80be8361544p+2", "0x1.c9f25c5c18d99p-2",
+        "0x1.407f283407e72p+2", "0x1.7084b00000000p-34"),
+    6: ("0x1.a20bd7001f3c7p-2", "0x1.7fe0452d174a7p+2", "0x1.a20bd7001f3c7p-2",
+        "0x1.801fbc228e625p+2", "0x1.5068e00000000p-34"),
+    7: ("0x1.83091e6ab0b71p-2", "0x1.bff84dcf8204ep+2", "0x1.83091e6ab0b71p-2",
+        "0x1.c007b21f91ee7p+2", "0x1.3774700000000p-34"),
+    8: ("0x1.6a09e6684d62ep-2", "0x1.fffe2bf03f356p+2", "0x1.6a09e6684d62ep-2",
+        "0x1.0000ea084b5eap+3", "0x1.2356e00000000p-34"),
+}
+
+RUN_ALL_SHA256 = ("c64b16aad586be83393393ca80f889ed"
+                  "8dbc2a5490c2c58df4d2505588f32b28")
+
+
+def _hex(*xs):
+    return tuple(map(float.hex, xs))
+
+
+@pytest.mark.parametrize("n,beta", list(FRAME))
+def test_frame_bits(n, beta):
+    fb = frame_bounds(LatticeParams(n, beta))
+    (sa, ra), (sb, rb) = _frame_slopes(n, beta)
+    assert (_hex(fb.lower, fb.upper, fb.ratio, fb.error_bound),
+            _hex(sa, ra, sb, rb)) == FRAME[n, beta]
+
+
+@pytest.mark.parametrize("n", list(OPTIMA))
+def test_optimum_bits(n):
+    rep = find_optimal_beta(n, (0.3, 1.5), 1e-10)
+    assert _hex(rep.beta_for_max_A, rep.max_A, rep.beta_for_min_B,
+                rep.min_B, rep.bracket_width) == OPTIMA[n]
+
+
+def test_run_all_bits():
+    digest = hashlib.sha256(repr(run_all()).encode()).hexdigest()
+    assert digest == RUN_ALL_SHA256

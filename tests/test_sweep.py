@@ -1,15 +1,17 @@
 """Sweep, optimizer and serialization tests."""
 
 import math
+import random
+import struct
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import reference_values as ref
 from thetaframe import (DomainError, GridSpec, OptimumReport, RangeError,
                         SweepRow, emit_csv, emit_plot, find_optimal_beta,
                         sweep, sweep_beta)
-from thetaframe.sweep import _sci17
 
 
 class TestFindOptimalBeta:
@@ -187,21 +189,79 @@ class TestGridSpec:
             GridSpec(*args)
 
 
+def _sci17(x):
+    """The CSV field rule, one field at a time: the reference that
+    emit_csv's whole-text formatting must match."""
+    if not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    mantissa, exponent = f"{x:.16e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
 class TestSci17:
-    def test_frozen_forms(self):
-        assert _sci17(1.0) == "1.0000000000000000e0"
-        assert _sci17(0.4) == "4.0000000000000002e-1"
-        assert _sci17(1e-12) == "9.9999999999999998e-13"
-        assert _sci17(-2.0) == "-2.0000000000000000e0"
+    """emit_csv's fields against the one-field reference _sci17, each
+    field also parsing back to its float, bit for bit."""
 
-    def test_round_trip(self):
-        for x in (1.0, 0.4, 2.0 ** -0.5, 1e-12, 123456.789, 5e300, 5e-300):
-            assert float(_sci17(x)) == x
+    @staticmethod
+    def _fields(tmp_path, values):
+        """The CSV fields of values, four to a row, in order."""
+        values = list(values)
+        padded = values + values[-1:] * (-len(values) % 4)
+        rows = [SweepRow(*padded[i:i + 4]) for i in range(0, len(padded), 4)]
+        out = tmp_path / "fields.csv"
+        emit_csv(rows, out)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "beta,A,B,ratio" and len(lines) == len(rows) + 1
+        return [f for line in lines[1:] for f in line.split(",")][
+            :len(values)]
 
-    def test_non_finite(self):
-        assert _sci17(math.nan) == "nan"
-        assert _sci17(math.inf) == "inf"
-        assert _sci17(-math.inf) == "-inf"
+    def _check(self, tmp_path, values):
+        fields = self._fields(tmp_path, values)
+        for x, field in zip(values, fields):
+            assert field == _sci17(x), (x, field)
+            assert float(field).hex() == float(x).hex(), (x, field)
+        return fields
+
+    def test_frozen_forms(self, tmp_path):
+        assert self._check(tmp_path, (1.0, 0.4, 1e-12, -2.0)) == [
+            "1.0000000000000000e0", "4.0000000000000002e-1",
+            "9.9999999999999998e-13", "-2.0000000000000000e0"]
+
+    def test_round_trip(self, tmp_path):
+        self._check(tmp_path, (1.0, 0.4, 2.0 ** -0.5, 1e-12, 123456.789,
+                               5e300, 5e-300))
+
+    def test_non_finite(self, tmp_path):
+        assert self._check(tmp_path, (math.nan, math.inf, -math.inf)) == [
+            "nan", "inf", "-inf"]
+
+    def test_zeros_subnormals_and_exponent_widths(self, tmp_path):
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320,
+                  math.nextafter(2.0 ** -1022, 0.0), 2.0 ** -1022,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+        for e in (1, 9, 10, 99, 100, 307):  # 1-, 2- and 3-digit exponents
+            values += [1.5 * 10.0 ** e, -1.5 * 10.0 ** -e,
+                       -(10.0 ** e), 10.0 ** -e]
+        values += [9.999999999999999e-1, 1.0000000000000002, 0.5, 9.5]
+        fields = self._check(tmp_path, values)
+        assert fields[:4] == ["0.0000000000000000e0", "-0.0000000000000000e0",
+                              "4.9406564584124654e-324",
+                              "-4.9406564584124654e-324"]
+
+    def test_int_and_numpy_fields(self, tmp_path):
+        values = [0, 1, -7, 10 ** 17, 2 ** 63 + 1, np.float64(0.1),
+                  np.float64(-3e-200), np.float64(np.inf), np.float64(6e22)]
+        assert self._check(tmp_path, values)[:4] == [
+            "0.0000000000000000e0", "1.0000000000000000e0",
+            "-7.0000000000000000e0", "1.0000000000000000e17"]
+
+    def test_seeded_doubles(self, tmp_path):
+        rng = random.Random(20261019)
+        bits = [rng.getrandbits(64) for _ in range(5000)]
+        values = [struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits]
+        values += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30)
+                   for _ in range(5000)]
+        self._check(tmp_path, values)
 
 
 class TestEmitCsv:

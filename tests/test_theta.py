@@ -100,10 +100,9 @@ class TestCertifiedBounds:
     def test_containment_forced_direct(self, family):
         for s in (0.05, 0.2, 1.0, 7.0):
             for order in (0, 1, 2):
-                tv = direct(family.kind, s, order)
+                value, bound = direct(family.kind, s, order)
                 true = float(self._true(family, s, order))
-                assert abs(tv.value - true) <= tv.error_bound + \
-                    2 * math.ulp(abs(true))
+                assert abs(value - true) <= bound + 2 * math.ulp(abs(true))
 
 
 def test_general_containment():
@@ -228,12 +227,11 @@ def _check_thetas(count):
                     got = theta._thetas(s, order, tol, odd)
                     assert len(got) == 2 + odd
                     with mp.workdps(50):
-                        for g, true in zip(got, want):
-                            assert abs(mp.mpf(g.value) - true) <= \
-                                mp.mpf(g.error_bound), (s, order, tol, odd)
+                        for (g, r_g), true in zip(got, want):
+                            assert abs(mp.mpf(g) - true) <= mp.mpf(r_g), \
+                                (s, order, tol, odd)
                     if s < SMALL_S_CUTOFF:
-                        assert [(b.value, b.error_bound)
-                                for b in got[:2]] == same, (s, order, tol)
+                        assert got[:2] == same, (s, order, tol)
 
 
 def test_thetas_contain_reference():
@@ -325,9 +323,9 @@ class TestMethodSelection:
             for s in GridSpec(0.01, 0.24, 15, "log").points():
                 for order in (0, 1, 2):
                     t = eval_theta(fam, s, order)
-                    d = direct(fam.kind, s, order, z=fam.z)
-                    assert abs(t.value - d.value) <= \
-                        t.error_bound + d.error_bound, (fam, s, order)
+                    d, r_d = direct(fam.kind, s, order, z=fam.z)
+                    assert abs(t.value - d) <= t.error_bound + r_d, \
+                        (fam, s, order)
 
     def test_general_is_direct(self):
         # Theta(z, is) runs the direct series from the cutoff up
@@ -349,21 +347,21 @@ class TestSeriesStructure:
         # forces theta3 - theta4 = 2 theta_odd, order by order
         for s in (0.05, 0.4, 1.0, 3.0):
             for order in (0, 1, 2):
-                t3, t4, to = (direct(kind, s, order)
-                              for kind in ("theta3", "theta4", "theta_odd"))
-                lhs = t3.value - t4.value
-                tol = t3.error_bound + t4.error_bound + \
-                    2.0 * to.error_bound + ULP * abs(lhs)
-                assert abs(lhs - 2.0 * to.value) <= tol + 1e-15 * abs(lhs)
+                (t3, r3), (t4, r4), (to, ro) = (
+                    direct(kind, s, order)
+                    for kind in ("theta3", "theta4", "theta_odd"))
+                lhs = t3 - t4
+                tol = r3 + r4 + 2.0 * ro + ULP * abs(lhs)
+                assert abs(lhs - 2.0 * to) <= tol + 1e-15 * abs(lhs)
 
     def test_general_specializes(self):
         for s in GridSpec(0.01, 50.0, 20, "log").points():
-            t3 = direct("theta3", s)
+            t3, r3 = direct("theta3", s)
             g0 = eval_theta(general_family(0.0), s)
-            assert abs(t3.value - g0.value) <= t3.error_bound + g0.error_bound
-            t4 = direct("theta4", s)
+            assert abs(t3 - g0.value) <= r3 + g0.error_bound
+            t4, r4 = direct("theta4", s)
             gh = eval_theta(general_family(0.5), s)
-            assert abs(t4.value - gh.value) <= t4.error_bound + gh.error_bound
+            assert abs(t4 - gh.value) <= r4 + gh.error_bound
 
     def test_general_z_periodic(self):
         # dyadic z so the mod-1 reduction is exact in binary
@@ -410,8 +408,8 @@ class TestTripleProduct:
     def test_matches_series(self):
         for s in GridSpec(0.1, 10.0, 30, "log").points():
             p = theta4_triple_product(s, 1e-14)
-            d = direct("theta4", s, 0, 1e-14)
-            assert abs(p.value - d.value) <= p.error_bound + d.error_bound
+            d, r_d = direct("theta4", s, 0, 1e-14)
+            assert abs(p.value - d) <= p.error_bound + r_d
             assert p.method is EvalMethod.PRODUCT
             assert p.terms_used >= 1
 

@@ -16,7 +16,6 @@ from thetaframe import (THETA3, THETA4, THETA_ODD, CheckResult, DomainError,
                         check_refined_inequalities,
                         check_theta4_ratio_conjecture, log_deriv_ratio_bounds,
                         run_all, verify)
-from thetaframe.ball import Ball
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -262,7 +261,7 @@ class TestUncheckedClaims:
     def test_nan_slack_is_the_worst(self, slacks, first_nan):
         track = verify._Tracker()
         for i, slack in enumerate(slacks):
-            track.add(Ball(slack, 0.0), i)
+            track.add((slack, 0.0), i)
         res = track.result("x", len(slacks))
         assert res.passed is False
         assert math.isnan(res.worst_residual)
@@ -272,7 +271,7 @@ class TestUncheckedClaims:
         # every slack is +inf; the first point is reported as the worst
         track = verify._Tracker()
         for s in (0.1, 1.0, 10.0):
-            track.add(Ball(math.inf, 0.0), s)
+            track.add((math.inf, 0.0), s)
         res = track.result("x", 3)
         assert res.passed is False
         assert res.worst_residual == math.inf
