@@ -1,18 +1,103 @@
-"""Bit pins of frame_bounds, _frame_slopes, find_optimal_beta and run_all.
+"""Bit pins of eval_theta, theta4_triple_product, sweep_beta,
+frame_bounds, _frame_slopes, find_optimal_beta and run_all.
 
 The mpmath containment tests accept any ball that contains the true
 value, so a last-bit move in a midpoint or a radius passes them. These
-pins fail on it: each float is pinned as its float.hex text, and
-run_all() as the SHA-256 of its repr.
+pins fail on it: each float is pinned as its float.hex text, a table of
+results as the SHA-256 of their lines, and run_all() as the SHA-256 of
+its repr.
 """
 
 import hashlib
+import math
 
 import pytest
 
-from thetaframe import (LatticeParams, find_optimal_beta, frame_bounds,
-                        run_all)
+from thetaframe import (THETA3, THETA4, THETA_ODD, GridSpec, LatticeParams,
+                        eval_theta, find_optimal_beta, frame_bounds,
+                        general_family, run_all, sweep_beta,
+                        theta4_triple_product)
 from thetaframe.frame import _frame_slopes
+from thetaframe.theta import SMALL_S_CUTOFF
+
+TOLS = (1e-12, 1e-16, 1e-60, 1e-280)
+FAMILIES = {"theta3": THETA3, "theta4": THETA4, "theta_odd": THETA_ODD,
+            "theta_general(0.3)": general_family(0.3),
+            "theta_general(0.8125)": general_family(0.8125)}
+
+# (family, tol) -> SHA-256 of one line per s and order 0-2: value and
+# radius as float.hex, terms_used and method, of eval_theta on 97
+# log-spaced s over [1e-6, 1e6], the cutoff and the float below it. The
+# two z put P_z's shifts at an inexact and an exact 1 - z.
+SERIES = {
+    ("theta3", 1e-12): "60db6b3213e933703cf20ef025d676b4"
+                       "c134b32c69a1c8214afd75ae13f989ba",
+    ("theta3", 1e-16): "9af012159eed98f3c27eef2efe3adbc8"
+                       "854acb53dd99cf4b388d4784c60c652d",
+    ("theta3", 1e-60): "0fe9fb979bddc1dceafabdf9411d309e"
+                       "fb1dcf798a3abfb13c408bbac2f1c39a",
+    ("theta3", 1e-280): "704c40126e6d9869ecba4e55b4b93b86"
+                        "fc08742bcc5c7b223082c5250a5a1478",
+    ("theta4", 1e-12): "7d090153815c9a78b18963a67119af41"
+                       "2337fb9163c6c054394e2994370c8a0d",
+    ("theta4", 1e-16): "49acd9fb960d45bd618d8a1ae078684e"
+                       "c726c102ec50df9009e4c4c698044d16",
+    ("theta4", 1e-60): "ba87e6b1ef02839a1897ac73f51b1f20"
+                       "6407a7cd33c3a75adc225edb978f8d34",
+    ("theta4", 1e-280): "8a2a1226c137d1393502079655a7575b"
+                        "ff0da82de7fe3d63d281c114aac775df",
+    ("theta_odd", 1e-12): "dc696117b55778c90ed12a7c2620af28"
+                          "cd594443621fa54d2d3271db722e1df3",
+    ("theta_odd", 1e-16): "1f0829b5c6c9fb30d4e963646776c661"
+                          "d7cdb12ecacb509a23658026802ffcde",
+    ("theta_odd", 1e-60): "ba2c3ed072daaed0dd00b1cb0f24621e"
+                          "02ad536760c5d17480bcc2f9e402be26",
+    ("theta_odd", 1e-280): "41c327bda69dfd8ca5fbd9328a7f28a6"
+                           "985dfc22404d5bd558cf65782a483bab",
+    ("theta_general(0.3)", 1e-12): "6569cc6d4e93d749eddc612426c3fc4f"
+                                   "196f5c75edf0aada2f417bfd9a1407da",
+    ("theta_general(0.3)", 1e-16): "9520d5a564efe457b9ca27cb92b6b082"
+                                   "6b468768840a154572633d18ca31089b",
+    ("theta_general(0.3)", 1e-60): "a19b6aef5dcc24332612801a523164d5"
+                                   "5b0cf7644cc04a163b3dca869e4783b4",
+    ("theta_general(0.3)", 1e-280): "0c10b393158fe1338e8d87f00407b67d"
+                                    "32de57dc909b577852ec0f7f507f676e",
+    ("theta_general(0.8125)", 1e-12): "ac1305c44dbff8a2e8c03ede42698039"
+                                      "480bb5760f6484c77983a4cf62dea24a",
+    ("theta_general(0.8125)", 1e-16): "69016df62980602b8259113ed2cc8a50"
+                                      "e2ab5c71951cf47a0483346eca478d0c",
+    ("theta_general(0.8125)", 1e-60): "2a7823ad8f33fc6970c8289d8c92fc8a"
+                                      "ef7a40cdf54b6abe1d5f6c78f2629a5d",
+    ("theta_general(0.8125)", 1e-280): "cdb2052ec2c6de14c8c8aec5c81392dc"
+                                       "07b1f08184a35e351adaccb1f27df588",
+}
+
+# tol -> SHA-256 of theta4_triple_product's lines, as SERIES's, on 61
+# log-spaced s over [1e-3, 1e6]
+PRODUCT = {
+    1e-12: "a71490286880768f860b7513ca3544e8"
+           "23f83654e352589dee583c4c86d531b6",
+    1e-16: "0e9c6d74a85ef5b6906cfe9ffda5a6b1"
+           "15a6b09ec53168c5d0edc66817ef5a20",
+    1e-60: "e119cd0a299daa62261d77b63b9b5679"
+           "b7d7615cb17396894108aff71d7a17f0",
+    1e-280: "94190ae54a61bd517c07ecf675861597"
+            "ffc378d11de4d73988f1454dfa6de262",
+}
+
+# n -> SHA-256 of one line per row, beta, A, B and B/A as float.hex, of
+# sweep_beta at tol 1e-12 then 1e-16 on 97 log-spaced beta just inside
+# the lattice domain of n
+SWEEP = {
+    1: "1a13488d7afa01c93792b12d7e99f4d1e382f797090d9d25f765a20fd0b0b1da",
+    2: "0f790abf0d0b23557674bcd3f9f6fbcbbf485379b51a8f79e982be15806440d3",
+    3: "323c4d3fe8a1b5d952298bbf168930b6c2aaf8301ff1f85c8a05b39b87173d15",
+    4: "8b18ea909f3ff24befe5a3d8869a898ef36a295a3d0e6c537f5d5704e769901e",
+    5: "1d1d62466edb449e2d7c12dd8752ecf21e9506df03b0a16dbf81459d073433e3",
+    6: "54f4ae9b79b6ad96028518d0c9be58787241daace9fa8ff8f332674c73650972",
+    7: "237874e6c21b769dbfe06473a19dace0d8aa21467f5d19940682340df7d538cc",
+    8: "cc5c4e8b35a8de023ad9341ae534b575ff60059db2ba6e4a8d649be224c20bbf",
+}
 
 # (n, beta) -> (lower, upper, ratio, error_bound) of frame_bounds at the
 # default tol, then (value, radius) of the (beta/2) dA/dbeta ball and of
@@ -179,3 +264,45 @@ def test_optimum_bits(n):
 def test_run_all_bits():
     digest = hashlib.sha256(repr(run_all()).encode()).hexdigest()
     assert digest == RUN_ALL_SHA256
+
+
+def _log_spaced(lo, hi, count):
+    a, b = math.log10(lo), math.log10(hi)
+    return [10.0 ** (a + (b - a) * j / (count - 1)) for j in range(count)]
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def _line(tv):
+    return (f"{tv.value.hex()} {tv.error_bound.hex()} {tv.terms_used} "
+            f"{tv.method.value}")
+
+
+@pytest.mark.parametrize("kind,tol", list(SERIES))
+def test_series_bits(kind, tol):
+    fam = FAMILIES[kind]
+    s_grid = _log_spaced(1e-6, 1e6, 97) + [
+        SMALL_S_CUTOFF, math.nextafter(SMALL_S_CUTOFF, 0.0)]
+    assert _digest(_line(eval_theta(fam, s, order, tol))
+                   for s in s_grid for order in (0, 1, 2)) == SERIES[kind, tol]
+
+
+@pytest.mark.parametrize("tol", list(PRODUCT))
+def test_product_bits(tol):
+    assert _digest(_line(theta4_triple_product(s, tol))
+                   for s in _log_spaced(1e-3, 1e6, 61)) == PRODUCT[tol]
+
+
+@pytest.mark.parametrize("n", list(SWEEP))
+def test_sweep_bits(n):
+    lo = max(math.sqrt(2e-6) / n, math.sqrt(5e-7)) * 1.000001
+    hi = min(math.sqrt(2e6) / n, math.sqrt(5e5)) / 1.000001
+    grid = GridSpec(lo, hi, 97, "log")
+    assert _digest(" ".join(_hex(r.beta, r.lower, r.upper, r.ratio))
+                   for tol in (1e-12, 1e-16)
+                   for r in sweep_beta(n, grid, tol)) == SWEEP[n]
