@@ -77,6 +77,12 @@ class EvalMethod(str, Enum):
     PRODUCT = "triple-product"
 
 
+# for eval_theta: an Enum class attribute read costs about 0.12 us, and
+# DerivativeOrder(order) does the _ORDERS lookup 0.4 us slower
+_ORDERS = DerivativeOrder._value2member_map_
+_DIRECT, _TRANSFORM = EvalMethod.DIRECT, EvalMethod.TRANSFORM
+
+
 # kind -> (first indices, step, weight, slack factor, sign, reflection) of
 # a series over the index progressions first + n step. First index 0
 # stands for the k = 0 term, counted once; None stands for the shifts
@@ -169,13 +175,20 @@ def _check_domain(s: float, tol: float) -> tuple[float, float]:
 # s-derivatives, and P_0, P_1, P_2 before the transform scales them by u
 _MONOMIALS = ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0))
 _P_ROWS = ((1.0, 0.0, 0.0), (-0.5, 1.0, 0.0), (0.75, -3.0, 1.0))
-# _ROWS[weight][reflected][order]: the row times the series weight (1 or
-# 2, so exactly), their magnitudes, the degree m and the charge 10 + 4k of
-# _series; reflected, it scales c_j by u^j > 0, which keeps m and k
-_ROWS = {w: [[(*(w * c for c in row), *(w * abs(c) for c in row),
-               2 if row[2] else 1 if row[1] else 0,
-               10.0 + 4.0 * (2 - row.count(0.0))) for row in rows]
-             for rows in (_MONOMIALS, _P_ROWS)] for w in (1.0, 2.0)}
+# _PLANS[kind][reflected][order]: _series's constants for a kind and a row
+# of Q, the first indices after the head (None for P_z's shifts), step,
+# slack factor, alternating, cosine, the head (the k = 0 term, c0 over the
+# series weight, or None), the row times the weight (1 or 2, so exactly),
+# their magnitudes, 2m for the row's degree m, the charge 10 + 4k and
+# 4 step; reflected, _series scales c_j by u^j > 0, which keeps m and k
+_PLANS = {kind: [[((step,) if first == (0,) else first, step, expo,
+                   sign == _ALTERNATING, sign == _COSINE,
+                   row[0] if first == (0,) else None,
+                   *(weight * c for c in row), *(weight * abs(c) for c in row),
+                   4 if row[2] else 2 if row[1] else 0,
+                   10.0 + 4.0 * (2 - row.count(0.0)), 4 * step)
+                  for row in rows] for rows in (_MONOMIALS, _P_ROWS)]
+          for kind, (first, step, weight, expo, sign, _) in _SERIES.items()}
 
 
 def _series(kind: str, s: float, order: int, target: float,
@@ -202,21 +215,18 @@ def _series(kind: str, s: float, order: int, target: float,
 
     Returns (terms, tail + slack); _ball sums them.
     """
-    first, step, weight, expo, sign, _ = _SERIES[kind]
-    c0, c1, c2, a0, a1, a2, m, extra = _ROWS[weight][reflected][order]
+    (first, step, expo, alternating, cosine, head, c0, c1, c2, a0, a1, a2,
+     two_m, extra, four_step) = _PLANS[kind][reflected][order]
     if reflected:  # Q(p) = P_m(p s)
         c1, a1 = c1 * s, a1 * s
         c2, a2 = c2 * s * s, a2 * s * s
-    terms = []
+    terms = [] if head is None else [head]
     shifted = first is None
     if shifted:
         first = (z, 1.0 - z)
-    elif first == (0,):
-        terms.append(c0 / weight)
-        first = (step,)
-    alternating, cosine = sign == _ALTERNATING, sign == _COSINE
-    two_pi_z = 2.0 * math.pi * z if cosine else 0.0
-    exp, pi = math.exp, math.pi
+    exp, pi, inf = math.exp, math.pi, math.inf
+    if cosine:
+        cos, two_pi_z = math.cos, 2.0 * pi * z
     slack = 0.0
     for n in range(TERM_CAP):
         tail = 0.0
@@ -227,20 +237,23 @@ def _series(kind: str, s: float, order: int, target: float,
                 x, R = p * s, (a2 * p + a1) * p + a0
                 e = exp(-x)
             t = ((c2 * p + c1) * p + c0) * e
-            terms.append(t * math.cos(two_pi_z * i) if cosine
-                         else -t if alternating and i & 1 else t)
             w = expo * x + extra
-            slack += R * e * (w + 30.0 * i if cosine else w) * _EPS
+            if cosine:
+                terms.append(t * cos(two_pi_z * i))
+                slack += R * e * (w + 30.0 * i) * _EPS
+            else:
+                terms.append(-t if alternating and i & 1 else t)
+                slack += R * e * w * _EPS
             e0 = e  # the tail probe at the next index is the next term
             i += step
             p = pi * (i * i)
             x, R = p * s, (a2 * p + a1) * p + a0
             e = exp(-x)
             nxt = R * (e or _TINY)
-            q = 1.0 if nxt > target else ((i + step) / i) ** (2 * m) * (
-                e0 if not shifted and i == 4 * step  # then (i - step)^2
+            q = 1.0 if nxt > target else ((i + step) / i) ** two_m * (
+                e0 if not shifted and i == four_step  # then (i - step)^2
                 else exp(-pi * (2 * step * i + step * step) * s))
-            tail += nxt / (1.0 - q) if q < 1.0 else math.inf
+            tail += nxt / (1.0 - q) if q < 1.0 else inf
         if tail <= target:
             return terms, tail + slack
     raise ConvergenceError(f"{kind} series at s={s} not certified "
@@ -316,26 +329,34 @@ def eval_theta(family: ThetaFamily, s: float,
     ConvergenceError
         certification failed within the term cap.
     """
-    try:  # DerivativeOrder(order) does this lookup, 0.4 us slower
-        order = DerivativeOrder._value2member_map_[order]
+    try:
+        order = _ORDERS[order]
     except (KeyError, TypeError) as exc:
         raise DomainError(
             f"derivative order must be 0, 1 or 2, got {order!r}") from exc
     if not isinstance(family, ThetaFamily):
         raise DomainError(f"expected ThetaFamily, got {family!r}")
-    s, tol = _check_domain(s, tol)
+    if not (S_MIN <= (s := float(s)) <= S_MAX
+            and TOL_FLOOR <= (tol := float(tol)) < 1.0):
+        _check_domain(s, tol)  # raises the message for s, else for tol
     if s >= SMALL_S_CUTOFF:
-        coef, method = None, EvalMethod.DIRECT
+        coef, method = None, _DIRECT
         terms, rest = _series(family.kind, s, order, tol, family.z)
     else:
         # the inner series of the family's reflection at u = lam/s, Q(p)
         # being P_m(p u), to half of tol, times c / (s^m sqrt(s))
         c, lam, inner = _SERIES[family.kind][-1]
         coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
-        method = EvalMethod.TRANSFORM
+        method = _TRANSFORM
         terms, rest = _series(inner, lam / s, order, 0.5 * tol / abs(coef),
                               family.z, True)
-    return ThetaValue(*_ball(terms, rest, coef), len(terms), method)
+    # the same record as ThetaValue(...), without the frozen __init__'s
+    # four object.__setattr__ calls
+    out = object.__new__(ThetaValue)
+    d = out.__dict__
+    d["value"], d["error_bound"] = _ball(terms, rest, coef)
+    d["terms_used"], d["method"] = len(terms), method
+    return out
 
 
 def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
@@ -372,7 +393,7 @@ def log_deriv_ratio_bounds(family: ThetaFamily,
     """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd} at
     DEFAULT_TOL, with its propagated error bound. DomainError where f
     underflows: theta_odd above s ~ 236.8, theta4 below s ~ 1.055e-3."""
-    if family not in (THETA3, THETA4, THETA_ODD):
+    if not isinstance(family, ThetaFamily) or family.kind == "theta_general":
         raise DomainError(
             "log_deriv_ratio_bounds needs theta3, theta4 or theta_odd")
     s = float(s)

@@ -1,6 +1,8 @@
 """Core evaluator tests: frozen oracle values, identities, error bounds."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -13,7 +15,7 @@ from identities import (direct, fact2_residual, jacobi_identity_residual,
                         theta_odd_poisson_residual)
 from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
                         DerivativeOrder, DomainError, EvalMethod, GridSpec,
-                        ThetaFamily, eval_theta, general_family,
+                        ThetaFamily, ThetaValue, eval_theta, general_family,
                         log_deriv_ratio_bounds, theta4_triple_product)
 from thetaframe import frame, theta
 from thetaframe.theta import S_MAX, S_MIN, SMALL_S_CUTOFF, TOL_FLOOR
@@ -63,6 +65,36 @@ class TestFrozenValues:
         assert abs(g + 0.25) <= err + 4 * ULP
         g_odd = log_deriv_ratio_bounds(THETA_ODD, 1.0)[0]
         assert abs(g_odd - ref.G_ODD_AT_1) < 1e-12
+
+
+class TestValueRecord:
+    """eval_theta fills its frozen ThetaValue without the generated
+    __init__; the record must be the one ThetaValue(...) builds."""
+
+    @pytest.mark.parametrize("family,s,order", [
+        (THETA3, 1.3, 0), (THETA4, 0.01, 1), (THETA_ODD, 3.0, 2),
+        (general_family(0.3), 0.1, 2)])
+    def test_same_record_as_constructor(self, family, s, order):
+        tv = eval_theta(family, s, order)
+        built = ThetaValue(tv.value, tv.error_bound, tv.terms_used,
+                           tv.method)
+        assert type(tv) is ThetaValue
+        assert tv == built and built == tv
+        assert hash(tv) == hash(built)
+        assert repr(tv) == repr(built)
+        assert dataclasses.asdict(tv) == dataclasses.asdict(built)
+        assert list(vars(tv)) == list(vars(built))
+        assert pickle.dumps(tv) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(tv)) == built
+
+    @pytest.mark.parametrize("field", [f.name for f in
+                                       dataclasses.fields(ThetaValue)])
+    def test_frozen(self, field):
+        tv = eval_theta(THETA3, 1.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tv, field, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(tv, field)
 
 
 @pytest.mark.parametrize("family", [THETA3, THETA4, THETA_ODD])
@@ -282,7 +314,10 @@ def test_no_exp_argument_repeats(monkeypatch):
                     if fam.z is None or s >= SMALL_S_CUTOFF:
                         rec.args.clear()
                         eval_theta(fam, s, order, tol)
-                        assert len(set(rec.args)) == len(rec.args), \
+                        # an exp bound outside theta.math records nothing,
+                        # and an empty list has no repeats
+                        assert rec.args and \
+                            len(set(rec.args)) == len(rec.args), \
                             (fam, s, order, tol, rec.args)
                 for odd in (0, 1):
                     rec.args.clear()
@@ -537,9 +572,18 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             ThetaFamily(kind, z)
 
-    def test_log_ratio_rejects_general(self):
+    @pytest.mark.parametrize("family", [general_family(0.3), "theta4",
+                                        None, THETA4.kind])
+    def test_log_ratio_rejects_general_and_non_families(self, family):
         with pytest.raises(DomainError):
-            log_deriv_ratio_bounds(general_family(0.3), 1.0)[0]
+            log_deriv_ratio_bounds(family, 1.0)
+
+    def test_log_ratio_takes_equal_family(self):
+        # an equal family that is not the module constant
+        family = ThetaFamily("theta4")
+        assert family is not THETA4
+        assert log_deriv_ratio_bounds(family, 0.7) == \
+            log_deriv_ratio_bounds(THETA4, 0.7)
 
     @pytest.mark.parametrize("family,s", [(THETA4, 1e-3), (THETA4, 1e-6),
                                           (THETA_ODD, 300.0),
