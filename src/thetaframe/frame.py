@@ -125,11 +125,17 @@ def frame_bounds(params: LatticeParams,
     """Bounds of a lattice (validated on creation), tol in [1e-280, 1)."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    (lower, r_lower), (upper, r_upper) = _bounds(params.n, params.beta,
-                                                 _check_tol(tol))
-    error_bound = max(r_lower, r_upper)
-    ratio = upper / lower if lower > 0.0 else math.inf
+    lower, upper, ratio, error_bound = _frame_row(params.n, params.beta,
+                                                  _check_tol(tol))
     return FrameBounds(lower, upper, ratio, error_bound, lower > error_bound)
+
+
+def _frame_row(n, beta, tol):
+    """(A, B, B/A, shared radius) of frame_bounds at a validated lattice
+    and tol; B/A is inf unless A > 0."""
+    (lower, r_lower), (upper, r_upper) = _bounds(n, beta, tol)
+    return (lower, upper, upper / lower if lower > 0.0 else math.inf,
+            max(r_lower, r_upper))
 
 
 def _parity_bounds(n, beta, parity):

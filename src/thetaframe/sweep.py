@@ -19,9 +19,10 @@ import os
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .frame import LatticeParams, _frame_slopes, frame_bounds, lattice_params
+from .frame import (LatticeParams, _frame_row, _frame_slopes, frame_bounds,
+                    lattice_params)
 from .grids import GridSpec
-from .theta import DEFAULT_TOL
+from .theta import DEFAULT_TOL, _check_tol
 
 CSV_HEADER = "beta,A,B,ratio"
 PLOT_COLUMNS = ("A", "B", "ratio")
@@ -65,12 +66,14 @@ class OptimumReport:
 
 def sweep_beta(n: int, grid: GridSpec,
                tol: float = DEFAULT_TOL) -> list[SweepRow]:
-    """Tabulate (beta, A, B, B/A) over the grid, in grid order."""
-    rows = []
-    for beta in grid.points():
-        fb = frame_bounds(lattice_params(n, beta), tol)
-        rows.append(SweepRow(beta, fb.lower, fb.upper, fb.ratio))
-    return rows
+    """Tabulate (beta, A, B, B/A) over the grid, in grid order, as
+    frame_bounds gives them. a and b, and their rounding, are monotone in
+    beta, so the lattices at both ends validate every point."""
+    points = grid.points()
+    for beta in (min(points), max(points)):
+        LatticeParams(n, beta)
+    tol = _check_tol(tol)
+    return [SweepRow(beta, *_frame_row(n, beta, tol)[:3]) for beta in points]
 
 
 def find_optimal_beta(n: int, beta_range: tuple[float, float],

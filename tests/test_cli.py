@@ -225,6 +225,15 @@ class TestSweep:
         assert err == "error: cannot plot non-finite values\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("lo,hi", [("1e-4", "0.5"), ("0.5", "800")])
+    def test_grid_end_outside_domain(self, capsys, tmp_path, lo, hi):
+        code, out, err = run_main(capsys, [
+            "sweep", "--n", "2", "--beta-min", lo, "--beta-max", hi,
+            "--steps", "5", "--log", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert out == "" and err.startswith("error: beta=")
+        assert list(tmp_path.iterdir()) == []
+
     def test_files_are_the_librarys_bytes(self, capsys, tmp_path):
         # writing the plot before the CSV changes neither file's bytes
         argv = ["sweep", "--n", "3", "--beta-min", "0.3", "--beta-max",

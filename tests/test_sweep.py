@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import reference_values as ref
-from thetaframe import (DomainError, GridSpec, OptimumReport, RangeError,
-                        SweepRow, emit_csv, emit_plot, find_optimal_beta,
-                        sweep, sweep_beta)
+from thetaframe import (DomainError, GridSpec, LatticeParams, OptimumReport,
+                        RangeError, SweepRow, emit_csv, emit_plot,
+                        find_optimal_beta, frame, frame_bounds, sweep,
+                        sweep_beta)
 
 
 class TestFindOptimalBeta:
@@ -170,6 +171,51 @@ class TestSweepBeta:
             sweep_beta(0, GridSpec(0.4, 1.4, 5, "linear"))
         with pytest.raises(DomainError):
             sweep_beta(2, GridSpec(0.4, 1.4, 5, "linear"), tol=0.0)
+
+    @pytest.mark.parametrize("n,grid", [
+        (2, GridSpec(1e-4, 0.5, 7, "log")),     # a < 1e-6 at the low end
+        (2, GridSpec(0.5, 800.0, 7, "log")),    # b < 1e-6 at the high end
+        (1, GridSpec(1e-3, 2.0, 5, "linear")),  # a < 1e-6 at the low end
+        (8, GridSpec(0.01, 200.0, 9, "log")),   # a > 1e6 at the high end
+        (3, GridSpec(-0.5, 1.0, 4, "linear"))])
+    def test_end_outside_domain_runs_no_series(self, monkeypatch, n, grid):
+        # the lattices at both ends are checked before the first row
+        calls = []
+        bounds = frame._bounds
+        monkeypatch.setattr(frame, "_bounds",
+                            lambda *args: calls.append(args) or bounds(*args))
+        with pytest.raises(DomainError, match="beta"):
+            sweep_beta(n, grid)
+        assert calls == []
+
+    def test_rows_are_frame_bounds(self):
+        # seeded grids over the lattice domain of each n, and grids a few
+        # ulps wide at 1/sqrt(3) and at the lowest beta of n = 1
+        rng = random.Random(20)
+        grids = []
+        for n in range(1, 9):
+            lo = math.log(max(math.sqrt(2e-6) / n, math.sqrt(5e-7)) * 1.001)
+            hi = math.log(min(math.sqrt(2e6) / n, math.sqrt(5e5)) / 1.001)
+            for scale in ("linear", "log"):
+                a, b = sorted(math.exp(rng.uniform(lo, hi)) for _ in "ab")
+                grids.append((n, GridSpec(a, b, rng.randint(2, 30), scale)))
+        edge = math.sqrt(2e-6)
+        while edge * edge * 0.5 < 1e-6:  # a = beta^2 / 2 as frame rounds it
+            edge = math.nextafter(edge, 1.0)
+        for n, beta in ((3, 3.0 ** -0.5), (1, edge)):
+            top = beta
+            for _ in range(3):
+                top = math.nextafter(top, 1.0)
+            grids.append((n, GridSpec(beta, top, 7, "linear")))
+        with pytest.raises(DomainError):
+            sweep_beta(1, GridSpec(math.nextafter(edge, 0.0), 1.0, 3))
+        for n, grid in grids:
+            rows = sweep_beta(n, grid)
+            assert [r.beta for r in rows] == grid.points()
+            for r in rows:
+                fb = frame_bounds(LatticeParams(n, r.beta))
+                assert [x.hex() for x in (r.lower, r.upper, r.ratio)] == \
+                    [x.hex() for x in (fb.lower, fb.upper, fb.ratio)]
 
 
 class TestGridSpec:
