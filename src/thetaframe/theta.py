@@ -78,8 +78,9 @@ class EvalMethod(str, Enum):
 
 
 # for eval_theta: an Enum class attribute read costs about 0.12 us, and
-# DerivativeOrder(order) does the _ORDERS lookup 0.4 us slower
-_ORDERS = DerivativeOrder._value2member_map_
+# DerivativeOrder(order) 0.4 us more than a _BY_ORDER index; _NEW saves
+# object.__new__'s attribute read on each record (sweep rows too)
+_BY_ORDER, _NEW = tuple(DerivativeOrder), object.__new__
 _DIRECT, _TRANSFORM = EvalMethod.DIRECT, EvalMethod.TRANSFORM
 
 
@@ -164,8 +165,7 @@ def _check_tol(tol: float) -> float:
 
 
 def _check_domain(s: float, tol: float) -> tuple[float, float]:
-    s = float(s)
-    if not (S_MIN <= s <= S_MAX):
+    if isinstance(s, bool) or not S_MIN <= (s := float(s)) <= S_MAX:
         raise DomainError(
             f"s={s!r} outside supported domain [{S_MIN}, {S_MAX}]")
     return s, _check_tol(tol)
@@ -311,9 +311,9 @@ def eval_theta(family: ThetaFamily, s: float,
     family : ThetaFamily
         Which series to evaluate; theta_general must carry z.
     s : float
-        Argument, restricted to [1e-6, 1e6].
+        Argument, restricted to [1e-6, 1e6]; not a bool.
     order : int
-        Derivative order in s, one of 0, 1, 2.
+        Derivative order in s, one of 0, 1, 2; an integer, not a bool.
     tol : float
         Absolute truncation target in [TOL_FLOOR, 1) = [1e-280, 1); the
         reported error bound additionally accounts for rounding.
@@ -329,14 +329,15 @@ def eval_theta(family: ThetaFamily, s: float,
     ConvergenceError
         certification failed within the term cap.
     """
-    try:
-        order = _ORDERS[order]
-    except (KeyError, TypeError) as exc:
+    try:  # as an index 2.0 is refused, but True and -1 are not
+        order = _BY_ORDER[order if order is not True and order is not False
+                          and order >= 0 else 3]
+    except (IndexError, TypeError) as exc:
         raise DomainError(
             f"derivative order must be 0, 1 or 2, got {order!r}") from exc
     if not isinstance(family, ThetaFamily):
         raise DomainError(f"expected ThetaFamily, got {family!r}")
-    if not (S_MIN <= (s := float(s)) <= S_MAX
+    if not (s.__class__ is not bool and S_MIN <= (s := float(s)) <= S_MAX
             and TOL_FLOOR <= (tol := float(tol)) < 1.0):
         _check_domain(s, tol)  # raises the message for s, else for tol
     if s >= SMALL_S_CUTOFF:
@@ -352,7 +353,7 @@ def eval_theta(family: ThetaFamily, s: float,
                               family.z, True)
     # the same record as ThetaValue(...), without the frozen __init__'s
     # four object.__setattr__ calls
-    out = object.__new__(ThetaValue)
+    out = _NEW(ThetaValue)
     d = out.__dict__
     d["value"], d["error_bound"] = _ball(terms, rest, coef)
     d["terms_used"], d["method"] = len(terms), method
@@ -396,8 +397,8 @@ def log_deriv_ratio_bounds(family: ThetaFamily,
     if not isinstance(family, ThetaFamily) or family.kind == "theta_general":
         raise DomainError(
             "log_deriv_ratio_bounds needs theta3, theta4 or theta_odd")
-    s = float(s)
     f = eval_theta(family, s)
+    s = float(s)
     if not f.value - f.error_bound > 0.0:
         raise DomainError(f"{family.kind}({s!r}) = {f.value!r} +/- "
                           f"{f.error_bound!r} underflows, so s f'/f is "

@@ -131,3 +131,36 @@ def test_theta_values_are_not_operands():
     assert p[0] == t.value * t.value
     assert p[1] >= 2.0 * t.value * t.error_bound
 
+
+
+# (function, mpmath name, argument range): the libm calls whose errors the
+# theta kernel, _ball and the triple product charge as one ulp each
+LIBM = [(math.exp, "exp", -745.0, 0.0), (math.expm1, "expm1", -50.0, 0.0),
+        (math.cos, "cos", 0.0, 2e4)]
+
+
+def _worst_ulps(fn, name, lo, hi, count):
+    """Largest error of fn over both ends and count seeded uniform
+    arguments in [lo, hi], in ulps of the result, against mpmath at 120
+    bits."""
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(f"{name}:{count}")
+    worst = 0.0
+    with mp.workprec(120):
+        exact_fn = getattr(mp, name)
+        for x in [lo, hi] + [rng.uniform(lo, hi) for _ in range(count)]:
+            exact = exact_fn(mp.mpf(x))
+            worst = max(worst, float(abs(mp.mpf(fn(x)) - exact))
+                        / math.ulp(float(exact)))
+    return worst
+
+
+@pytest.mark.parametrize("fn,name,lo,hi", LIBM, ids=[e[1] for e in LIBM])
+def test_libm_within_one_ulp(fn, name, lo, hi):
+    assert _worst_ulps(fn, name, lo, hi, 5000) <= 1.0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fn,name,lo,hi", LIBM, ids=[e[1] for e in LIBM])
+def test_libm_within_one_ulp_deep(fn, name, lo, hi):
+    assert _worst_ulps(fn, name, lo, hi, 100_000) <= 1.0

@@ -219,23 +219,30 @@ FRAME = {
          "0x1.94c583ada0d34p+3", "0x1.1647ca8776c66p-45")),
 }
 
-# n -> (beta_for_max_A, max_A, beta_for_min_B, min_B, bracket_width) of
-# find_optimal_beta(n, (0.3, 1.5), 1e-10)
+# n -> (beta_for_max_A, max_A, beta_for_min_B, min_B, bracket_width,
+# error_bound) of find_optimal_beta(n, (0.3, 1.5), 1e-10)
 OPTIMA = {
-    2: ("0x1.6a09e667d67afp-1", "0x1.ab54359ab5344p+0", "0x1.6a09e667d67afp-1",
-        "0x1.2e2acd2eea497p+1", "0x1.2356e00000000p-34"),
-    3: ("0x1.279a74592f297p-1", "0x1.7213e57b32d48p+1", "0x1.279a74592f297p-1",
-        "0x1.8daca4defbc06p+1", "0x1.dbc1400000000p-35"),
-    4: ("0x1.000000002f1a3p-1", "0x1.fc2ec024e8973p+1", "0x1.000000002f1a3p-1",
-        "0x1.01ea73fe2271cp+2", "0x1.9c04200000000p-34"),
-    5: ("0x1.c9f25c5c18d99p-2", "0x1.3f80be8361544p+2", "0x1.c9f25c5c18d99p-2",
-        "0x1.407f283407e72p+2", "0x1.7084b00000000p-34"),
-    6: ("0x1.a20bd7001f3c7p-2", "0x1.7fe0452d174a7p+2", "0x1.a20bd7001f3c7p-2",
-        "0x1.801fbc228e625p+2", "0x1.5068e00000000p-34"),
-    7: ("0x1.83091e6ab0b71p-2", "0x1.bff84dcf8204ep+2", "0x1.83091e6ab0b71p-2",
-        "0x1.c007b21f91ee7p+2", "0x1.3774700000000p-34"),
-    8: ("0x1.6a09e6684d62ep-2", "0x1.fffe2bf03f356p+2", "0x1.6a09e6684d62ep-2",
-        "0x1.0000ea084b5eap+3", "0x1.2356e00000000p-34"),
+    2: ("0x1.6a09e66794256p-1", "0x1.ab54359ab5344p+0", "0x1.6a09e66794256p-1",
+        "0x1.2e2acd2eea498p+1", "0x1.7e8d600000000p-34",
+        "0x1.f1e8990c61d3ep-49"),
+    3: ("0x1.279a7458d8676p-1", "0x1.7213e57b32d49p+1", "0x1.279a7458d8676p-1",
+        "0x1.8daca4defbc06p+1", "0x1.001a000000000p-34",
+        "0x1.1c6b934029f44p-48"),
+    4: ("0x1.000000002a4aep-1", "0x1.fc2ec024e8972p+1", "0x1.000000002a4aep-1",
+        "0x1.01ea73fe2271dp+2", "0x1.9411300000000p-34",
+        "0x1.0cbe8c192e930p-48"),
+    5: ("0x1.c9f25c5b5dbb6p-2", "0x1.3f80be8361544p+2", "0x1.c9f25c5b5dbb6p-2",
+        "0x1.407f283407e72p+2", "0x1.45fb400000000p-34",
+        "0x1.93d293f3a4bacp-48"),
+    6: ("0x1.a20bd70144ebcp-2", "0x1.7fe0452d174a7p+2", "0x1.a20bd70144ebcp-2",
+        "0x1.801fbc228e625p+2", "0x1.04d3d00000000p-34",
+        "0x1.8104a348e7ccap-48"),
+    7: ("0x1.83091e6b13329p-2", "0x1.bff84dcf8204ep+2", "0x1.83091e6b13329p-2",
+        "0x1.c007b21f91ee7p+2", "0x1.286e000000000p-34",
+        "0x1.1823969fa2083p-47"),
+    8: ("0x1.6a09e6687c3f7p-2", "0x1.fffe2bf03f357p+2", "0x1.6a09e6687c3f7p-2",
+        "0x1.0000ea084b5ebp+3", "0x1.1105f00000000p-34",
+        "0x1.0008f196e9dd8p-47"),
 }
 
 RUN_ALL_SHA256 = ("c64b16aad586be83393393ca80f889ed"
@@ -258,7 +265,9 @@ def test_frame_bits(n, beta):
 def test_optimum_bits(n):
     rep = find_optimal_beta(n, (0.3, 1.5), 1e-10)
     assert _hex(rep.beta_for_max_A, rep.max_A, rep.beta_for_min_B,
-                rep.min_B, rep.bracket_width) == OPTIMA[n]
+                rep.min_B, rep.bracket_width, rep.error_bound) == OPTIMA[n]
+    beta, width = (float.fromhex(OPTIMA[n][i]) for i in (0, 4))
+    assert abs(beta - 1 / math.sqrt(n)) <= width <= 1e-10
 
 
 def test_run_all_bits():

@@ -1,6 +1,8 @@
 """Sweep, optimizer and serialization tests."""
 
+import dataclasses
 import math
+import pickle
 import random
 import struct
 import xml.etree.ElementTree as ET
@@ -101,8 +103,9 @@ class TestFindOptimalBeta:
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_one_slope_evaluation_per_beta(self, monkeypatch, n):
-        # lo and hi bisect through the same midpoints until the signs turn
-        # uncertain, some 1e-15 from the root, then part
+        # the Illinois steps and then lo and hi, bisecting through the
+        # same midpoints, close in on the zone of uncertain signs some
+        # 1e-15 from the root without evaluating any beta twice
         real = sweep._frame_slopes
         betas = []
 
@@ -112,8 +115,59 @@ class TestFindOptimalBeta:
 
         monkeypatch.setattr(sweep, "_frame_slopes", counted)
         root = 1 / math.sqrt(n)
-        find_optimal_beta(n, (0.3 * root, 2 * root), 1e-300)
-        assert len(betas) == len(set(betas)) > 40
+        rep = find_optimal_beta(n, (0.3 * root, 2 * root), 1e-300)
+        assert len(betas) == len(set(betas))
+        assert rep.bracket_width < 1e-14
+
+    def test_illinois_steps_halve_the_evaluations(self, monkeypatch):
+        # windows like the lattice benchmark's, ends 10^0.1 to 10^0.5 from
+        # 1/sqrt(n): bisection alone took 19.8 slope evaluations a call.
+        # The bracket's ends are the innermost certified betas evaluated
+        real = sweep._frame_slopes
+        slopes = {}
+
+        def recorded(n, beta):
+            assert beta not in slopes
+            slopes[beta] = real(n, beta)
+            return slopes[beta]
+
+        monkeypatch.setattr(sweep, "_frame_slopes", recorded)
+        rng = random.Random(21)
+        counts = []
+        for k in range(70):
+            n = 2 + k % 7
+            root = 1 / math.sqrt(n)
+            window = (root * 10 ** -rng.uniform(0.1, 0.5),
+                      root * 10 ** rng.uniform(0.1, 0.5))
+            slopes.clear()
+            rep = find_optimal_beta(n, window, 1e-6)
+            counts.append(len(slopes))
+            lo = max(b for b, ((sa, ra), (sb, rb)) in slopes.items()
+                     if sa - ra > 0.0 and sb + rb < 0.0)
+            hi = min(b for b, ((sa, ra), (sb, rb)) in slopes.items()
+                     if sa + ra < 0.0 and sb - rb > 0.0)
+            assert lo < root < hi
+            assert hi - lo == rep.bracket_width <= 1e-6
+            assert rep.beta_for_max_A == math.sqrt(lo * hi)
+        assert sum(counts) / len(counts) <= 12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_error_bound_contains_reference(self, n):
+        # A and B at the reported beta, with a and b rounded as frame
+        # rounds them, at 50 digits
+        mp = pytest.importorskip("mpmath")
+        rep = find_optimal_beta(n, (0.3, 1.5), 1e-10)
+        beta = rep.beta_for_max_A
+        a, b = 0.5 * (n * beta) * (n * beta), 0.5 / (beta * beta)
+        with mp.workdps(50):
+            def pair(kind):
+                return (ref.theta_reference(kind, a, 0)
+                        * ref.theta_reference(kind, b, 0))
+            odd = 2 * pair("theta_odd") if n % 2 else 0
+            for got, true in ((rep.max_A, n * (pair("theta4") - odd)),
+                              (rep.min_B, n * (pair("theta3") - odd))):
+                assert abs(mp.mpf(got) - true) <= rep.error_bound
+        assert 0.0 < rep.error_bound < 1e-13
 
     @pytest.mark.parametrize("n", range(2, 17))
     @pytest.mark.parametrize("res", [1e-6, 1e-8])
@@ -216,6 +270,26 @@ class TestSweepBeta:
                 fb = frame_bounds(LatticeParams(n, r.beta))
                 assert [x.hex() for x in (r.lower, r.upper, r.ratio)] == \
                     [x.hex() for x in (fb.lower, fb.upper, fb.ratio)]
+
+
+    def test_rows_are_the_constructors_records(self):
+        # sweep_beta fills each frozen SweepRow without the generated
+        # __init__; the record must be the one SweepRow(...) builds
+        rows = sweep_beta(3, GridSpec(0.3, 1.0, 4, "log"))
+        for row in rows:
+            built = SweepRow(row.beta, row.lower, row.upper, row.ratio)
+            assert type(row) is SweepRow
+            assert row == built and built == row
+            assert hash(row) == hash(built)
+            assert repr(row) == repr(built)
+            assert dataclasses.asdict(row) == dataclasses.asdict(built)
+            assert list(vars(row)) == list(vars(built))
+            assert pickle.dumps(row) == pickle.dumps(built)
+        for field in dataclasses.fields(SweepRow):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rows[0], field.name, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rows[0], field.name)
 
 
 class TestGridSpec:

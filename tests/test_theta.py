@@ -540,16 +540,29 @@ class TestDomainValidation:
         with pytest.raises(DomainError):
             eval_theta(THETA3, 1.0, -1)
 
-    @pytest.mark.parametrize("order", [1.5, "1", None, [1]])
+    @pytest.mark.parametrize("order", [
+        1.5, "1", None, [1], True, False, 2.0, 0.0, np.float64(1.0),
+        np.float32(2.0), np.True_, np.int64(3)])
     def test_bad_order_type(self, order):
-        with pytest.raises(DomainError):
+        # a bool or a float equals an int as a dict key, but is no order
+        with pytest.raises(DomainError, match="derivative order"):
             eval_theta(THETA3, 1.0, order)
 
     @pytest.mark.parametrize("order,want", [
-        (True, 1), (np.int64(2), 2), (DerivativeOrder.VALUE, 0),
-        (DerivativeOrder.FIRST, 1), (DerivativeOrder.SECOND, 2)])
+        (np.int32(1), 1), (np.int64(2), 2), (DerivativeOrder.VALUE, 0),
+        (DerivativeOrder.FIRST, 1), (DerivativeOrder.SECOND, 2),
+        (np.uint8(0), 0)])
     def test_int_like_orders(self, order, want):
         assert eval_theta(THETA3, 1.0, order) == eval_theta(THETA3, 1.0, want)
+
+    @pytest.mark.parametrize("s", [True, False])
+    def test_bool_argument_rejected(self, s):
+        for call in (lambda: eval_theta(THETA3, s),
+                     lambda: eval_theta(THETA4, s, 1, 0.0),
+                     lambda: theta4_triple_product(s),
+                     lambda: log_deriv_ratio_bounds(THETA3, s)):
+            with pytest.raises(DomainError, match=f"s={s}"):
+                call()
 
     def test_bad_family(self):
         with pytest.raises(DomainError):
