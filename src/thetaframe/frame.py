@@ -44,11 +44,12 @@ class LatticeParams:
     beta: float
 
     def __post_init__(self):
-        n, beta = self.n, float(self.beta)
+        n, beta = self.n, self.beta
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise DomainError(f"n={n!r} must be a positive integer")
-        if not (math.isfinite(beta) and beta > 0.0):
-            raise DomainError(f"beta={beta!r} must be positive")
+        if isinstance(beta, bool) or not (
+                math.isfinite(beta := float(beta)) and beta > 0.0):
+            raise DomainError(f"beta={beta!r} must be a positive real")
         try:
             args = _theta_args(n, beta)
         except OverflowError:

@@ -90,3 +90,25 @@ def test_frame_beta_range_ends_build_lattices():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_verify_product_grids_are_symmetric():
+    # every pair suite raises DomainError on a grid not symmetric about
+    # s = 1, which would fail a verify op; check the grids the workload
+    # draws, without evaluating them
+    if not RUN.exists():
+        pytest.skip("bench/ is not part of this checkout")
+    script = (
+        "import itertools, sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(RUN.parent)!r}]\n"
+        "import workloads\n"
+        "from thetaframe.verify import _symmetric_center\n"
+        "for seed in range(1, 11):\n"
+        "    ops = workloads.Verify(seed, None).ops()\n"
+        "    for _, config in itertools.islice(ops, 1000):\n"
+        "        _symmetric_center(config.product_grid.points())\n"
+        "print('ok')\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "ok"

@@ -418,7 +418,8 @@ class TestHumanOutput:
          "ratio = 1.13243980302\n"
          "valid = true\n"),
         (["verify", "--suite", "theta3-product-minimum"],
-         "PASS theta3-product-minimum: worst_residual=1e-13 points=1204\n"
+         "PASS theta3-product-minimum: worst_residual=3.73816e-09 "
+         "points=1204\n"
          "all checks passed\n"),
         (["oracle", "--n", "2", "--beta", "0.7"],
          "closed form: lower = 1.66876072007  upper = 2.36113753295\n"

@@ -243,6 +243,16 @@ class TestLatticeParams:
         with pytest.raises(DomainError):
             lattice_params(2, beta)
 
+    @pytest.mark.parametrize("beta", [True, False])
+    def test_bool_beta(self, beta):
+        # a bool is no step, as it is no density: True would be beta = 1.0
+        with pytest.raises(DomainError, match=f"beta={beta!r} "):
+            lattice_params(2, beta)
+        with pytest.raises(DomainError, match=f"beta={beta!r} "):
+            find_optimal_beta(2, (beta, 1.5), 1e-6)
+        with pytest.raises(DomainError, match=f"beta={beta!r} "):
+            sweep_beta(2, GridSpec(beta, 1.5, 2))
+
     def test_n_overflowing_a_float(self):
         # n * beta converts n to a float, which overflows before the
         # theta domain check could reject the lattice

@@ -4,8 +4,8 @@ frame_bounds, _frame_slopes, find_optimal_beta and run_all.
 The mpmath containment tests accept any ball that contains the true
 value, so a last-bit move in a midpoint or a radius passes them. These
 pins fail on it: each float is pinned as its float.hex text, a table of
-results as the SHA-256 of their lines, and run_all() as the SHA-256 of
-its repr.
+results as the SHA-256 of their lines, and each record of run_all() as
+the SHA-256 of its repr.
 """
 
 import hashlib
@@ -245,8 +245,40 @@ OPTIMA = {
         "0x1.0008f196e9dd8p-47"),
 }
 
-RUN_ALL_SHA256 = ("c64b16aad586be83393393ca80f889ed"
-                  "8dbc2a5490c2c58df4d2505588f32b28")
+# suite name -> SHA-256 of the repr of its CheckResult in run_all() on
+# the default config
+RUN_ALL = {
+    "theta3-log-ratio-monotone":
+        "32f63fc0d84e6d065b257ff762d40dba"
+        "1bf5403bd2ea166266bb20b167b242ce",
+    "theta4-log-ratio-monotone":
+        "c505423e59830326210182b1c297e273"
+        "7b1cdcc1925b50905be56d6bbd0e31e7",
+    "refined-log-convexity-concavity":
+        "9f80ac737927b860856d528b248757bc"
+        "2e46f0d44409cdc49447d6f268ecd330",
+    "theta3-product-minimum":
+        "b61cabd62c3c58194238acc00d819184"
+        "965ab1f69669b30220af085136443fe9",
+    "theta4-product-maximum":
+        "ffc8c386408d4330bb0abd7d3e13c5d5"
+        "cc7c951938feb46b61c719eb8b40f8dc",
+    "odd-combination-minimum":
+        "4071b7c92bf08950314b55fa44bd66ac"
+        "d6328f19d386395f1c35e6f2920ba749",
+    "odd-combination-maximum":
+        "21114b8b75be375b178d27cd94340d62"
+        "5a07171ec89c164d3a75f09b408d99f9",
+    "odd-log-ratio":
+        "d8a1e7d2eb7f97ff4ed630b93249228a"
+        "580c972f115d48c4136b6294039454d2",
+    "exp-sum-log-convexity":
+        "0e575430d9c8deda0bad613e09f3d649"
+        "60246443618765b3ed61db20a180b7ff",
+    "theta4-ratio-conjecture":
+        "55ce6ddd6168e5f129e662f0084fe70d"
+        "37a1f4c011ae058933ec901a9534fc7d",
+}
 
 
 def _hex(*xs):
@@ -271,8 +303,8 @@ def test_optimum_bits(n):
 
 
 def test_run_all_bits():
-    digest = hashlib.sha256(repr(run_all()).encode()).hexdigest()
-    assert digest == RUN_ALL_SHA256
+    assert {r.name: hashlib.sha256(repr(r).encode()).hexdigest()
+            for r in run_all()} == RUN_ALL
 
 
 def _log_spaced(lo, hi, count):

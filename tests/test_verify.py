@@ -19,6 +19,13 @@ from thetaframe import (THETA3, THETA4, THETA_ODD, CheckResult, DomainError,
 
 ROOT = Path(__file__).resolve().parent.parent
 
+PAIR_CHECKS = pytest.mark.parametrize("check", [
+    functools.partial(check_product_inequality, THETA3),
+    functools.partial(check_product_inequality, THETA4),
+    functools.partial(check_odd_combination, THETA3),
+    functools.partial(check_odd_combination, THETA4),
+], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
+
 
 class TestRunAll:
     def test_default_run_passes(self):
@@ -143,9 +150,9 @@ class TestProductInequality:
             check_product_inequality(THETA_ODD, GridSpec(0.5, 2.0, 21, "log"))
 
     @pytest.mark.parametrize("suite,calls", [
-        # 1,779 distinct pair arguments over the four r, and f(r) per r
-        ("theta3-product-minimum", 1783),
-        ("theta4-product-maximum", 1783),
+        # 1,779 distinct pair arguments over the four r
+        ("theta3-product-minimum", 1779),
+        ("theta4-product-maximum", 1779),
         # theta_odd and the family at each of the same arguments
         ("odd-combination-minimum", 3558),
         ("odd-combination-maximum", 2678),   # three r
@@ -181,6 +188,28 @@ class TestOddCombinations:
     def test_rejects_odd_family(self):
         with pytest.raises(DomainError):
             check_odd_combination(THETA_ODD, GridSpec(0.5, 2.0, 21, "log"))
+
+
+class TestSymmetricGrid:
+    """The pair suites compare every value with the center's, so they take
+    only a grid of odd length whose mirrored points are reciprocal."""
+
+    @PAIR_CHECKS
+    @pytest.mark.parametrize("grid", [
+        GridSpec(0.5, 3.0, 21, "log"),
+        GridSpec(1 / 3, 3.0, 20, "log"),
+    ], ids=["asymmetric", "no-center"])
+    def test_rejected(self, check, grid):
+        with pytest.raises(DomainError, match="symmetric about s = 1"):
+            check(grid)
+
+    @PAIR_CHECKS
+    def test_center_below_one(self, check):
+        # mirrored points multiply to 1 within 2 ulps, and the center is
+        # the float below 1
+        grid = GridSpec(1 / 2.793, 2.793, 83, "log")
+        assert grid.points()[41] == 1.0 - 2.0 ** -53
+        assert check(grid).passed
 
 
 def _scale_first_call(monkeypatch, family, s, factor):
@@ -237,12 +266,7 @@ class TestUncheckedClaims:
         assert res.worst_residual == math.inf
         assert res.worst_location is None
 
-    @pytest.mark.parametrize("check", [
-        functools.partial(check_product_inequality, THETA3),
-        functools.partial(check_product_inequality, THETA4),
-        functools.partial(check_odd_combination, THETA3),
-        functools.partial(check_odd_combination, THETA4),
-    ], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
+    @PAIR_CHECKS
     def test_no_r_values_fails(self, monkeypatch, check):
         # with its fixed r values emptied, a pair check asserts nothing
         monkeypatch.setattr(verify, "PRODUCT_R", ())
