@@ -16,8 +16,8 @@ class GridSpec:
     Parameters
     ----------
     min, max : float
-        Finite endpoints, included in the grid. Must satisfy ``0 < min < max``
-        for log scale and ``min < max`` otherwise.
+        Finite endpoints, not bools, included in the grid. Must satisfy
+        ``0 < min < max`` for log scale and ``min < max`` otherwise.
     steps : int
         Number of points, at least 2.
     scale : str
@@ -39,6 +39,8 @@ class GridSpec:
                 f"grid steps must be an integer, got {self.steps!r}") from None
         if steps < 2:
             raise DomainError("grid needs at least 2 points")
+        if isinstance(self.min, bool) or isinstance(self.max, bool):
+            raise DomainError("grid endpoints must be real numbers, not bool")
         if not (math.isfinite(self.min) and math.isfinite(self.max)):
             raise DomainError("grid endpoints must be finite")
         if not (self.min < self.max):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
@@ -175,14 +176,35 @@ def emit_csv(rows: list[SweepRow], destination) -> None:
     1.25e-3, or nan, inf, -inf. The exponent carries no sign padding or
     leading zeros (e+05 -> e5, e-05 -> e-5), so the encoding of a given
     double is unique (bit-exact reproducibility).
+
+    An existing destination is overwritten in place and cut to length; a
+    non-regular one (a FIFO, /dev/null) is written as a stream. Nothing is
+    fsynced or replaced atomically: a write that fails part-way leaves a
+    damaged file.
     """
     if not rows:
         raise DomainError("no rows to write")
     text = ("%.16e,%.16e,%.16e,%.16e\n" * len(rows)) % tuple(
         [v for r in rows for v in (r.beta, r.lower, r.upper, r.ratio)])
     text = text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
-    with open(os.fspath(destination), "wb") as fh:
-        fh.write(f"{CSV_HEADER}\n{text}".encode("utf-8"))
+    _write(destination, f"{CSV_HEADER}\n{text}".encode("utf-8"))
+
+
+def _write(destination, data: bytes) -> None:
+    """Write data over destination in place, then cut a regular file to
+    len(data). Without O_TRUNC, ext4 starts no writeback at close and frees
+    no blocks at the next open; a FIFO or device is written as a stream."""
+    # O_BINARY, on Windows only, keeps the LF endings untranslated
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    fd = os.open(destination, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _span(vals):
@@ -201,7 +223,8 @@ def emit_plot(rows: list[SweepRow], destination, which: str) -> None:
     """Write an 800x600 SVG of one column (A, B or ratio) against beta.
 
     Linear axes, a single polyline, five ticks per axis. Output bytes are
-    a pure function of the inputs.
+    a pure function of the inputs, written as emit_csv writes: in place and
+    cut to length, or as a stream; neither fsynced nor atomic.
     """
     if which not in PLOT_COLUMNS:
         raise DomainError(f"column must be one of {PLOT_COLUMNS}, "
@@ -260,5 +283,4 @@ def emit_plot(rows: list[SweepRow], destination, which: str) -> None:
                  'font-family="monospace" font-size="14" '
                  f'text-anchor="start">{which}(beta)</text>')
     parts.append("</svg>")
-    with open(os.fspath(destination), "wb") as fh:
-        fh.write(("\n".join(parts) + "\n").encode("utf-8"))
+    _write(destination, ("\n".join(parts) + "\n").encode("utf-8"))

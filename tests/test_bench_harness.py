@@ -112,3 +112,34 @@ def test_verify_product_grids_are_symmetric():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_lattice_ops_rewrite_their_artifacts(tmp_path):
+    # every lattice op rewrites op.csv and op.svg in one workdir; after
+    # three ops, the third shorter than the second in both files (seed 5),
+    # both must hold exactly a fresh emission of the last op's rows
+    if not RUN.exists():
+        pytest.skip("bench/ is not part of this checkout")
+    script = (
+        "import itertools, sys\n"
+        "from pathlib import Path\n"
+        f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(RUN.parent)!r}]\n"
+        "import thetaframe as tf, workloads\n"
+        "work = Path(sys.argv[1])\n"
+        "wl = workloads.Lattice(5, work)\n"
+        "sizes = []\n"
+        "for i, op in enumerate(itertools.islice(wl.ops(), 3)):\n"
+        "    rows = wl.execute(op, i)[0]\n"
+        "    sizes.append([(work / f'op.{e}').stat().st_size\n"
+        "                  for e in ('csv', 'svg')])\n"
+        "assert all(a > b for a, b in zip(*sizes[1:])), sizes\n"
+        "tf.emit_csv(rows, work / 'fresh.csv')\n"
+        "tf.emit_plot(rows, work / 'fresh.svg', op[7])\n"
+        "for e in ('csv', 'svg'):\n"
+        "    assert ((work / f'op.{e}').read_bytes()\n"
+        "            == (work / f'fresh.{e}').read_bytes()), e\n"
+        "print('ok')\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "ok"

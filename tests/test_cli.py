@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -250,6 +251,31 @@ class TestSweep:
         for ext in ("csv", "svg"):
             assert (tmp_path / f"cli.{ext}").read_bytes() == \
                 (tmp_path / f"lib.{ext}").read_bytes()
+
+    def test_existing_longer_files_get_the_librarys_bytes(self, capsys,
+                                                           tmp_path):
+        # both files are overwritten in place and cut to the new length
+        csv, svg = tmp_path / "cli.csv", tmp_path / "cli.svg"
+        for path in (csv, svg):
+            path.write_bytes(b"x" * 100_000)
+        code, _, _ = run_main(capsys, [
+            "sweep", "--n", "3", "--beta-min", "0.3", "--beta-max", "1.0",
+            "--steps", "9", "--log", "--out", str(csv), "--svg", str(svg),
+            "--column", "B"])
+        assert code == 0
+        rows = sweep_beta(3, GridSpec(0.3, 1.0, 9, "log"))
+        emit_csv(rows, tmp_path / "lib.csv")
+        emit_plot(rows, tmp_path / "lib.svg", "B")
+        assert csv.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+        assert svg.read_bytes() == (tmp_path / "lib.svg").read_bytes()
+
+    def test_devnull_destinations(self, capsys):
+        code, out, err = run_main(capsys, [
+            "sweep", "--n", "2", "--beta-min", "0.4", "--beta-max", "1.4",
+            "--steps", "5", "--out", os.devnull, "--svg", os.devnull])
+        assert code == 0 and err == ""
+        assert out == (f"wrote 5 rows to {os.devnull} and plot to "
+                       f"{os.devnull}\n")
 
     def test_byte_identical_runs(self, capsys, tmp_path):
         argvs = [["sweep", "--n", "3", "--beta-min", "0.3", "--beta-max",

@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import os
 import pickle
 import random
+import stat
 import struct
 import xml.etree.ElementTree as ET
 
@@ -303,6 +305,7 @@ class TestGridSpec:
         (0.0, math.inf, 3), (-math.inf, 0.0, 3), (1.0, math.inf, 3, "log"),
         (math.nan, 1.0, 3), (1.0, 1.0, 3), (0.0, 1.0, 3, "log"),
         (1.0, 2.0, 3, "cubic"),
+        (True, 2.0, 3), (0.5, True, 3), (True, 2.0, 3, "log"),
     ])
     def test_bad_input_rejected(self, args):
         with pytest.raises(DomainError):
@@ -456,3 +459,62 @@ class TestEmitPlot:
                SweepRow(0.6, 1.0, math.inf, math.inf)]
         with pytest.raises(DomainError):
             emit_plot(bad, tmp_path / "x.svg", "B")
+
+
+class TestWritePath:
+    """Both emitters overwrite an existing destination in place and cut it
+    to length: what is left is byte for byte what a fresh path gets."""
+
+    @staticmethod
+    def _emit(kind, rows, destination):
+        if kind == "csv":
+            emit_csv(rows, destination)
+        else:
+            emit_plot(rows, destination, "A")
+
+    @staticmethod
+    def _rows(steps=5):
+        return sweep_beta(2, GridSpec(0.5, 1.2, steps, "log"))
+
+    @pytest.mark.parametrize("kind", ["csv", "svg"])
+    def test_shorter_output_over_longer_file(self, tmp_path, kind):
+        fresh = tmp_path / f"fresh.{kind}"
+        self._emit(kind, self._rows(), fresh)
+        emitted, junk = tmp_path / f"emitted.{kind}", tmp_path / f"junk.{kind}"
+        self._emit(kind, self._rows(40), emitted)
+        junk.write_bytes(b"\xff" * (fresh.stat().st_size + 4096))
+        for dest in (emitted, junk):
+            assert dest.stat().st_size > fresh.stat().st_size
+            self._emit(kind, self._rows(), dest)
+            assert dest.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["csv", "svg"])
+    def test_devnull_destination(self, kind):
+        # a character device ignores O_TRUNC and cannot be cut
+        self._emit(kind, self._rows(), os.devnull)
+
+    @pytest.mark.parametrize("kind", ["csv", "svg"])
+    def test_existing_file_keeps_its_mode(self, tmp_path, kind):
+        dest = tmp_path / f"dest.{kind}"
+        dest.write_bytes(b"old contents")
+        dest.chmod(0o640)
+        self._emit(kind, self._rows(), dest)
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o640
+
+    def test_no_truncating_open(self, tmp_path, monkeypatch):
+        # O_TRUNC makes ext4 flush at close and free the blocks at the
+        # next open of the same path; the emitters must never pass it
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, oflag, *args, **kwargs):
+            flags.append(oflag)
+            return real_open(path, oflag, *args, **kwargs)
+
+        monkeypatch.setattr(sweep.os, "open", recording_open)
+        for kind in ("csv", "svg"):
+            dest = tmp_path / f"dest.{kind}"
+            self._emit(kind, self._rows(), dest)  # fresh path
+            self._emit(kind, self._rows(), dest)  # existing file
+        assert len(flags) == 4
+        assert not any(oflag & os.O_TRUNC for oflag in flags)
