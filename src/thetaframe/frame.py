@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .ball import mul, scale, sub
-from .errors import DomainError
+from .errors import DomainError, integer, real
 from .theta import DEFAULT_TOL, S_MAX, S_MIN, _check_tol, _thetas
 
 
@@ -35,20 +35,18 @@ def _theta_args(n: int, beta: float) -> tuple[float, float]:
 class LatticeParams:
     """A separable lattice alpha Z x beta Z of integer density n.
 
-    n and beta determine the lattice; alpha = 1/(n beta) is derived.
-    Construction validates n and beta, rejects a lattice whose theta
-    arguments a and b leave [S_MIN, S_MAX], and stores beta as a float.
+    alpha = 1/(n beta) is derived. n is a positive integer and beta a
+    positive real number, neither a bool, such that the theta arguments a
+    and b lie in [S_MIN, S_MAX]; they are stored as an int and a float.
     """
 
     n: int
     beta: float
 
     def __post_init__(self):
-        n, beta = self.n, self.beta
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if (n := integer(self.n, "n")) < 1:
             raise DomainError(f"n={n!r} must be a positive integer")
-        if isinstance(beta, bool) or not (
-                math.isfinite(beta := float(beta)) and beta > 0.0):
+        if not (beta := real(self.beta, "beta")) > 0.0:
             raise DomainError(f"beta={beta!r} must be a positive real")
         try:
             args = _theta_args(n, beta)
@@ -61,7 +59,7 @@ class LatticeParams:
                 raise DomainError(
                     f"beta={beta!r} puts theta argument {arg!r} outside "
                     f"[{S_MIN}, {S_MAX}]")
-        object.__setattr__(self, "beta", beta)
+        self.__dict__.update(n=n, beta=beta)  # frozen: no __setattr__
 
     @property
     def alpha(self) -> float:

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, integer, real
 
 
 @dataclass(frozen=True)
@@ -16,10 +15,10 @@ class GridSpec:
     Parameters
     ----------
     min, max : float
-        Finite endpoints, not bools, included in the grid. Must satisfy
+        Finite real endpoints, not bools, stored as floats, in the grid;
         ``0 < min < max`` for log scale and ``min < max`` otherwise.
     steps : int
-        Number of points, at least 2.
+        Number of points, an integer, not a bool, at least 2.
     scale : str
         ``"linear"`` or ``"log"``.
     """
@@ -32,21 +31,15 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.scale not in ("linear", "log"):
             raise DomainError(f"unknown grid scale {self.scale!r}")
-        try:
-            steps = operator.index(self.steps)
-        except TypeError:
-            raise DomainError(
-                f"grid steps must be an integer, got {self.steps!r}") from None
-        if steps < 2:
+        if (steps := integer(self.steps, "grid steps")) < 2:
             raise DomainError("grid needs at least 2 points")
-        if isinstance(self.min, bool) or isinstance(self.max, bool):
-            raise DomainError("grid endpoints must be real numbers, not bool")
-        if not (math.isfinite(self.min) and math.isfinite(self.max)):
-            raise DomainError("grid endpoints must be finite")
-        if not (self.min < self.max):
+        lo = real(self.min, "grid endpoints min")
+        hi = real(self.max, "grid endpoints max")
+        if not (lo < hi):
             raise DomainError("grid endpoints must satisfy min < max")
-        if self.scale == "log" and self.min <= 0.0:
+        if self.scale == "log" and lo <= 0.0:
             raise DomainError("log grid requires min > 0")
+        self.__dict__.update(steps=steps, min=lo, max=hi)  # frozen
 
     def points(self) -> list[float]:
         """Return the grid points, endpoints exact."""

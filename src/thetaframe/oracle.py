@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, integer, real
 from .frame import FrameBounds, LatticeParams
 
 _TAIL_TARGET = 1e-13
@@ -77,7 +77,7 @@ def _factors(params: LatticeParams, xs):
 
 def janssen_F(x: float, omega: float, params: LatticeParams) -> float:
     """Evaluate F at a single point of the unit square."""
-    x, omega = float(x), float(omega)
+    x, omega = real(x, "x"), real(omega, "omega")
     if not (0.0 <= x <= 1.0 and 0.0 <= omega <= 1.0):
         raise DomainError(f"(x, omega)=({x!r}, {omega!r}) outside [0, 1]^2")
     left, right, _ = _factors(params, [x, omega])
@@ -94,8 +94,8 @@ def grid_extrema_F(params: LatticeParams,
     searched; for even n, j only where v is extreme. An even grid_steps
     places both (0, 0) and (1/2, 1/2) on the grid.
     """
-    if (not isinstance(grid_steps, int) or isinstance(grid_steps, bool)
-            or not 8 <= grid_steps <= _MAX_GRID_STEPS):
+    if not 8 <= (grid_steps := integer(grid_steps, "grid_steps")) <= \
+            _MAX_GRID_STEPS:
         raise DomainError(f"grid_steps={grid_steps!r} must be an int in "
                           f"[8, {_MAX_GRID_STEPS}]")
     import numpy as np

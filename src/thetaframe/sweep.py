@@ -19,7 +19,7 @@ import os
 import stat
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, real
 from .frame import LatticeParams, _frame_row, _frame_slopes, frame_bounds
 from .grids import GridSpec
 from .theta import DEFAULT_TOL, _NEW, _check_tol
@@ -71,9 +71,11 @@ def sweep_beta(n: int, grid: GridSpec,
     """Tabulate (beta, A, B, B/A) over the grid, in grid order, as
     frame_bounds gives them. a and b, and their rounding, are monotone in
     beta, so the lattices at both ends validate every point."""
+    if not isinstance(grid, GridSpec):
+        raise DomainError(f"expected GridSpec, got {grid!r}")
     points = grid.points()
     for beta in (min(points), max(points)):
-        LatticeParams(n, beta)
+        n = LatticeParams(n, beta).n
     tol = _check_tol(tol)
     rows = [_NEW(SweepRow) for _ in points]
     for row, beta in zip(rows, points):  # as SweepRow(...) fills them, but
@@ -100,21 +102,18 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     provably lie; n = 1, where A vanishes identically, has no maximum and
     is rejected. max_A and min_B come with frame_bounds' error_bound.
     """
-    if len(beta_range) != 2:
+    if not (hasattr(beta_range, "__len__") and len(beta_range) == 2):
         raise DomainError(f"beta_range={beta_range!r} must be (lo, hi)")
     # lattices at both ends put every midpoint in the theta domain
-    lo, hi = (LatticeParams(n, beta).beta for beta in beta_range)
+    lo, hi = (LatticeParams(n, beta) for beta in beta_range)
+    n, lo, hi = lo.n, lo.beta, hi.beta
     if n == 1:
         raise DomainError("n=1 has A = 0 at every beta: no maximum")
-    if lo >= hi:
-        raise DomainError(f"invalid beta range ({lo!r}, {hi!r})")
     root = 1.0 / math.sqrt(n)
-    if not (lo < root < hi):
-        raise DomainError(f"beta range ({lo}, {hi}) must contain "
-                          f"1/sqrt({n}) = {root}")
-    if not (isinstance(resolution, (int, float))
-            and not isinstance(resolution, bool)
-            and math.isfinite(resolution) and resolution > 0.0):
+    if not (lo < root < hi):  # so also lo < hi
+        raise DomainError(f"beta range ({lo!r}, {hi!r}) must satisfy "
+                          f"lo < 1/sqrt({n}) = {root!r} < hi")
+    if not (resolution := real(resolution, "resolution")) > 0.0:
         raise DomainError(f"resolution must be positive, got {resolution!r}")
 
     @functools.cache  # per call: the phases may revisit a beta

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 from . import ball
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, real
 
 S_MIN = 1e-6
 S_MAX = 1e6
@@ -109,8 +109,8 @@ class ThetaFamily:
     """Selects a theta variant.
 
     kind is one of FAMILIES. The general family needs the fixed first
-    argument z, which must be finite and is stored reduced mod 1 into
-    [0, 1); every other family takes no z. Anything else is a DomainError.
+    argument z, a finite real number, not a bool, kept mod 1 in [0, 1);
+    every other family takes no z. Anything else is a DomainError.
     """
 
     kind: str
@@ -123,13 +123,9 @@ class ThetaFamily:
             if self.z is not None:
                 raise DomainError(f"{self.kind} takes no z, got {self.z!r}")
             return
-        # inf and nan reduce to nan; a tiny negative z rounds up to 1.0 on
-        # the first reduction, which the second maps to 0
-        z = math.nan if self.z is None else float(self.z) % 1.0 % 1.0
-        if math.isnan(z):
-            raise DomainError(f"theta_general requires a finite z, got "
-                              f"{self.z!r}")
-        object.__setattr__(self, "z", z)
+        # a tiny negative z rounds up to 1.0 on the first reduction, which
+        # the second maps to 0
+        object.__setattr__(self, "z", real(self.z, "z") % 1.0 % 1.0)
 
 
 THETA3 = ThetaFamily("theta3")
@@ -158,14 +154,13 @@ class ThetaValue:
 
 
 def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (TOL_FLOOR <= tol < 1.0):
+    if not (TOL_FLOOR <= (tol := real(tol, "tol")) < 1.0):
         raise DomainError(f"tol={tol!r} outside [{TOL_FLOOR}, 1)")
     return tol
 
 
 def _check_domain(s: float, tol: float) -> tuple[float, float]:
-    if isinstance(s, bool) or not S_MIN <= (s := float(s)) <= S_MAX:
+    if not S_MIN <= (s := real(s, "s")) <= S_MAX:
         raise DomainError(
             f"s={s!r} outside supported domain [{S_MIN}, {S_MAX}]")
     return s, _check_tol(tol)
@@ -311,12 +306,12 @@ def eval_theta(family: ThetaFamily, s: float,
     family : ThetaFamily
         Which series to evaluate; theta_general must carry z.
     s : float
-        Argument, restricted to [1e-6, 1e6]; not a bool.
+        Argument, a real number, not a bool, in [1e-6, 1e6].
     order : int
         Derivative order in s, one of 0, 1, 2; an integer, not a bool.
     tol : float
-        Absolute truncation target in [TOL_FLOOR, 1) = [1e-280, 1); the
-        reported error bound additionally accounts for rounding.
+        Absolute truncation target, a real number, not a bool, in
+        [TOL_FLOOR, 1) = [1e-280, 1); the bound also covers rounding.
 
     Returns
     -------
@@ -337,9 +332,9 @@ def eval_theta(family: ThetaFamily, s: float,
             f"derivative order must be 0, 1 or 2, got {order!r}") from exc
     if not isinstance(family, ThetaFamily):
         raise DomainError(f"expected ThetaFamily, got {family!r}")
-    if not (s.__class__ is not bool and S_MIN <= (s := float(s)) <= S_MAX
-            and TOL_FLOOR <= (tol := float(tol)) < 1.0):
-        _check_domain(s, tol)  # raises the message for s, else for tol
+    if not (s.__class__ is float and tol.__class__ is float
+            and S_MIN <= s <= S_MAX and TOL_FLOOR <= tol < 1.0):
+        s, tol = _check_domain(s, tol)  # converts, or raises for s or tol
     if s >= SMALL_S_CUTOFF:
         coef, method = None, _DIRECT
         terms, rest = _series(family.kind, s, order, tol, family.z)
@@ -397,8 +392,7 @@ def log_deriv_ratio_bounds(family: ThetaFamily,
     if not isinstance(family, ThetaFamily) or family.kind == "theta_general":
         raise DomainError(
             "log_deriv_ratio_bounds needs theta3, theta4 or theta_odd")
-    f = eval_theta(family, s)
-    s = float(s)
+    f = eval_theta(family, s := real(s, "s"))
     if not f.value - f.error_bound > 0.0:
         raise DomainError(f"{family.kind}({s!r}) = {f.value!r} +/- "
                           f"{f.error_bound!r} underflows, so s f'/f is "

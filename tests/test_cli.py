@@ -469,8 +469,9 @@ def test_module_entry_point():
 
 
 def test_commands_leave_numpy_unimported(tmp_path):
-    # numpy is imported on first use by the lattice oracle only, so the
-    # other commands keep interpreter start-up cheap
+    # numpy is imported on first use by the lattice oracle only, and
+    # numbers only for an argument that is not an exact int or float, so
+    # the other commands keep interpreter start-up cheap
     csv = str(tmp_path / "rows.csv")
     script = (
         "import sys\n"
@@ -482,11 +483,11 @@ def test_commands_leave_numpy_unimported(tmp_path):
         f"         '--beta-max', '1.4', '--steps', '5', '--out', {csv!r}],\n"
         "        ['verify', '--suite', 'theta3-product-minimum']):\n"
         "    assert main(argv) == 0, argv\n"
-        "print('numpy' in sys.modules)\n")
+        "print('numpy' in sys.modules, 'numbers' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 _CLI_BASE = ("ball", "cli", "errors", "theta")

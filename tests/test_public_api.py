@@ -1,19 +1,31 @@
-"""The public surface of thetaframe, pinned name by name.
+"""The public surface of thetaframe, pinned name by name, and the one
+rule for its numeric arguments.
 
 Adding or removing a public name is then an explicit edit of this test.
 Some names serve the benchmark harness rather than the paper:
-lattice_params, frame_bounds_even / frame_bounds_odd and the
-VerifyConfig.logconv_grid field stay because bench/ calls them.
-test_bench_harness catches their loss only when bench/ is present.
+lattice_params and the VerifyConfig.logconv_grid field stay because
+bench/ calls them. bench/ never calls frame_bounds_even /
+frame_bounds_odd, but bench/tracing.py's frame_bounds hook reads their
+spans by name, so without them a traced find_optimal_beta raises
+KeyError. test_bench_harness catches their loss only when bench/ is
+present.
 """
 
 import importlib
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import thetaframe
+from thetaframe import (THETA3, THETA4, DomainError, GridSpec, LatticeParams,
+                        eval_theta, find_optimal_beta, frame_bounds,
+                        general_family, grid_extrema_F, janssen_F,
+                        log_deriv_ratio_bounds, sweep_beta,
+                        theta4_triple_product)
 
 PUBLIC_NAMES = (
     "CheckResult", "ConvergenceError", "DerivativeOrder", "DomainError",
@@ -70,3 +82,63 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(thetaframe, "no_such_name")
     assert not hasattr(thetaframe, "eval_theta_fast")
+
+
+_TOL = 2.0 ** -40  # a tol that float32 and Fraction hold exactly
+_P = LatticeParams(2, 0.75)
+
+# every public numeric parameter: (call with it set to v, its plain value,
+# integer or not); each plain value is exact in float32
+_NUMERIC_ARGS = {
+    "eval_theta.s": (lambda v: eval_theta(THETA3, v), 0.75, False),
+    "eval_theta.order": (lambda v: eval_theta(THETA3, 0.75, v), 1, True),
+    "eval_theta.tol": (lambda v: eval_theta(THETA3, 0.75, 0, v), _TOL, False),
+    "theta4_triple_product.s": (theta4_triple_product, 1.5, False),
+    "theta4_triple_product.tol": (
+        lambda v: theta4_triple_product(1.5, v), _TOL, False),
+    "log_deriv_ratio_bounds.s": (
+        lambda v: log_deriv_ratio_bounds(THETA4, v), 2.0, False),
+    "general_family.z": (general_family, 0.25, False),
+    "LatticeParams.n": (
+        lambda v: (p := LatticeParams(v, 0.5), frame_bounds(p)), 2, True),
+    "LatticeParams.beta": (
+        lambda v: (p := LatticeParams(2, v), frame_bounds(p)), 0.75, False),
+    "frame_bounds.tol": (lambda v: frame_bounds(_P, v), _TOL, False),
+    "GridSpec.min": (lambda v: (g := GridSpec(v, 1.5, 3), g.points()),
+                     0.5, False),
+    "GridSpec.max": (lambda v: (g := GridSpec(0.5, v, 3), g.points()),
+                     1.5, False),
+    "GridSpec.steps": (lambda v: (g := GridSpec(0.5, 1.5, v), g.points()),
+                       3, True),
+    "sweep_beta.n": (lambda v: sweep_beta(v, GridSpec(0.5, 1.0, 3)), 2, True),
+    "sweep_beta.tol": (lambda v: sweep_beta(2, GridSpec(0.5, 1.0, 3), tol=v),
+                       _TOL, False),
+    "find_optimal_beta.n": (
+        lambda v: find_optimal_beta(v, (0.5, 1.0), 1e-3), 2, True),
+    "find_optimal_beta.beta_range": (
+        lambda v: find_optimal_beta(2, (v, 1.0), 1e-3), 0.5, False),
+    "find_optimal_beta.resolution": (
+        lambda v: find_optimal_beta(2, (0.5, 1.0), v), 2.0 ** -10, False),
+    "janssen_F.x": (lambda v: janssen_F(v, 0.25, _P), 0.125, False),
+    "janssen_F.omega": (lambda v: janssen_F(0.125, v, _P), 0.25, False),
+    "grid_extrema_F.grid_steps": (lambda v: grid_extrema_F(_P, v), 16, True),
+}
+
+
+@pytest.mark.parametrize("name", _NUMERIC_ARGS)
+def test_numeric_argument_rule(name):
+    # one rule for every numeric argument: a real number, or an integer
+    # where one is asked for, but never a bool, not even numpy's; any such
+    # number gives the plain call's result to the bit, and the rest fail
+    # with DomainError, not a TypeError or a value read from a bool
+    call, plain, integral = _NUMERIC_ARGS[name]
+    for bad in (True, np.True_, "1", None, 1j, Decimal(1)):
+        with pytest.raises(DomainError):
+            call(bad)
+    want = repr(call(plain))
+    good = [np.int64(plain), np.uint16(plain)] if integral else [
+        np.float64(plain), np.float32(plain), Fraction(plain)]
+    if not integral and plain == int(plain):
+        good.append(np.int64(plain))
+    for value in good:
+        assert repr(call(value)) == want, value

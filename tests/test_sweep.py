@@ -61,8 +61,9 @@ class TestFindOptimalBeta:
 
     @pytest.mark.parametrize("rng", [(0.0, 1.0), (-0.1, 1.0), (1.5, 0.3),
                                      (0.5, 0.5), (0.3, math.inf),
-                                     (0.3, 1.5, 9.0)])
+                                     (0.3, 1.5, 9.0), 0.7, None])
     def test_bad_range(self, rng):
+        # a range that is no pair too: a DomainError, not a TypeError
         with pytest.raises(DomainError):
             find_optimal_beta(2, rng, 1e-6)
 
@@ -227,6 +228,8 @@ class TestSweepBeta:
             sweep_beta(0, GridSpec(0.4, 1.4, 5, "linear"))
         with pytest.raises(DomainError):
             sweep_beta(2, GridSpec(0.4, 1.4, 5, "linear"), tol=0.0)
+        with pytest.raises(DomainError, match="expected GridSpec"):
+            sweep_beta(2, "g")  # not an AttributeError
 
     @pytest.mark.parametrize("n,grid", [
         (2, GridSpec(1e-4, 0.5, 7, "log")),     # a < 1e-6 at the low end
