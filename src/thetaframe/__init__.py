@@ -20,11 +20,7 @@ _EXPORTS = {
     "oracle": ("ExtremaReport", "auto_k_max", "janssen_F",
                "grid_extrema_F", "frame_bounds_via_F"),
     "verify": ("CheckResult", "VerifyConfig", "SUITE_NAMES", "run_all",
-               "all_passed", "check_monotone_log_ratio",
-               "check_refined_inequalities", "check_product_inequality",
-               "check_odd_combination", "check_lemma_odd_ratio",
-               "check_logconvexity_general",
-               "check_theta4_ratio_conjecture"),
+               "all_passed"),
     "sweep": ("SweepRow", "OptimumReport", "sweep_beta", "find_optimal_beta",
               "emit_csv", "emit_plot"),
 }

@@ -150,8 +150,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .frame import frame_bounds, lattice_params
-    fb = frame_bounds(lattice_params(args.n, args.beta), args.tol)
+    from .frame import LatticeParams, frame_bounds
+    fb = frame_bounds(LatticeParams(args.n, args.beta), args.tol)
     if args.format == "json":
         _emit({"command": "bounds", "n": args.n, "beta": args.beta,
                "tol": args.tol, **asdict(fb)})
@@ -209,9 +209,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .frame import frame_bounds, lattice_params
+    from .frame import LatticeParams, frame_bounds
     from .oracle import grid_extrema_F
-    params = lattice_params(args.n, args.beta)
+    params = LatticeParams(args.n, args.beta)
     fb = frame_bounds(params)
     rep = grid_extrema_F(params, args.grid)
     diff_lower = abs(fb.lower - rep.min_value)

@@ -181,8 +181,9 @@ def emit_csv(rows: list[SweepRow], destination) -> None:
     fsynced or replaced atomically: a write that fails part-way leaves a
     damaged file.
     """
-    if not rows:
-        raise DomainError("no rows to write")
+    if not (isinstance(rows, (list, tuple)) and rows
+            and all(isinstance(r, SweepRow) for r in rows)):
+        raise DomainError("rows must be a non-empty list or tuple of SweepRow")
     text = ("%.16e,%.16e,%.16e,%.16e\n" * len(rows)) % tuple(
         [v for r in rows for v in (r.beta, r.lower, r.upper, r.ratio)])
     text = text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
@@ -228,8 +229,9 @@ def emit_plot(rows: list[SweepRow], destination, which: str) -> None:
     if which not in PLOT_COLUMNS:
         raise DomainError(f"column must be one of {PLOT_COLUMNS}, "
                           f"got {which!r}")
-    if len(rows) < 2:
-        raise DomainError("need at least 2 rows to plot")
+    if not (isinstance(rows, (list, tuple)) and len(rows) >= 2
+            and all(isinstance(r, SweepRow) for r in rows)):
+        raise DomainError("need a list or tuple of at least 2 SweepRow")
     attr = {"A": "lower", "B": "upper", "ratio": "ratio"}[which]
     xs = [r.beta for r in rows]
     ys = [getattr(r, attr) for r in rows]

@@ -1,9 +1,10 @@
 """Numerical verification suites for the theta inequalities.
 
-Each check samples a grid, computes the claimed inequality's margin at
-every point, and passes only when each margin exceeds the propagated
-evaluation error. Results never round in the claim's favour: a margin at
-or below its error bound fails the check.
+run_all is the one way to run a suite. Each suite samples a grid,
+computes the claimed inequality's margin at every point, and passes only
+when each margin exceeds the propagated evaluation error. Results never
+round in the claim's favour: a margin at or below its error bound fails
+the suite.
 
 Two conditioning devices keep the margins honest at small s, where direct
 floating-point evaluation would drown genuine but tiny margins in noise:
@@ -27,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .ball import add, div, fsum, mul, neg, scale, sub
 from .errors import DomainError
 from .grids import GridSpec
-from .theta import (THETA3, THETA4, THETA_ODD, DerivativeOrder,
-                    ThetaFamily, eval_theta, log_deriv_ratio_bounds)
+from .theta import (THETA3, THETA4, THETA_ODD, eval_theta,
+                    log_deriv_ratio_bounds)
 
 _EPS = math.ulp(1.0)
 
@@ -70,6 +72,8 @@ class CheckResult:
 class _Tracker:
     """Collects (margin - error) slacks and remembers the worst one."""
 
+    informational = False
+
     def __init__(self):
         self.worst = math.inf
         self.location = None
@@ -89,9 +93,10 @@ class _Tracker:
         elif magnitude is None and err > 0.0 and m < 1e3 * err:
             self.low = True
 
-    def result(self, name, points, informational=False):
+    def result(self, name, points):
         return CheckResult(name, 0.0 < self.worst < math.inf, self.worst,
-                           self.location, points, self.low, informational)
+                           self.location, points, self.low,
+                           self.informational)
 
 
 def _exact(x):
@@ -106,14 +111,23 @@ def _ball(tv):
     return tv.value, tv.error_bound
 
 
-def _ratios(family, args):
-    """g(s) = s theta'/theta as a ball, once for each distinct s in args."""
-    return {s: log_deriv_ratio_bounds(family, s)
-            for s in dict.fromkeys(args)}
+def _theta_table():
+    """A fresh theta table for one run: table(family, m) is a cached
+    s -> ball of theta^(m)(s), and table(family) one of g(s) = s theta'/theta.
+
+    Each distinct value is computed once per run, always through the
+    module-level eval_theta and log_deriv_ratio_bounds as bound at the
+    time of the call. Suites fetch each table once and index it by s.
+    """
+    @cache
+    def table(family, order=None):
+        if order is None:
+            return cache(lambda s: log_deriv_ratio_bounds(family, s))
+        return cache(lambda s: _ball(eval_theta(family, s, order)))
+    return table
 
 
-def check_monotone_log_ratio(family: ThetaFamily,
-                             grid: GridSpec) -> CheckResult:
+def _monotone_log_ratio(family, track, theta, config):
     """Strict monotonicity and range of g(s) = s theta'/theta.
 
     theta3: g increasing with values in (-1/2, 0); below s = 1 it is
@@ -121,16 +135,13 @@ def check_monotone_log_ratio(family: ThetaFamily,
     margins stay resolvable. theta4: g decreasing and positive.
     low_margin flags margins below 1e-6 relative to the compared values.
     """
-    if family not in (THETA3, THETA4):
-        raise DomainError("monotone log-ratio check needs theta3 or theta4")
-    pts = grid.points()
+    pts = config.monotone_grid.points()
     reflect = family == THETA3
     args = [1.0 / s if reflect and s < 1.0 else s for s in pts]
-    g = _ratios(family, args)
-    track = _Tracker()
+    g = theta(family)
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
-        ga, gb = g[args[i]], g[args[i + 1]]
+        ga, gb = g(args[i]), g(args[i + 1])
         if not reflect or b <= 1.0:  # theta4, or g3(1/a) - g3(1/b)
             margin = sub(ga, gb)
         elif a >= 1.0:
@@ -141,11 +152,11 @@ def check_monotone_log_ratio(family: ThetaFamily,
                   magnitude=abs(ga[0]) + abs(gb[0]) + 1e-300)
     for s, x in zip(pts, args):
         if reflect:
-            track.add(neg(g[x]), s)
-            track.add(add(g[x], _HALF), s)
+            track.add(neg(g(x)), s)
+            track.add(add(g(x), _HALF), s)
         else:
-            track.add(g[x], s)
-    return track.result(f"{family.kind}-log-ratio-monotone", len(pts))
+            track.add(g(x), s)
+    return len(pts)
 
 
 def _dlog_product(v, d, s):
@@ -153,14 +164,15 @@ def _dlog_product(v, d, s):
     return div(mul(d, v), _exact(s))
 
 
-def _chain(family, s):
-    """theta''theta - theta'^2 + theta'theta/s and theta'theta/s as balls."""
-    v, d, w = (_ball(eval_theta(family, s, m)) for m in DerivativeOrder)
+def _chain(f, s):
+    """theta''theta - theta'^2 + theta'theta/s and theta'theta/s as balls,
+    from f, a family's tables of orders 0, 1 and 2."""
+    v, d, w = (t(s) for t in f)
     dv = _dlog_product(v, d, s)
     return fsum((mul(w, v), neg(mul(d, d)), dv)), dv
 
 
-def check_refined_inequalities(grid: GridSpec) -> CheckResult:
+def _refined_inequalities(track, theta, config):
     """Refined log-convexity/concavity chains.
 
     theta3:  theta3''theta3 - theta3'^2 > -theta3'theta3/s > 0
@@ -170,27 +182,26 @@ def check_refined_inequalities(grid: GridSpec) -> CheckResult:
     m2 (the inner quantity's sign). The theta3 m1 below s = 1 uses the
     (1/s)^5 reflection scaling; everything else evaluates in place.
     """
-    pts = grid.points()
-    track = _Tracker()
+    pts = config.refined_grid.points()
+    f3, f4 = ([theta(f, m) for m in range(3)] for f in (THETA3, THETA4))
     for s in pts:
         # theta3 chain
         if s >= 1.0:
-            m1, dv = _chain(THETA3, s)
+            m1, dv = _chain(f3, s)
         else:
             u = _exact(1.0 / s)  # m1(1/u) = u^5 m1(u) at the rounded u
             u2 = mul(u, u)
-            m1 = mul(mul(mul(u2, u2), u), _chain(THETA3, u[0])[0])
-            dv = _dlog_product(_ball(eval_theta(THETA3, s, 0)),
-                               _ball(eval_theta(THETA3, s, 1)), s)
+            m1 = mul(mul(mul(u2, u2), u), _chain(f3, u[0])[0])
+            dv = _dlog_product(f3[0](s), f3[1](s), s)
         track.add(m1, s)
         track.add(neg(dv), s)
         # theta4 chain (signs flipped; below the cutoff all three orders
         # come from the modular transform, so the bounds stay relative
         # even where theta4 itself is tiny)
-        m1, dv = _chain(THETA4, s)
+        m1, dv = _chain(f4, s)
         track.add(neg(m1), s)  # the m1 - m2 gap
         track.add(dv, s)
-    return track.result("refined-log-convexity-concavity", len(pts))
+    return len(pts)
 
 
 def _symmetric_center(pts):
@@ -202,16 +213,13 @@ def _symmetric_center(pts):
     return len(pts) // 2
 
 
-def _pair_values(family, r, pts):
-    """f(rs) f(r/s) for s in pts, with f evaluated once for each distinct
-    argument: on a grid symmetric about s = 1 most of them repeat."""
-    f = {x: _ball(eval_theta(family, x))
-         for x in dict.fromkeys(a for s in pts for a in (r * s, r / s))}
-    return [mul(f[r * s], f[r / s]) for s in pts]
+def _pair_values(f, r, pts):
+    """f(rs) f(r/s) for s in pts, f a theta table: on a grid symmetric
+    about s = 1 most arguments repeat, and the table evaluates each once."""
+    return [mul(f(r * s), f(r / s)) for s in pts]
 
 
-def check_product_inequality(family: ThetaFamily,
-                             s_grid: GridSpec) -> CheckResult:
+def _product_extremum(family, track, theta, config):
     """f(rs) f(r/s) on a grid symmetric about s = 1.
 
     For each r in PRODUCT_R, theta3 products dip to their minimum exactly
@@ -219,17 +227,13 @@ def check_product_inequality(family: ThetaFamily,
     value lies strictly beyond the center value, f(r)^2 on a grid whose
     center is 1.0.
     """
-    if family not in (THETA3, THETA4):
-        raise DomainError("product inequality check needs theta3 or theta4")
-    maximum = family == THETA4
-    name = "theta4-product-maximum" if maximum else "theta3-product-minimum"
-    pts = s_grid.points()
+    pts = config.product_grid.points()
     center = _symmetric_center(pts)
-    track = _Tracker()
+    f = theta(family, 0)
     for r in PRODUCT_R:
-        _extremum_at_center(track, _pair_values(family, r, pts), pts, center,
-                            r, maximum)
-    return track.result(name, len(PRODUCT_R) * len(pts))
+        _extremum_at_center(track, _pair_values(f, r, pts), pts, center, r,
+                            maximum=family == THETA4)
+    return len(PRODUCT_R) * len(pts)
 
 
 def _extremum_at_center(track, vals, pts, center, r, maximum):
@@ -242,8 +246,7 @@ def _extremum_at_center(track, vals, pts, center, r, maximum):
             track.add(gap, (r, pts[i]))
 
 
-def check_odd_combination(family: ThetaFamily,
-                          s_grid: GridSpec) -> CheckResult:
+def _odd_combination(family, track, theta, config):
     """f(rs) f(r/s) - 2 theta_odd(rs) theta_odd(r/s) on a grid symmetric
     about s = 1.
 
@@ -252,36 +255,34 @@ def check_odd_combination(family: ThetaFamily,
     must peak there (the component fact used when combining the bounds),
     for r in PRODUCT_R.
     """
-    if family not in (THETA3, THETA4):
-        raise DomainError("odd combination check needs theta3 or theta4")
     maximum = family == THETA4
-    name = "odd-combination-maximum" if maximum else "odd-combination-minimum"
     r_values = ODD_MAXIMUM_R if maximum else PRODUCT_R
-    pts = s_grid.points()
+    pts = config.product_grid.points()
     center = _symmetric_center(pts)
-    track = _Tracker()
+    f, f_odd = theta(family, 0), theta(THETA_ODD, 0)
     for r in r_values:
-        odd = _pair_values(THETA_ODD, r, pts)
+        odd = _pair_values(f_odd, r, pts)
         comb = [sub(a, scale(b, 2.0))
-                for a, b in zip(_pair_values(family, r, pts), odd)]
+                for a, b in zip(_pair_values(f, r, pts), odd)]
         _extremum_at_center(track, comb, pts, center, r, maximum)
         if not maximum:
             _extremum_at_center(track, odd, pts, center, r, maximum=True)
-    return track.result(name, len(r_values) * len(pts))
+    return len(r_values) * len(pts)
 
 
-def check_lemma_odd_ratio(s_grid: GridSpec) -> CheckResult:
+def _lemma_odd_ratio(track, theta, config):
     """Behaviour of g_o(s) = s theta_odd'/theta_odd.
 
     Strictly decreasing on [1/4, 10]; bounded below by g_o(1) on
     (0, 1/4]; and within 0.05 of its small-s limit -1/2 at s = 1e-3.
     The grid must span [1e-3, 10].
     """
+    s_grid = config.odd_ratio_grid
     if s_grid.min > 1e-3 or s_grid.max < 10.0:
         raise DomainError("grid must span [1e-3, 10]")
     pts = s_grid.points()
-    track = _Tracker()
-    g = _ratios(THETA_ODD, [1.0, 1e-3, *pts])
+    ratio = theta(THETA_ODD)
+    g = {s: ratio(s) for s in (1.0, 1e-3, *pts)}
     upper = [s for s in pts if s >= 0.25]
     for a, b in zip(upper, upper[1:]):
         track.add(sub(g[a], g[b]), (a, b))
@@ -291,10 +292,10 @@ def check_lemma_odd_ratio(s_grid: GridSpec) -> CheckResult:
     gap, r_gap = add(g[1e-3], _HALF)
     # |x| has the radius of x
     track.add(sub(_exact(0.05), (abs(gap), r_gap)), 1e-3)
-    return track.result("odd-log-ratio", len(pts))
+    return len(pts)
 
 
-def check_logconvexity_general(s_grid: GridSpec) -> CheckResult:
+def _logconvexity_general(track, theta, config):
     """Log-convexity f''f - f'^2 >= 0 of theta3's series to k = 10.
 
     Only a ball wholly below zero fails: past s = 237 every term but the
@@ -304,8 +305,7 @@ def check_logconvexity_general(s_grid: GridSpec) -> CheckResult:
     scaled by e^{-2L}. The radii charge each exp for its own and its
     argument's rounding, and for one subnormal ulp where it underflows.
     """
-    pts = s_grid.points()
-    track = _Tracker()
+    pts = config.logconv_grid.points()
     for s in pts:
         top = max(la - b * s for la, b, _ in _THETA3_TERMS)
         sums, errs = ([], [], []), [0.0, 0.0, 0.0]
@@ -321,29 +321,29 @@ def check_logconvexity_general(s_grid: GridSpec) -> CheckResult:
                    for v, r in zip(map(math.fsum, sums), errs))
         resid, r_resid = sub(mul(w, f), mul(d, d))
         track.add(_exact(resid + r_resid), s)
-    return track.result("exp-sum-log-convexity", len(pts))
+    return len(pts)
 
 
-def check_theta4_ratio_conjecture(grid: GridSpec) -> CheckResult:
+def _theta4_ratio_conjecture(track, theta, config):
     """Exploratory: s^2 theta4'/theta4 looks decreasing and convex.
 
     Reported for information only; never gates an aggregate verdict. The
     convexity part uses second differences, so the grid must be linear.
     """
+    grid = config.conjecture_grid
     if grid.scale != "linear":
         raise DomainError("conjecture check expects a linear grid")
+    track.informational = True
     pts = grid.points()
-    g = _ratios(THETA4, pts)
-    hs = [scale(g[s], s) for s in pts]
-    track = _Tracker()
+    g = theta(THETA4)
+    hs = [scale(g(s), s) for s in pts]
     for i in range(len(pts) - 1):
         track.add(sub(hs[i], hs[i + 1]), (pts[i], pts[i + 1]))
     for i in range(1, len(pts) - 1):
         # convexity up to the error: second difference >= -its radius
         second, r_second = add(sub(hs[i + 1], scale(hs[i], 2.0)), hs[i - 1])
         track.add(_exact(second + r_second), pts[i])
-    return track.result("theta4-ratio-conjecture", len(pts),
-                        informational=True)
+    return len(pts)
 
 
 @dataclass(frozen=True)
@@ -379,37 +379,36 @@ class VerifyConfig:
                     f"valid names: {list(SUITE_NAMES)!r}")
 
 
-# suite name -> runner, in the order run_all reports them
+# suite name -> body(track, theta table, config), which returns the
+# number of points it tested; run_all reports the suites in this order
 _SUITES = {
-    "theta3-log-ratio-monotone":
-        lambda c: check_monotone_log_ratio(THETA3, c.monotone_grid),
-    "theta4-log-ratio-monotone":
-        lambda c: check_monotone_log_ratio(THETA4, c.monotone_grid),
-    "refined-log-convexity-concavity":
-        lambda c: check_refined_inequalities(c.refined_grid),
-    "theta3-product-minimum":
-        lambda c: check_product_inequality(THETA3, c.product_grid),
-    "theta4-product-maximum":
-        lambda c: check_product_inequality(THETA4, c.product_grid),
-    "odd-combination-minimum":
-        lambda c: check_odd_combination(THETA3, c.product_grid),
-    "odd-combination-maximum":
-        lambda c: check_odd_combination(THETA4, c.product_grid),
-    "odd-log-ratio": lambda c: check_lemma_odd_ratio(c.odd_ratio_grid),
-    "exp-sum-log-convexity":
-        lambda c: check_logconvexity_general(c.logconv_grid),
-    "theta4-ratio-conjecture":
-        lambda c: check_theta4_ratio_conjecture(c.conjecture_grid),
+    "theta3-log-ratio-monotone": partial(_monotone_log_ratio, THETA3),
+    "theta4-log-ratio-monotone": partial(_monotone_log_ratio, THETA4),
+    "refined-log-convexity-concavity": _refined_inequalities,
+    "theta3-product-minimum": partial(_product_extremum, THETA3),
+    "theta4-product-maximum": partial(_product_extremum, THETA4),
+    "odd-combination-minimum": partial(_odd_combination, THETA3),
+    "odd-combination-maximum": partial(_odd_combination, THETA4),
+    "odd-log-ratio": _lemma_odd_ratio,
+    "exp-sum-log-convexity": _logconvexity_general,
+    "theta4-ratio-conjecture": _theta4_ratio_conjecture,
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
 def run_all(config: VerifyConfig | None = None) -> list[CheckResult]:
-    """Run the selected suites in registry order (deterministic)."""
+    """Run the selected suites in registry order (deterministic), all
+    reading theta values from one table made for this call."""
     config = config if config is not None else VerifyConfig()
-    return [runner(config) for name, runner in _SUITES.items()
-            if config.suites is None or name in config.suites]
+    if not isinstance(config, VerifyConfig):
+        raise DomainError(f"config={config!r} must be a VerifyConfig")
+    theta, results = _theta_table(), []
+    for name, suite in _SUITES.items():
+        if config.suites is None or name in config.suites:
+            track = _Tracker()
+            results.append(track.result(name, suite(track, theta, config)))
+    return results
 
 
 def all_passed(results) -> bool:

@@ -48,8 +48,11 @@ def test_traced_run(workload):
 
 
 def test_untraced_run():
-    # an untraced run reports the end-to-end metrics
-    _assert_metrics(_result("pointwise", 0), "end_to_end")
+    # an untraced run reports the end-to-end metrics; for verify its
+    # quality sample is every theta value the suites evaluate, replayed
+    # under a tracer that sees only module-level eval_theta calls
+    for workload in ("pointwise", "verify"):
+        _assert_metrics(_result(workload, 0), "end_to_end")
 
 
 def test_tracer_leaves_no_wrapper_in_package():

@@ -12,7 +12,8 @@ from thetaframe import (THETA3, THETA4, THETA_ODD, DomainError,
                         frame_bounds_odd, frame_bounds_via_F, grid_extrema_F,
                         janssen_F, lattice_params, sweep_beta)
 from thetaframe.ball import mul, scale, sub
-from thetaframe.frame import _frame_slopes
+from thetaframe.frame import _bounds, _frame_slopes
+from thetaframe.theta import DEFAULT_TOL
 
 ULP = math.ulp(1.0)
 
@@ -52,6 +53,18 @@ class TestFrozenBounds:
         assert not fb.valid
         assert fb.ratio == math.inf
         assert close(fb.upper, ref.B_1_1, fb.error_bound)
+
+    def test_critical_density_ball_holds_exact_zero(self):
+        # A is exactly 0 at n = 1 for every beta, so A's own ball must
+        # contain 0 across the admissible range, beta^2 in [2e-6, 5e5].
+        # |A| / r_A reaches 0.998 here: cutting A's radius by more than
+        # about 0.2% fails this test
+        lo, hi = 0.5 * math.log(2e-6) + 1e-12, 0.5 * math.log(5e5) - 1e-12
+        for k in range(2000):
+            beta = math.exp(lo + (hi - lo) * k / 1999)
+            LatticeParams(1, beta)  # admissible
+            (a, r_a), _ = _bounds(1, beta, DEFAULT_TOL)
+            assert abs(a) <= r_a, beta
 
     def test_upper_coincidence(self):
         # B(1,1) equals A(2, 1/sqrt 2): same theta product after reparam

@@ -2,13 +2,15 @@
 rule for its numeric arguments.
 
 Adding or removing a public name is then an explicit edit of this test.
-Some names serve the benchmark harness rather than the paper:
+The verify suites have no public function of their own: each runs by its
+name in SUITE_NAMES through run_all(VerifyConfig(...)), which also sets
+its grid. Some names serve the benchmark harness rather than the paper:
 lattice_params and the VerifyConfig.logconv_grid field stay because
-bench/ calls them. bench/ never calls frame_bounds_even /
-frame_bounds_odd, but bench/tracing.py's frame_bounds hook reads their
-spans by name, so without them a traced find_optimal_beta raises
-KeyError. test_bench_harness catches their loss only when bench/ is
-present.
+bench/ calls them, and nothing in src/ calls lattice_params. bench/ never
+calls frame_bounds_even / frame_bounds_odd, but bench/tracing.py's
+frame_bounds hook reads their spans by name, so without them a traced
+find_optimal_beta raises KeyError. test_bench_harness catches their loss
+only when bench/ is present.
 """
 
 import importlib
@@ -33,10 +35,7 @@ PUBLIC_NAMES = (
     "LatticeParams", "OptimumReport", "RangeError", "SUITE_NAMES",
     "SweepRow", "THETA3", "THETA4", "THETA_ODD", "ThetaFamily",
     "ThetaValue", "VerifyConfig", "__version__", "all_passed", "auto_k_max",
-    "check_lemma_odd_ratio", "check_logconvexity_general",
-    "check_monotone_log_ratio", "check_odd_combination",
-    "check_product_inequality", "check_refined_inequalities",
-    "check_theta4_ratio_conjecture", "emit_csv", "emit_plot", "eval_theta",
+    "emit_csv", "emit_plot", "eval_theta",
     "find_optimal_beta", "frame_bounds", "frame_bounds_even",
     "frame_bounds_odd", "frame_bounds_via_F", "general_family",
     "grid_extrema_F", "janssen_F", "lattice_params", "log_deriv_ratio_bounds",

@@ -417,9 +417,13 @@ class TestEmitCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_rows_rejected_without_file(self, tmp_path):
+        # so are rows that are not a list or tuple of SweepRow
         out = tmp_path / "never.csv"
-        with pytest.raises(DomainError):
-            emit_csv([], out)
+        row = SweepRow(0.5, 1.0, 2.0, 2.0)
+        for rows in ([], (), "abc", None, iter([row]),
+                     [row, (0.6, 1.0, 2.0, 2.0)]):
+            with pytest.raises(DomainError):
+                emit_csv(rows, out)
         assert not out.exists()
 
 
@@ -462,6 +466,10 @@ class TestEmitPlot:
                SweepRow(0.6, 1.0, math.inf, math.inf)]
         with pytest.raises(DomainError):
             emit_plot(bad, tmp_path / "x.svg", "B")
+        for not_rows in (None, "abc", [rows[0], "abc"]):
+            with pytest.raises(DomainError):
+                emit_plot(not_rows, tmp_path / "x.svg", "A")
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestWritePath:

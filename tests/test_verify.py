@@ -1,6 +1,5 @@
 """Inequality check suite tests: full runs, filtering, edge inputs."""
 
-import functools
 import json
 import math
 from pathlib import Path
@@ -9,22 +8,22 @@ import pytest
 
 from thetaframe import (THETA3, THETA4, THETA_ODD, CheckResult, DomainError,
                         GridSpec, SUITE_NAMES, ThetaValue, VerifyConfig,
-                        all_passed, auto_k_max,
-                        check_lemma_odd_ratio, check_logconvexity_general,
-                        check_monotone_log_ratio, check_odd_combination,
-                        check_product_inequality,
-                        check_refined_inequalities,
-                        check_theta4_ratio_conjecture, log_deriv_ratio_bounds,
-                        run_all, verify)
+                        all_passed, auto_k_max, log_deriv_ratio_bounds,
+                        run_all, theta, verify)
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PAIR_CHECKS = pytest.mark.parametrize("check", [
-    functools.partial(check_product_inequality, THETA3),
-    functools.partial(check_product_inequality, THETA4),
-    functools.partial(check_odd_combination, THETA3),
-    functools.partial(check_odd_combination, THETA4),
+PAIR_SUITES = pytest.mark.parametrize("suite", [
+    "theta3-product-minimum", "theta4-product-maximum",
+    "odd-combination-minimum", "odd-combination-maximum",
 ], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
+
+
+def _run(suite, **grids):
+    """The result of one suite, run through run_all on the given grids."""
+    [res] = run_all(VerifyConfig(suites=(suite,), **grids))
+    assert res.name == suite
+    return res
 
 
 class TestRunAll:
@@ -39,6 +38,24 @@ class TestRunAll:
 
     def test_deterministic(self):
         assert run_all() == run_all()
+
+    def test_theta_calls_of_a_full_run(self, monkeypatch):
+        # each run evaluates each distinct theta value once, through one
+        # table of its own: the odd combinations reuse the product suites'
+        # values, and a second run shares nothing with the first
+        real = theta.eval_theta
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(theta, "eval_theta", counted)
+        monkeypatch.setattr(verify, "eval_theta", counted)
+        for _ in range(2):
+            calls.clear()
+            run_all()
+            assert len(calls) == 15353
 
     def test_suite_order_pinned(self):
         # the CLI's --suite choices, its verify JSON and the benchmark's
@@ -86,14 +103,13 @@ class TestRunAll:
 class TestMonotoneLogRatio:
     def test_families(self):
         grid = GridSpec(0.2, 5.0, 40, "log")
-        assert check_monotone_log_ratio(THETA3, grid).passed
-        assert check_monotone_log_ratio(THETA4, grid).passed
-        with pytest.raises(DomainError):
-            check_monotone_log_ratio(THETA_ODD, grid)
+        for suite in ("theta3-log-ratio-monotone",
+                      "theta4-log-ratio-monotone"):
+            assert _run(suite, monotone_grid=grid).passed
 
     def test_degenerate_grid_flags_low_margin(self):
         grid = GridSpec(1.0, 1.0 + 1e-9, 2, "linear")
-        res = check_monotone_log_ratio(THETA3, grid)
+        res = _run("theta3-log-ratio-monotone", monotone_grid=grid)
         assert res.passed
         assert res.low_margin
         assert res.worst_residual < 1e-8
@@ -125,29 +141,25 @@ class TestMonotoneLogRatio:
 
 
 class TestRefined:
+    SUITE = "refined-log-convexity-concavity"
+
     def test_default_window(self):
-        assert check_refined_inequalities(GridSpec(0.05, 10.0, 60, "log")).passed
+        assert _run(self.SUITE,
+                    refined_grid=GridSpec(0.05, 10.0, 60, "log")).passed
 
     def test_large_s_window(self):
-        assert check_refined_inequalities(GridSpec(20.0, 40.0, 5, "log")).passed
+        assert _run(self.SUITE,
+                    refined_grid=GridSpec(20.0, 40.0, 5, "log")).passed
 
 
 class TestProductInequality:
     GRID = GridSpec(1 / 3, 3.0, 61, "log")
 
     def test_theta3_min(self):
-        res = check_product_inequality(THETA3, self.GRID)
-        assert res.passed
-        assert res.name == "theta3-product-minimum"
+        assert _run("theta3-product-minimum", product_grid=self.GRID).passed
 
     def test_theta4_max(self):
-        res = check_product_inequality(THETA4, self.GRID)
-        assert res.passed
-        assert res.name == "theta4-product-maximum"
-
-    def test_rejects_odd_family(self):
-        with pytest.raises(DomainError):
-            check_product_inequality(THETA_ODD, GridSpec(0.5, 2.0, 21, "log"))
+        assert _run("theta4-product-maximum", product_grid=self.GRID).passed
 
     @pytest.mark.parametrize("suite,calls", [
         # 1,779 distinct pair arguments over the four r
@@ -163,9 +175,9 @@ class TestProductInequality:
         real = verify.eval_theta
         args = []
 
-        def counted(family, s):
-            args.append((family, s))
-            return real(family, s)
+        def counted(family, s, order):
+            args.append((family, s, order))
+            return real(family, s, order)
 
         monkeypatch.setattr(verify, "eval_theta", counted)
         assert run_all(VerifyConfig(suites=(suite,)))[0].passed
@@ -176,40 +188,32 @@ class TestOddCombinations:
     GRID = GridSpec(1 / 3, 3.0, 61, "log")
 
     def test_upper(self):
-        res = check_odd_combination(THETA3, self.GRID)
-        assert res.passed
-        assert res.name == "odd-combination-minimum"
+        assert _run("odd-combination-minimum", product_grid=self.GRID).passed
 
     def test_lower(self):
-        res = check_odd_combination(THETA4, self.GRID)
-        assert res.passed
-        assert res.name == "odd-combination-maximum"
-
-    def test_rejects_odd_family(self):
-        with pytest.raises(DomainError):
-            check_odd_combination(THETA_ODD, GridSpec(0.5, 2.0, 21, "log"))
+        assert _run("odd-combination-maximum", product_grid=self.GRID).passed
 
 
 class TestSymmetricGrid:
     """The pair suites compare every value with the center's, so they take
     only a grid of odd length whose mirrored points are reciprocal."""
 
-    @PAIR_CHECKS
+    @PAIR_SUITES
     @pytest.mark.parametrize("grid", [
         GridSpec(0.5, 3.0, 21, "log"),
         GridSpec(1 / 3, 3.0, 20, "log"),
     ], ids=["asymmetric", "no-center"])
-    def test_rejected(self, check, grid):
+    def test_rejected(self, suite, grid):
         with pytest.raises(DomainError, match="symmetric about s = 1"):
-            check(grid)
+            _run(suite, product_grid=grid)
 
-    @PAIR_CHECKS
-    def test_center_below_one(self, check):
+    @PAIR_SUITES
+    def test_center_below_one(self, suite):
         # mirrored points multiply to 1 within 2 ulps, and the center is
         # the float below 1
         grid = GridSpec(1 / 2.793, 2.793, 83, "log")
         assert grid.points()[41] == 1.0 - 2.0 ** -53
-        assert check(grid).passed
+        assert _run(suite, product_grid=grid).passed
 
 
 def _scale_first_call(monkeypatch, family, s, factor):
@@ -236,22 +240,18 @@ class TestNegativeControls:
 
     GRID = GridSpec(1 / 3, 3.0, 21, "log")
 
-    @pytest.mark.parametrize("check,family,factor,r", [
-        (functools.partial(check_product_inequality, THETA3), THETA3, 0.5,
-         2.0),
-        (functools.partial(check_product_inequality, THETA4), THETA4, 1.5,
-         2.0),
-        (functools.partial(check_odd_combination, THETA3), THETA_ODD, 3.0,
-         1.0),
-        (functools.partial(check_odd_combination, THETA4), THETA4, 1.5,
-         1.0),
+    @pytest.mark.parametrize("suite,family,factor,r", [
+        ("theta3-product-minimum", THETA3, 0.5, 2.0),
+        ("theta4-product-maximum", THETA4, 1.5, 2.0),
+        ("odd-combination-minimum", THETA_ODD, 3.0, 1.0),
+        ("odd-combination-maximum", THETA4, 1.5, 1.0),
     ], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
-    def test_perturbed_pair_fails_at_its_point(self, monkeypatch, check,
+    def test_perturbed_pair_fails_at_its_point(self, monkeypatch, suite,
                                                family, factor, r):
         pts = self.GRID.points()
         s_k = pts[len(pts) // 2 - 1]  # next to the center s = 1
         _scale_first_call(monkeypatch, family, r * s_k, factor)
-        res = check(self.GRID)
+        res = _run(suite, product_grid=self.GRID)
         assert res.passed is False
         assert res.worst_location == (r, s_k)
 
@@ -266,12 +266,12 @@ class TestUncheckedClaims:
         assert res.worst_residual == math.inf
         assert res.worst_location is None
 
-    @PAIR_CHECKS
-    def test_no_r_values_fails(self, monkeypatch, check):
-        # with its fixed r values emptied, a pair check asserts nothing
+    @PAIR_SUITES
+    def test_no_r_values_fails(self, monkeypatch, suite):
+        # with its fixed r values emptied, a pair suite asserts nothing
         monkeypatch.setattr(verify, "PRODUCT_R", ())
         monkeypatch.setattr(verify, "ODD_MAXIMUM_R", ())
-        res = check(GridSpec(1 / 3, 3.0, 21, "log"))
+        res = _run(suite, product_grid=GridSpec(1 / 3, 3.0, 21, "log"))
         assert res.points_tested == 0
         assert res.passed is False
         assert res.worst_residual == math.inf
@@ -303,49 +303,51 @@ class TestUncheckedClaims:
 
 
 class TestForeignArguments:
-    """A family name, a tuple of lattice parameters or a tuple of grid
-    fields in place of the library's objects is a DomainError."""
-
-    GRID = GridSpec(1 / 3, 3.0, 21, "log")
+    """A family name, a tuple of lattice parameters, a tuple of grid
+    fields or a suite name in place of the library's objects is a
+    DomainError."""
 
     @pytest.mark.parametrize("call", [
         lambda: log_deriv_ratio_bounds("theta3", 1.0),
-        lambda: check_monotone_log_ratio("theta3", TestForeignArguments.GRID),
-        lambda: check_product_inequality("theta3", TestForeignArguments.GRID),
-        lambda: check_odd_combination("theta4", TestForeignArguments.GRID),
         lambda: auto_k_max((2, 0.7)),
         lambda: run_all(VerifyConfig(suites=("odd-log-ratio",),
                                      odd_ratio_grid=(1e-3, 10.0, 50))),
-    ], ids=["log-ratio", "monotone", "product", "odd-combination",
-            "auto-k-max", "verify-config"])
+        lambda: run_all("odd-log-ratio"),
+    ], ids=["log-ratio", "auto-k-max", "verify-config", "run-all"])
     def test_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
 
 
 class TestLemmaOddRatio:
+    SUITE = "odd-log-ratio"
+
     def test_pass(self):
-        assert check_lemma_odd_ratio(GridSpec(1e-3, 10.0, 200, "log")).passed
+        assert _run(self.SUITE,
+                    odd_ratio_grid=GridSpec(1e-3, 10.0, 200, "log")).passed
 
     def test_span_required(self):
         with pytest.raises(DomainError):
-            check_lemma_odd_ratio(GridSpec(0.01, 10.0, 100, "log"))
+            _run(self.SUITE, odd_ratio_grid=GridSpec(0.01, 10.0, 100, "log"))
         with pytest.raises(DomainError):
-            check_lemma_odd_ratio(GridSpec(1e-3, 5.0, 100, "log"))
+            _run(self.SUITE, odd_ratio_grid=GridSpec(1e-3, 5.0, 100, "log"))
 
     @pytest.mark.parametrize("steps", [2, 3])
     def test_every_point_evaluated(self, steps):
         # theta_odd underflows at s = 300, so g_o is undefined there even
         # when the point is the only one at or above 1/4
         with pytest.raises(DomainError, match="underflows"):
-            check_lemma_odd_ratio(GridSpec(1e-3, 300.0, steps, "log"))
+            _run(self.SUITE,
+                 odd_ratio_grid=GridSpec(1e-3, 300.0, steps, "log"))
 
 
 class TestLogConvexity:
-    """The check runs on theta3's series to k = 10, f = sum a e^{-b s}."""
+    """The suite runs on theta3's series to k = 10, f = sum a e^{-b s}."""
+
+    SUITE = "exp-sum-log-convexity"
 
     def test_default_grid_pinned(self):
-        res = check_logconvexity_general(VerifyConfig().logconv_grid)
+        res = _run(self.SUITE)
         assert res == CheckResult("exp-sum-log-convexity", True,
                                   4.482973819850171e-13, 10.0, 200)
 
@@ -353,14 +355,15 @@ class TestLogConvexity:
         # past s = 237 every k >= 1 term underflows and f is the constant
         # 1: f''f - f'^2 is exactly 0, which must not fail, and the slack
         # is the subnormal radius alone
-        res = check_logconvexity_general(GridSpec(300.0, 1000.0, 5, "log"))
+        res = _run(self.SUITE,
+                   logconv_grid=GridSpec(300.0, 1000.0, 5, "log"))
         assert res.passed
         assert 0.0 < res.worst_residual < 1e-320
 
     def test_two_terms_strict(self):
         # on [60, 200] only f = 1 + 2 e^{-pi s} is left, whose
         # f''f - f'^2 = 2 pi^2 e^{-pi s} is positive and still normal
-        res = check_logconvexity_general(GridSpec(60.0, 200.0, 20, "log"))
+        res = _run(self.SUITE, logconv_grid=GridSpec(60.0, 200.0, 20, "log"))
         assert res.passed
         assert res.worst_location == 200.0
         assert res.worst_residual == pytest.approx(
@@ -370,7 +373,7 @@ class TestLogConvexity:
         # below s = ln 2/pi the k = 1 terms lead, so L = ln 2 - pi s > 0
         # and the residual is e^{-2L} (f''f - f'^2) plus its small radius
         mp = pytest.importorskip("mpmath")
-        res = check_logconvexity_general(GridSpec(0.05, 0.2, 50, "log"))
+        res = _run(self.SUITE, logconv_grid=GridSpec(0.05, 0.2, 50, "log"))
         assert res.passed
         with mp.workdps(40):
             s = mp.mpf(res.worst_location)
@@ -383,11 +386,14 @@ class TestLogConvexity:
 
 
 class TestConjecture:
+    SUITE = "theta4-ratio-conjecture"
+
     def test_informational(self):
-        res = check_theta4_ratio_conjecture(GridSpec(0.5, 5.0, 50, "linear"))
+        res = _run(self.SUITE,
+                   conjecture_grid=GridSpec(0.5, 5.0, 50, "linear"))
         assert res.informational
         assert res.passed
 
     def test_requires_linear_grid(self):
         with pytest.raises(DomainError):
-            check_theta4_ratio_conjecture(GridSpec(0.5, 5.0, 50, "log"))
+            _run(self.SUITE, conjecture_grid=GridSpec(0.5, 5.0, 50, "log"))
