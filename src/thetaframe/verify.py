@@ -38,8 +38,7 @@ from .theta import (THETA3, THETA4, THETA_ODD, eval_theta,
 
 _EPS = math.ulp(1.0)
 
-# r values of the product and odd-combination suites; the theta4
-# combination holds only for r >= 1
+# r values of the pair suites; the theta4 combination holds only for r >= 1
 PRODUCT_R = (0.5, 1.0, 2.0, 5.0)
 ODD_MAXIMUM_R = (1.0, 2.0, 5.0)
 # theta3's terms a e^{-b s} to k = 10, as (log a, b, log b)
@@ -213,29 +212,6 @@ def _symmetric_center(pts):
     return len(pts) // 2
 
 
-def _pair_values(f, r, pts):
-    """f(rs) f(r/s) for s in pts, f a theta table: on a grid symmetric
-    about s = 1 most arguments repeat, and the table evaluates each once."""
-    return [mul(f(r * s), f(r / s)) for s in pts]
-
-
-def _product_extremum(family, track, theta, config):
-    """f(rs) f(r/s) on a grid symmetric about s = 1.
-
-    For each r in PRODUCT_R, theta3 products dip to their minimum exactly
-    at s = 1 and theta4 products peak there. Asserts that every off-center
-    value lies strictly beyond the center value, f(r)^2 on a grid whose
-    center is 1.0.
-    """
-    pts = config.product_grid.points()
-    center = _symmetric_center(pts)
-    f = theta(family, 0)
-    for r in PRODUCT_R:
-        _extremum_at_center(track, _pair_values(f, r, pts), pts, center, r,
-                            maximum=family == THETA4)
-    return len(PRODUCT_R) * len(pts)
-
-
 def _extremum_at_center(track, vals, pts, center, r, maximum):
     """Assert every off-center value lies strictly beyond the center
     value: the grid extremum sits at the center."""
@@ -246,27 +222,32 @@ def _extremum_at_center(track, vals, pts, center, r, maximum):
             track.add(gap, (r, pts[i]))
 
 
-def _odd_combination(family, track, theta, config):
-    """f(rs) f(r/s) - 2 theta_odd(rs) theta_odd(r/s) on a grid symmetric
-    about s = 1.
+def _pair_extremum(family, odd, track, theta, config):
+    """f(rs) f(r/s), less 2 theta_odd(rs) theta_odd(r/s) if odd, on a grid
+    symmetric about s = 1: theta3 values dip to their minimum at s = 1 and
+    theta4 values peak there, for each r in PRODUCT_R (ODD_MAXIMUM_R for
+    the theta4 combination, which holds only for r >= 1).
 
-    theta4: the combination peaks at s = 1, for r in ODD_MAXIMUM_R.
-    theta3: it dips to its minimum there, and the theta_odd product alone
-    must peak there (the component fact used when combining the bounds),
-    for r in PRODUCT_R.
+    frame's a = n^2 beta^2/2 and b = 1/(2 beta^2) are rs and r/s with
+    r = n/2 and s = n beta^2, so each value is A/n (theta4) or B/n
+    (theta3) along beta at n = 2r, odd giving the odd-n form, with the
+    square lattice at s = 1. The theta3 combination also asserts that the
+    theta_odd product alone peaks at s = 1.
     """
     maximum = family == THETA4
-    r_values = ODD_MAXIMUM_R if maximum else PRODUCT_R
+    r_values = ODD_MAXIMUM_R if odd and maximum else PRODUCT_R
     pts = config.product_grid.points()
     center = _symmetric_center(pts)
     f, f_odd = theta(family, 0), theta(THETA_ODD, 0)
     for r in r_values:
-        odd = _pair_values(f_odd, r, pts)
-        comb = [sub(a, scale(b, 2.0))
-                for a, b in zip(_pair_values(f, r, pts), odd)]
-        _extremum_at_center(track, comb, pts, center, r, maximum)
-        if not maximum:
-            _extremum_at_center(track, odd, pts, center, r, maximum=True)
+        # most arguments repeat on the grid; the table evaluates each once
+        vals = [mul(f(r * s), f(r / s)) for s in pts]
+        if odd:
+            odds = [mul(f_odd(r * s), f_odd(r / s)) for s in pts]
+            vals = [sub(a, scale(b, 2.0)) for a, b in zip(vals, odds)]
+        _extremum_at_center(track, vals, pts, center, r, maximum)
+        if odd and not maximum:
+            _extremum_at_center(track, odds, pts, center, r, maximum=True)
     return len(r_values) * len(pts)
 
 
@@ -350,8 +331,9 @@ def _theta4_ratio_conjecture(track, theta, config):
 class VerifyConfig:
     """Suite selection and grids for run_all.
 
-    suites=None runs every suite in SUITE_NAMES; otherwise only the named
-    ones run, still in registry order, and naming none is a DomainError.
+    suites=None runs every suite in SUITE_NAMES, a non-empty list or tuple
+    of names only those, still in registry order; anything else is a
+    DomainError.
     The inequalities, their r values and the truncation target are fixed;
     only the grids are settable.
     """
@@ -369,13 +351,14 @@ class VerifyConfig:
             if name != "suites" and not isinstance(grid, GridSpec):
                 raise DomainError(f"{name}={grid!r} must be a GridSpec")
         if self.suites is not None:
+            if not (isinstance(self.suites, (list, tuple)) and self.suites):
+                raise DomainError(f"suites={self.suites!r} must be None or a "
+                                  "non-empty list or tuple of suite names")
             object.__setattr__(self, "suites", tuple(self.suites))
-            if not self.suites:
-                raise DomainError("suites=() selects nothing; None runs all")
-            unknown = set(self.suites) - set(SUITE_NAMES)
+            unknown = [s for s in self.suites if s not in SUITE_NAMES]
             if unknown:
                 raise DomainError(
-                    f"unknown suites {sorted(unknown)!r}; "
+                    f"unknown suites {unknown!r}; "
                     f"valid names: {list(SUITE_NAMES)!r}")
 
 
@@ -385,10 +368,10 @@ _SUITES = {
     "theta3-log-ratio-monotone": partial(_monotone_log_ratio, THETA3),
     "theta4-log-ratio-monotone": partial(_monotone_log_ratio, THETA4),
     "refined-log-convexity-concavity": _refined_inequalities,
-    "theta3-product-minimum": partial(_product_extremum, THETA3),
-    "theta4-product-maximum": partial(_product_extremum, THETA4),
-    "odd-combination-minimum": partial(_odd_combination, THETA3),
-    "odd-combination-maximum": partial(_odd_combination, THETA4),
+    "theta3-product-minimum": partial(_pair_extremum, THETA3, False),
+    "theta4-product-maximum": partial(_pair_extremum, THETA4, False),
+    "odd-combination-minimum": partial(_pair_extremum, THETA3, True),
+    "odd-combination-maximum": partial(_pair_extremum, THETA4, True),
     "odd-log-ratio": _lemma_odd_ratio,
     "exp-sum-log-convexity": _logconvexity_general,
     "theta4-ratio-conjecture": _theta4_ratio_conjecture,

@@ -13,10 +13,12 @@ from thetaframe import (THETA3, THETA4, THETA_ODD, CheckResult, DomainError,
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PAIR_SUITES = pytest.mark.parametrize("suite", [
-    "theta3-product-minimum", "theta4-product-maximum",
-    "odd-combination-minimum", "odd-combination-maximum",
-], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
+PAIR_IDS = {"theta3-product-minimum": "theta3-product",
+            "theta4-product-maximum": "theta4-product",
+            "odd-combination-minimum": "odd-upper",
+            "odd-combination-maximum": "odd-lower"}
+PAIR_SUITES = pytest.mark.parametrize("suite", list(PAIR_IDS),
+                                      ids=list(PAIR_IDS.values()))
 
 
 def _run(suite, **grids):
@@ -266,16 +268,32 @@ class TestUncheckedClaims:
         assert res.worst_residual == math.inf
         assert res.worst_location is None
 
-    @PAIR_SUITES
-    def test_no_r_values_fails(self, monkeypatch, suite):
-        # with its fixed r values emptied, a pair suite asserts nothing
-        monkeypatch.setattr(verify, "PRODUCT_R", ())
-        monkeypatch.setattr(verify, "ODD_MAXIMUM_R", ())
-        res = _run(suite, product_grid=GridSpec(1 / 3, 3.0, 21, "log"))
-        assert res.points_tested == 0
-        assert res.passed is False
-        assert res.worst_residual == math.inf
-        assert res.worst_location is None
+    @pytest.mark.parametrize("suite,emptied", [
+        pytest.param(suite, emptied, id=sid + tag)
+        for emptied, tag in [(("PRODUCT_R", "ODD_MAXIMUM_R"), ""),
+                             (("PRODUCT_R",), "-only-PRODUCT_R"),
+                             (("ODD_MAXIMUM_R",), "-only-ODD_MAXIMUM_R")]
+        for suite, sid in PAIR_IDS.items()
+    ])
+    def test_no_r_values_fails(self, monkeypatch, suite, emptied):
+        # the theta4 combination reads ODD_MAXIMUM_R and the other three
+        # PRODUCT_R, at call time; emptying a suite's own set leaves it
+        # nothing to assert, and emptying the other set changes nothing
+        own = ("ODD_MAXIMUM_R" if suite == "odd-combination-maximum"
+               else "PRODUCT_R")
+        kept = len(getattr(verify, own))
+        for name in emptied:
+            monkeypatch.setattr(verify, name, ())
+        grid = GridSpec(1 / 3, 3.0, 21, "log")
+        res = _run(suite, product_grid=grid)
+        if own in emptied:
+            assert res.points_tested == 0
+            assert res.passed is False
+            assert res.worst_residual == math.inf
+            assert res.worst_location is None
+        else:
+            assert res.points_tested == kept * len(grid.points())
+            assert res.passed
 
     @pytest.mark.parametrize("slacks,first_nan", [
         ((math.nan, -5.0, 1.0), 0),
@@ -313,7 +331,10 @@ class TestForeignArguments:
         lambda: run_all(VerifyConfig(suites=("odd-log-ratio",),
                                      odd_ratio_grid=(1e-3, 10.0, 50))),
         lambda: run_all("odd-log-ratio"),
-    ], ids=["log-ratio", "auto-k-max", "verify-config", "run-all"])
+        lambda: VerifyConfig(suites=5),
+        lambda: VerifyConfig(suites="odd-log-ratio"),
+    ], ids=["log-ratio", "auto-k-max", "verify-config", "run-all",
+            "suites-int", "suites-str"])
     def test_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
