@@ -469,9 +469,9 @@ def test_module_entry_point():
 
 
 def test_commands_leave_numpy_unimported(tmp_path):
-    # numpy is imported on first use by the lattice oracle only, and
+    # numpy is imported only by an oracle grid above 128 steps, and
     # numbers only for an argument that is not an exact int or float, so
-    # the other commands keep interpreter start-up cheap
+    # every command keeps interpreter start-up cheap
     csv = str(tmp_path / "rows.csv")
     script = (
         "import sys\n"
@@ -481,7 +481,8 @@ def test_commands_leave_numpy_unimported(tmp_path):
         "        ['bounds', '--n', '3', '--beta', '0.5'],\n"
         "        ['sweep', '--n', '2', '--beta-min', '0.4',\n"
         f"         '--beta-max', '1.4', '--steps', '5', '--out', {csv!r}],\n"
-        "        ['verify', '--suite', 'theta3-product-minimum']):\n"
+        "        ['verify', '--suite', 'theta3-product-minimum'],\n"
+        "        ['oracle', '--n', '3', '--beta', '0.6']):\n"
         "    assert main(argv) == 0, argv\n"
         "print('numpy' in sys.modules, 'numbers' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script],
@@ -493,18 +494,21 @@ def test_commands_leave_numpy_unimported(tmp_path):
 _CLI_BASE = ("ball", "cli", "errors", "theta")
 
 
-@pytest.mark.parametrize("argv,layers", [
-    (["eval", "--family", "theta3", "--s", "1.0"], ()),
-    (["bounds", "--n", "3", "--beta", "0.5"], ("frame",)),
+@pytest.mark.parametrize("argv,layers,numpy", [
+    (["eval", "--family", "theta3", "--s", "1.0"], (), False),
+    (["bounds", "--n", "3", "--beta", "0.5"], ("frame",), False),
     (["sweep", "--n", "2", "--beta-min", "0.4", "--beta-max", "1.4",
-      "--steps", "5", "--out", "ROWS"], ("frame", "grids", "sweep")),
-    (["verify", "--suite", "theta3-product-minimum"], ("grids", "verify")),
+      "--steps", "5", "--out", "ROWS"], ("frame", "grids", "sweep"), False),
+    (["verify", "--suite", "theta3-product-minimum"], ("grids", "verify"),
+     False),
     (["oracle", "--n", "2", "--beta", "0.7", "--grid", "16"],
-     ("frame", "oracle")),
-], ids=["eval", "bounds", "sweep", "verify", "oracle"])
-def test_command_imports_only_its_layer(tmp_path, argv, layers):
+     ("frame", "oracle"), False),
+    (["oracle", "--n", "2", "--beta", "0.7", "--grid", "256"],
+     ("frame", "oracle"), True),
+], ids=["eval", "bounds", "sweep", "verify", "oracle", "oracle-grid-256"])
+def test_command_imports_only_its_layer(tmp_path, argv, layers, numpy):
     # each subcommand imports its own layer in a fresh interpreter, and
-    # only the oracle pulls in numpy
+    # only an oracle grid above 128 steps pulls in numpy
     argv = [str(tmp_path / "rows.csv") if a == "ROWS" else a for a in argv]
     script = (
         "import sys\n"
@@ -517,7 +521,6 @@ def test_command_imports_only_its_layer(tmp_path, argv, layers):
     assert proc.returncode == 0, proc.stderr[-2000:]
     expected = sorted(["thetaframe"] + [f"thetaframe.{m}"
                                         for m in (*_CLI_BASE, *layers)])
-    numpy = argv[0] == "oracle"
     assert proc.stdout.splitlines()[-1] == f"{expected} {numpy}"
 
 

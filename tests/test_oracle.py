@@ -132,6 +132,24 @@ class TestAutoKMax:
         with pytest.raises(DomainError):
             oracle(lattice_params(2, 1e-4))
 
+    def test_default_grid_leaves_numpy_unimported(self):
+        # grids of up to 128 steps are searched in pure Python, so only a
+        # larger grid pays for numpy's import
+        script = (
+            "import sys\n"
+            "from thetaframe import frame_bounds_via_F, grid_extrema_F, "
+            "janssen_F, lattice_params\n"
+            "for n in (2, 3):\n"
+            "    p = lattice_params(n, 0.6)\n"
+            "    janssen_F(0.3, 0.8, p)\n"
+            "    grid_extrema_F(p, 128)\n"
+            "    frame_bounds_via_F(p, 128)\n"
+            "print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_rejected_before_numpy_import(self):
         script = (
             "import sys\n"
@@ -189,11 +207,12 @@ class TestGridExtrema:
 
 def _reference_cases():
     # seeded lattices of both parities on every grid, with beta sqrt(n)
-    # = 10^t for t in [-2.5, 2.5], and both ends of that range; at n = 2,
+    # = 10^t for t in [-2.5, 2.5], and both ends of that range; 128 and
+    # 129 steps sit either side of the pure-Python search; at n = 2,
     # t = 2.5 min u cancels to rounding and min F comes out near or below 0
     rng = random.Random(16)
     cases = [(rng.choice(ns), rng.uniform(-2.5, 2.5), grid)
-             for grid in (8, 9, 127, 128, 256)
+             for grid in (8, 9, 127, 128, 256, 129, 130)
              for ns in ((2, 4, 6, 8), (1, 3, 5, 7, 9)) for _ in range(3)]
     return cases + [(n, t, 128) for n in (2, 3) for t in (-2.5, 2.5)]
 
@@ -217,23 +236,49 @@ class TestAgainstFullGrid:
                     or abs(f[i, j] - f[ref_i, ref_j]) <= tol)
 
     def test_four_corners(self, monkeypatch):
-        # a u below zero pairs with the maximum of v, not its minimum
+        # a u below zero pairs with the maximum of v, not its minimum, in
+        # the pure-Python search (8 steps) and in numpy's (256 steps); n =
+        # 2 doubles u, so F = u_i v_j for the halved u given to _sums
+        import numpy as np
+        pad = [0.5] * 124
         u = [3.0, 1.0, -1e-13, 2.0, 0.5]
         v = [1.0, 0.5, 0.25, 0.75, 0.125]
-        import numpy as np
-        monkeypatch.setattr(oracle, "_factors", lambda params, xs: (
-            np.array(u)[:, None], np.array(v)[None, :], 4))
-        rep = grid_extrema_F(lattice_params(2, 0.7), 8)
-        assert (rep.max_value, rep.argmax) == (3.0, (0.0, 0.0))
-        assert (rep.min_value, rep.argmin) == (-1e-13, (0.25, 0.0))
+        monkeypatch.setattr(oracle, "_sums", lambda params, xs: (
+            [(ui / 2, vi, 0.0, 0.0) for ui, vi in zip(u, v)], 4))
+        monkeypatch.setattr(oracle, "_factors", lambda params, steps: (
+            np.array(u + pad)[:, None], np.array(v + pad)[None, :], 4))
+        for grid in (8, 256):
+            rep = grid_extrema_F(lattice_params(2, 0.7), grid)
+            assert (rep.max_value, rep.argmax) == (3.0, (0.0, 0.0))
+            assert (rep.min_value, rep.argmin) == (-1e-13, (2 / grid, 0.0))
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_engines_agree_at_128_steps(self, monkeypatch, parity):
+        # the pure-Python and numpy searches of one grid, on seeded lattices
+        # within a decade of 1/sqrt(n), where the minimum is not rounding
+        # noise: the same points, values a few ulps apart
+        rng = random.Random(128 + parity)
+        lattices = [lattice_params(n, 10.0 ** rng.uniform(-0.5, 0.5) /
+                                   math.sqrt(n))
+                    for n in (2 * rng.randint(1, 4) + parity
+                              for _ in range(12))]
+        pure = [grid_extrema_F(p, 128) for p in lattices]
+        monkeypatch.setattr(oracle, "_PURE_MAX_STEPS", 0)
+        for a, b in zip(pure, (grid_extrema_F(p, 128) for p in lattices)):
+            assert (a.argmax, a.argmin, a.truncation_K) == \
+                (b.argmax, b.argmin, b.truncation_K)
+            ulp = math.ulp(a.max_value)
+            assert abs(a.max_value - b.max_value) <= 4 * ulp
+            assert abs(a.min_value - b.min_value) <= 4 * ulp
 
 
 @pytest.mark.parametrize("n,limit", [(2, 1e6), (3, 40e6)])
 def test_peak_memory_at_largest_grid(n, limit):
     # the full-grid search peaked at about 134 MB here for either parity;
-    # tracemalloc sees numpy's arrays, and numpy is imported beforehand
+    # tracemalloc sees numpy's arrays, and numpy is imported beforehand by
+    # a grid too large for the pure-Python search
     params = lattice_params(n, 1.0 / math.sqrt(n))
-    grid_extrema_F(params, 8)
+    grid_extrema_F(params, 256)
     tracemalloc.start()
     try:
         grid_extrema_F(params, 4096)
