@@ -16,9 +16,10 @@ i, j <= G/2: even n tabulates F on the two columns where v is extreme,
 odd n on all (G/2 + 1)^2 points.
 
 Grids of up to 128 steps, the CLI's default, are searched in pure
-Python; larger grids build the table with numpy, which is imported only
-then, so janssen_F, frame_bounds_via_F and the default-grid search never
-pay for it.
+Python. Larger grids run the same sums over numpy arrays, so their
+memory is O(G) plus odd n's table; numpy is imported only then, so
+janssen_F, frame_bounds_via_F and the default-grid search never pay for
+it.
 """
 
 from __future__ import annotations
@@ -72,69 +73,50 @@ def _weights(params: LatticeParams):
     return k_max, a, b
 
 
-def _sums(params: LatticeParams, xs):
-    """(u, v, u_o, v_o) at each x of xs, as defined above; K."""
-    k_max, a, b = _weights(params)
-    out = []
-    for x in xs:
-        u = v = u_o = v_o = 0.0
-        for k in range(k_max, -1, -1):  # smallest terms first
-            c = math.cos(2.0 * math.pi * (x * k))
-            ac, bc = a[k] * c, b[k] * c
-            u += ac
-            v += bc
-            if k % 2:
-                u_o += ac
-                v_o += bc
-        out.append((u, v, u_o, v_o))
-    return out, k_max
+def _sums(x, k_max: int, a, b, cos=math.cos):
+    """(u, v, u_o, v_o) at x from _weights' K, a and b, as defined above.
+
+    x is a float, or a numpy array with cos=np.cos; each element gets the
+    same float operations either way.
+    """
+    u = v = u_o = v_o = 0.0
+    for k in range(k_max, -1, -1):  # smallest terms first
+        c = cos(2.0 * math.pi * (x * k))
+        ac, bc = a[k] * c, b[k] * c
+        u += ac
+        v += bc
+        if k % 2:
+            u_o += ac
+            v_o += bc
+    return u, v, u_o, v_o
 
 
 def _table(params: LatticeParams, grid_steps: int):
-    """F on the searched grid, flat by row, its columns and K."""
-    sums, k_max = _sums(params, [i / grid_steps
-                                 for i in range(grid_steps // 2 + 1)])
-    n = params.n
+    """F on the searched grid, flat by row, its columns and K: a list up
+    to _PURE_MAX_STEPS steps, a numpy array above them."""
+    k_max, a, b = _weights(params)
+    rows, n = range(grid_steps // 2 + 1), params.n
+    if grid_steps <= _PURE_MAX_STEPS:
+        u, v, u_o, v_o = zip(*(_sums(i / grid_steps, k_max, a, b)
+                               for i in rows))
+        if n % 2:
+            left = [(n * ui, n * (-2.0 * oi)) for ui, oi in zip(u, u_o)]
+            return [l0 * vj + l1 * oj for l0, l1 in left
+                    for vj, oj in zip(v, v_o)], rows, k_max
+        # even n, F = u_i v_j: on either sign of u_i, row i is extreme
+        # where v is, and rounding keeps that order, so two columns hold
+        # both extrema
+        cols = sorted({v.index(min(v)), v.index(max(v))})
+        return [n * ui * v[j] for ui in u for j in cols], cols, k_max
+    import numpy as np
+
+    u, v, u_o, v_o = _sums(np.arange(len(rows)) / grid_steps, k_max, a, b,
+                           np.cos)
     if n % 2:
-        left = [(n * u, n * (-2.0 * u_o)) for u, _, u_o, _ in sums]
-        right = [(v, v_o) for _, v, _, v_o in sums]
-        f = [l0 * r0 + l1 * r1 for l0, l1 in left for r0, r1 in right]
-        return f, range(len(sums)), k_max
-    # even n, F = u_i v_j: on either sign of u_i, row i is extreme where v
-    # is, and rounding keeps that order, so two columns hold both extrema
-    v = [s[1] for s in sums]
-    cols = sorted({v.index(min(v)), v.index(max(v))})
-    return [n * s[0] * v[j] for s in sums for j in cols], cols, k_max
-
-
-def _factors(params: LatticeParams, grid_steps: int):
-    """L, R with F(x_i, x_j) = (L @ R)[i, j], x_i = i/grid_steps <= 1/2,
-    as factored above; K."""
-    k_max = auto_k_max(params)  # refuses a foreign params before numpy
-    import numpy as np
-
-    xs = np.arange(grid_steps // 2 + 1) / grid_steps
-    k = np.arange(k_max + 1)
-    c = np.where(k == 0, 1.0, 2.0)
-    a = c * np.exp(-0.5 * math.pi * k ** 2 / params.beta ** 2)
-    b = c * np.exp(-0.5 * math.pi * k ** 2 / params.alpha ** 2)
-    a, b = a[:, None], b[:, None]
-    if params.n % 2:
-        odd = (k % 2)[:, None]
-        a, b = np.hstack([a, -2.0 * odd * a]), np.hstack([b, odd * b])
-    cos_grid = 2.0 * math.pi * np.outer(xs, k)
-    np.cos(cos_grid, out=cos_grid)  # in place, so no second table
-    return params.n * (cos_grid @ a), (cos_grid @ b).T, k_max
-
-
-def _numpy_table(params: LatticeParams, grid_steps: int):
-    """_table's F, columns and K, with numpy's cosine table and products."""
-    left, right, k_max = _factors(params, grid_steps)
-    import numpy as np
-
-    cols = (np.arange(len(left)) if params.n % 2
-            else sorted({int(np.argmin(right)), int(np.argmax(right))}))
-    return (left @ right[:, cols]).ravel(), cols, k_max
+        left = np.stack([n * u, n * (-2.0 * u_o)], axis=1)
+        return (left @ np.stack([v, v_o])).ravel(), rows, k_max
+    cols = sorted({int(v.argmin()), int(v.argmax())})
+    return np.outer(n * u, v[cols]).ravel(), cols, k_max
 
 
 def janssen_F(x: float, omega: float, params: LatticeParams) -> float:
@@ -142,7 +124,9 @@ def janssen_F(x: float, omega: float, params: LatticeParams) -> float:
     x, omega = real(x, "x"), real(omega, "omega")
     if not (0.0 <= x <= 1.0 and 0.0 <= omega <= 1.0):
         raise DomainError(f"(x, omega)=({x!r}, {omega!r}) outside [0, 1]^2")
-    ((u, _, u_o, _), (_, v, _, v_o)), _ = _sums(params, (x, omega))
+    k_max, a, b = _weights(params)
+    u, _, u_o, _ = _sums(x, k_max, a, b)
+    _, v, _, v_o = _sums(omega, k_max, a, b)
     n = params.n
     return n * u * v + (n * (-2.0 * u_o) * v_o if n % 2 else 0.0)
 
@@ -162,11 +146,10 @@ def grid_extrema_F(params: LatticeParams,
             _MAX_GRID_STEPS:
         raise DomainError(f"grid_steps={grid_steps!r} must be an int in "
                           f"[8, {_MAX_GRID_STEPS}]")
-    if grid_steps <= _PURE_MAX_STEPS:
-        f, cols, kk = _table(params, grid_steps)
+    f, cols, kk = _table(params, grid_steps)
+    if isinstance(f, list):
         top, bottom = f.index(max(f)), f.index(min(f))
     else:
-        f, cols, kk = _numpy_table(params, grid_steps)
         top, bottom = int(f.argmax()), int(f.argmin())
 
     def located(flat):
@@ -185,20 +168,19 @@ def frame_bounds_via_F(params: LatticeParams,
     """
     rep = grid_extrema_F(params, grid_steps)
     kk, a, b = _weights(params)
-    mb = 0.5 * math.pi / params.beta ** 2
-    ma = 0.5 * math.pi / params.alpha ** 2
-    tail_b = 2.0 * math.exp(-mb * (kk + 1) ** 2) / (
-        -math.expm1(-mb * (2 * kk + 3)))
-    tail_a = 2.0 * math.exp(-ma * (kk + 1) ** 2) / (
-        -math.expm1(-ma * (2 * kk + 3)))
-    # a_k = 2 e^{-mb k^2} for k >= 1, and likewise b_k with ma
-    full_b = sum(a) + tail_b
-    full_a = sum(b) + tail_a
-    tail = params.n * (tail_b * full_a + full_b * tail_a + tail_a * tail_b)
-    lip_x = params.n * 2.0 * math.pi * sum(
-        k * w for k, w in enumerate(a)) * full_a
-    lip_w = params.n * 2.0 * math.pi * sum(
-        k * w for k, w in enumerate(b)) * full_b
+    # per axis, x's a with beta then omega's b with alpha: the tail past
+    # K, the full sum and the first moment of its weights
+    axes = []
+    for w, s in ((a, params.beta), (b, params.alpha)):
+        m = 0.5 * math.pi / s ** 2  # w_k = 2 e^{-m k^2} for k >= 1
+        t = 2.0 * math.exp(-m * (kk + 1) ** 2) / (
+            -math.expm1(-m * (2 * kk + 3)))
+        axes.append((t, sum(w) + t, sum(k * c for k, c in enumerate(w))))
+    (tail_x, full_x, moment_x), (tail_w, full_w, moment_w) = axes
+    n = params.n
+    tail = n * (tail_x * full_w + full_x * tail_w + tail_w * tail_x)
+    lip_x = n * 2.0 * math.pi * moment_x * full_w
+    lip_w = n * 2.0 * math.pi * moment_w * full_x
     h = 1.0 / rep.grid_steps
     error_bound = tail + 0.5 * h * (lip_x + lip_w)
     lower = rep.min_value

@@ -238,19 +238,38 @@ class TestAgainstFullGrid:
     def test_four_corners(self, monkeypatch):
         # a u below zero pairs with the maximum of v, not its minimum, in
         # the pure-Python search (8 steps) and in numpy's (256 steps); n =
-        # 2 doubles u, so F = u_i v_j for the halved u given to _sums
+        # 2 doubles u, so F = u_i v_j for the halved u that _sums returns
         import numpy as np
         pad = [0.5] * 124
-        u = [3.0, 1.0, -1e-13, 2.0, 0.5]
-        v = [1.0, 0.5, 0.25, 0.75, 0.125]
-        monkeypatch.setattr(oracle, "_sums", lambda params, xs: (
-            [(ui / 2, vi, 0.0, 0.0) for ui, vi in zip(u, v)], 4))
-        monkeypatch.setattr(oracle, "_factors", lambda params, steps: (
-            np.array(u + pad)[:, None], np.array(v + pad)[None, :], 4))
+        u = np.array([3.0, 1.0, -1e-13, 2.0, 0.5] + pad)
+        v = np.array([1.0, 0.5, 0.25, 0.75, 0.125] + pad)
         for grid in (8, 256):
+            def sums(x, k_max, a, b, cos=math.cos, grid=grid):
+                i = np.rint(np.multiply(x, grid)).astype(int)
+                return u[i] / 2, v[i], 0.0 * u[i], 0.0 * v[i]
+
+            monkeypatch.setattr(oracle, "_sums", sums)
             rep = grid_extrema_F(lattice_params(2, 0.7), grid)
             assert (rep.max_value, rep.argmax) == (3.0, (0.0, 0.0))
             assert (rep.min_value, rep.argmin) == (-1e-13, (2 / grid, 0.0))
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_array_sums_match_scalar_sums(self, parity):
+        # numpy's search runs _sums over the whole grid at once; with an
+        # elementwise math.cos each element must get exactly the floats
+        # the pure-Python search gets for that x alone
+        import numpy as np
+        cos = np.vectorize(math.cos, otypes=[float])
+        rng = random.Random(256 + parity)
+        for n in (2 * rng.randint(1, 4) + parity for _ in range(4)):
+            params = lattice_params(n, 10.0 ** rng.uniform(-2.5, 2.5) /
+                                    math.sqrt(n))
+            k_max, a, b = oracle._weights(params)
+            xs = np.arange(129) / 256
+            arrays = oracle._sums(xs, k_max, a, b, cos)
+            for i, x in enumerate(xs.tolist()):
+                assert [float(s[i]) for s in arrays] == \
+                    list(oracle._sums(x, k_max, a, b))
 
     @pytest.mark.parametrize("parity", [0, 1])
     def test_engines_agree_at_128_steps(self, monkeypatch, parity):
@@ -274,18 +293,21 @@ class TestAgainstFullGrid:
 
 @pytest.mark.parametrize("n,limit", [(2, 1e6), (3, 40e6)])
 def test_peak_memory_at_largest_grid(n, limit):
-    # the full-grid search peaked at about 134 MB here for either parity;
-    # tracemalloc sees numpy's arrays, and numpy is imported beforehand by
-    # a grid too large for the pure-Python search
-    params = lattice_params(n, 1.0 / math.sqrt(n))
-    grid_extrema_F(params, 256)
-    tracemalloc.start()
-    try:
-        grid_extrema_F(params, 4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < limit
+    # the full-grid search peaked at about 134 MB here for either parity,
+    # and a cosine table over the grid and K at 64 MB for even n at the
+    # domain edge (beta = 7.1e-4, K = 3,887); tracemalloc sees numpy's
+    # arrays, and numpy is imported beforehand by a grid too large for the
+    # pure-Python search
+    for beta in (1.0 / math.sqrt(n), 7.1e-4):
+        params = lattice_params(n, beta)
+        grid_extrema_F(params, 256)
+        tracemalloc.start()
+        try:
+            grid_extrema_F(params, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, beta
 
 
 class TestFrameBoundsViaF:
