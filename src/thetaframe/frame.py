@@ -76,8 +76,8 @@ class FrameBounds:
     """Lower/upper frame bounds with a shared absolute error bound.
 
     ratio is upper/lower (math.inf when lower is not usable). valid is
-    False when lower <= error_bound: the lower bound is then numerically
-    indistinguishable from a degenerate (non-frame) configuration.
+    lower > error_bound, the larger radius: often upper's rounding, so
+    valid can be False although lower's own ball excludes 0.
     """
 
     lower: float

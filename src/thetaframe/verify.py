@@ -4,7 +4,8 @@ run_all is the one way to run a suite. Each suite samples a grid,
 computes the claimed inequality's margin at every point, and passes only
 when each margin exceeds the propagated evaluation error. Results never
 round in the claim's favour: a margin at or below its error bound fails
-the suite.
+the suite. exp-sum-log-convexity and the informational conjecture's
+convexity part record a ball's upper end: only a ball wholly <= 0 fails.
 
 Two conditioning devices keep the margins honest at small s, where direct
 floating-point evaluation would drown genuine but tiny margins in noise:
@@ -41,10 +42,6 @@ _EPS = math.ulp(1.0)
 # r values of the pair suites; the theta4 combination holds only for r >= 1
 PRODUCT_R = (0.5, 1.0, 2.0, 5.0)
 ODD_MAXIMUM_R = (1.0, 2.0, 5.0)
-# theta3's terms a e^{-b s} to k = 10, as (log a, b, log b)
-_THETA3_TERMS = ((0.0, 0.0, 0.0),) + tuple(
-    (math.log(2.0), math.pi * k * k, math.log(math.pi * k * k))
-    for k in range(1, 11))
 
 
 @dataclass(frozen=True)
@@ -262,45 +259,27 @@ def _lemma_odd_ratio(track, theta, config):
     if s_grid.min > 1e-3 or s_grid.max < 10.0:
         raise DomainError("grid must span [1e-3, 10]")
     pts = s_grid.points()
-    ratio = theta(THETA_ODD)
-    g = {s: ratio(s) for s in (1.0, 1e-3, *pts)}
+    g = theta(THETA_ODD)
+    for s in pts:  # every point, so a lone one above 1/4 is evaluated too
+        gs = g(s)
+        if s <= 0.25:
+            track.add(sub(gs, g(1.0)), s)
     upper = [s for s in pts if s >= 0.25]
     for a, b in zip(upper, upper[1:]):
-        track.add(sub(g[a], g[b]), (a, b))
-    for s in pts:
-        if s <= 0.25:
-            track.add(sub(g[s], g[1.0]), s)
-    gap, r_gap = add(g[1e-3], _HALF)
+        track.add(sub(g(a), g(b)), (a, b))
+    gap, r_gap = add(g(1e-3), _HALF)
     # |x| has the radius of x
     track.add(sub(_exact(0.05), (abs(gap), r_gap)), 1e-3)
     return len(pts)
 
 
-def _logconvexity_general(track, theta, config):
-    """Log-convexity f''f - f'^2 >= 0 of theta3's series to k = 10.
-
-    Only a ball wholly below zero fails: past s = 237 every term but the
-    constant underflows and the quantity is exactly 0. Each term
-    a e^{-b s} of f adds (-1)^j exp(log a + j log b - b s - L) to f^{(j)},
-    L the largest log a - b s at s, so none overflows and the residual is
-    scaled by e^{-2L}. The radii charge each exp for its own and its
-    argument's rounding, and for one subnormal ulp where it underflows.
-    """
+def _logconvexity(track, theta, config):
+    """Log-convexity theta3''theta3 - theta3'^2 >= 0. Only a ball wholly
+    below zero fails: at large s theta3' and theta3'' underflow to 0."""
     pts = config.logconv_grid.points()
+    f, d, w = (theta(THETA3, m) for m in range(3))
     for s in pts:
-        top = max(la - b * s for la, b, _ in _THETA3_TERMS)
-        sums, errs = ([], [], []), [0.0, 0.0, 0.0]
-        for la, b, lb in _THETA3_TERMS:
-            x = la - b * s - top
-            size = abs(la) + b * s + abs(top)
-            for j in range(3 if b else 1):
-                e = math.exp(x + j * lb)
-                if e:
-                    sums[j].append(-e if j == 1 else e)
-                    errs[j] += e * (3.0 * (size + j * abs(lb)) + 8.0)
-        f, d, w = ((v, (r + abs(v)) * _EPS + len(_THETA3_TERMS) * 5e-324)
-                   for v, r in zip(map(math.fsum, sums), errs))
-        resid, r_resid = sub(mul(w, f), mul(d, d))
+        resid, r_resid = sub(mul(w(s), f(s)), mul(d(s), d(s)))
         track.add(_exact(resid + r_resid), s)
     return len(pts)
 
@@ -373,7 +352,7 @@ _SUITES = {
     "odd-combination-minimum": partial(_pair_extremum, THETA3, True),
     "odd-combination-maximum": partial(_pair_extremum, THETA4, True),
     "odd-log-ratio": _lemma_odd_ratio,
-    "exp-sum-log-convexity": _logconvexity_general,
+    "exp-sum-log-convexity": _logconvexity,
     "theta4-ratio-conjecture": _theta4_ratio_conjecture,
 }
 

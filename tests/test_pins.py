@@ -273,8 +273,8 @@ RUN_ALL = {
         "d8a1e7d2eb7f97ff4ed630b93249228a"
         "580c972f115d48c4136b6294039454d2",
     "exp-sum-log-convexity":
-        "0e575430d9c8deda0bad613e09f3d649"
-        "60246443618765b3ed61db20a180b7ff",
+        "deb3f6a199c5b314d6200ce0a99abfc1"
+        "dc3408b5e1e343824edbc45d38f32736",
     "theta4-ratio-conjecture":
         "55ce6ddd6168e5f129e662f0084fe70d"
         "37a1f4c011ae058933ec901a9534fc7d",

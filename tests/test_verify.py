@@ -28,6 +28,31 @@ def _run(suite, **grids):
     return res
 
 
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """The argument tuples of every eval_theta call, direct or through
+    log_deriv_ratio_bounds, made while the test runs."""
+    real = theta.eval_theta
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(theta, "eval_theta", counted)
+    monkeypatch.setattr(verify, "eval_theta", counted)
+    return calls
+
+
+# small grids on which every suite runs in a few milliseconds
+SMALL_GRIDS = dict(monotone_grid=GridSpec(0.5, 2.0, 5, "log"),
+                   refined_grid=GridSpec(0.5, 2.0, 5, "log"),
+                   product_grid=GridSpec(0.5, 2.0, 5, "log"),
+                   odd_ratio_grid=GridSpec(1e-3, 10.0, 5, "log"),
+                   logconv_grid=GridSpec(0.5, 2.0, 5, "log"),
+                   conjecture_grid=GridSpec(0.5, 2.0, 5, "linear"))
+
+
 class TestRunAll:
     def test_default_run_passes(self):
         results = run_all()
@@ -41,23 +66,22 @@ class TestRunAll:
     def test_deterministic(self):
         assert run_all() == run_all()
 
-    def test_theta_calls_of_a_full_run(self, monkeypatch):
+    def test_theta_calls_of_a_full_run(self, theta_calls):
         # each run evaluates each distinct theta value once, through one
         # table of its own: the odd combinations reuse the product suites'
-        # values, and a second run shares nothing with the first
-        real = theta.eval_theta
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(theta, "eval_theta", counted)
-        monkeypatch.setattr(verify, "eval_theta", counted)
+        # values, the log-convexity suite shares s = 10 with the refined
+        # one, and a second run shares nothing with the first
         for _ in range(2):
-            calls.clear()
+            theta_calls.clear()
             run_all()
-            assert len(calls) == 15353
+            assert len(theta_calls) == 15950
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_every_suite_reads_the_table(self, theta_calls, suite):
+        # a suite that summed its own series would bypass eval_theta, and
+        # with it the benchmark's sample of bounds
+        run_all(VerifyConfig(suites=(suite,), **SMALL_GRIDS))
+        assert theta_calls
 
     def test_suite_order_pinned(self):
         # the CLI's --suite choices, its verify JSON and the benchmark's
@@ -363,14 +387,14 @@ class TestLemmaOddRatio:
 
 
 class TestLogConvexity:
-    """The suite runs on theta3's series to k = 10, f = sum a e^{-b s}."""
+    """The suite checks theta3''theta3 - theta3'^2 >= 0 on the run's table."""
 
     SUITE = "exp-sum-log-convexity"
 
     def test_default_grid_pinned(self):
         res = _run(self.SUITE)
         assert res == CheckResult("exp-sum-log-convexity", True,
-                                  4.482973819850171e-13, 10.0, 200)
+                                  4.482973819850126e-13, 10.0, 200)
 
     def test_constant(self):
         # past s = 237 every k >= 1 term underflows and f is the constant
@@ -390,9 +414,9 @@ class TestLogConvexity:
         assert res.worst_residual == pytest.approx(
             2.0 * math.pi ** 2 * math.exp(-200.0 * math.pi), rel=1e-11)
 
-    def test_residual_scaled_by_largest_term(self):
-        # below s = ln 2/pi the k = 1 terms lead, so L = ln 2 - pi s > 0
-        # and the residual is e^{-2L} (f''f - f'^2) plus its small radius
+    def test_residual_matches_mpmath(self):
+        # below s = 1/4 every order comes from the modular transform; the
+        # residual there is theta3''theta3 - theta3'^2 plus its small radius
         mp = pytest.importorskip("mpmath")
         res = _run(self.SUITE, logconv_grid=GridSpec(0.05, 0.2, 50, "log"))
         assert res.passed
@@ -400,9 +424,8 @@ class TestLogConvexity:
             s = mp.mpf(res.worst_location)
             f0, f1, f2 = (mp.fsum((2 if k else 1) * (-mp.pi * k * k) ** j
                                   * mp.exp(-mp.pi * k * k * s)
-                                  for k in range(11)) for j in range(3))
-            want = mp.exp(-2 * (mp.log(2) - mp.pi * s)) * (f2 * f0 - f1 ** 2)
-        assert math.log(2.0) / math.pi > res.worst_location
+                                  for k in range(60)) for j in range(3))
+            want = f2 * f0 - f1 ** 2
         assert res.worst_residual == pytest.approx(float(want), rel=1e-12)
 
 
