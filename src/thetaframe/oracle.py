@@ -91,10 +91,10 @@ def _sums(x, k_max: int, a, b, cos=math.cos):
     return u, v, u_o, v_o
 
 
-def _table(params: LatticeParams, grid_steps: int):
-    """F on the searched grid, flat by row, its columns and K: a list up
-    to _PURE_MAX_STEPS steps, a numpy array above them."""
-    k_max, a, b = _weights(params)
+def _table(params: LatticeParams, grid_steps: int, k_max: int, a, b):
+    """F on the searched grid from _weights' K, a and b, flat by row, and
+    its columns: a list up to _PURE_MAX_STEPS steps, a numpy array above
+    them."""
     rows, n = range(grid_steps // 2 + 1), params.n
     if grid_steps <= _PURE_MAX_STEPS:
         u, v, u_o, v_o = zip(*(_sums(i / grid_steps, k_max, a, b)
@@ -102,21 +102,21 @@ def _table(params: LatticeParams, grid_steps: int):
         if n % 2:
             left = [(n * ui, n * (-2.0 * oi)) for ui, oi in zip(u, u_o)]
             return [l0 * vj + l1 * oj for l0, l1 in left
-                    for vj, oj in zip(v, v_o)], rows, k_max
+                    for vj, oj in zip(v, v_o)], rows
         # even n, F = u_i v_j: on either sign of u_i, row i is extreme
         # where v is, and rounding keeps that order, so two columns hold
         # both extrema
         cols = sorted({v.index(min(v)), v.index(max(v))})
-        return [n * ui * v[j] for ui in u for j in cols], cols, k_max
+        return [n * ui * v[j] for ui in u for j in cols], cols
     import numpy as np
 
     u, v, u_o, v_o = _sums(np.arange(len(rows)) / grid_steps, k_max, a, b,
                            np.cos)
     if n % 2:
         left = np.stack([n * u, n * (-2.0 * u_o)], axis=1)
-        return (left @ np.stack([v, v_o])).ravel(), rows, k_max
+        return (left @ np.stack([v, v_o])).ravel(), rows
     cols = sorted({int(v.argmin()), int(v.argmax())})
-    return np.outer(n * u, v[cols]).ravel(), cols, k_max
+    return np.outer(n * u, v[cols]).ravel(), cols
 
 
 def janssen_F(x: float, omega: float, params: LatticeParams) -> float:
@@ -142,11 +142,17 @@ def grid_extrema_F(params: LatticeParams,
     places both (0, 0) and (1/2, 1/2) on the grid. Grids of up to 128
     steps are searched in pure Python, larger ones with numpy.
     """
+    return _search(params, grid_steps)[0]
+
+
+def _search(params: LatticeParams, grid_steps: int):
+    """grid_extrema_F's report and the weights (K, a, b) it searched."""
     if not 8 <= (grid_steps := integer(grid_steps, "grid_steps")) <= \
             _MAX_GRID_STEPS:
         raise DomainError(f"grid_steps={grid_steps!r} must be an int in "
                           f"[8, {_MAX_GRID_STEPS}]")
-    f, cols, kk = _table(params, grid_steps)
+    k_max, a, b = weights = _weights(params)
+    f, cols = _table(params, grid_steps, k_max, a, b)
     if isinstance(f, list):
         top, bottom = f.index(max(f)), f.index(min(f))
     else:
@@ -156,7 +162,8 @@ def grid_extrema_F(params: LatticeParams,
         i, j = divmod(flat, len(cols))
         return float(f[flat]), (i / grid_steps, int(cols[j]) / grid_steps)
 
-    return ExtremaReport(*located(top), *located(bottom), grid_steps, kk)
+    return ExtremaReport(*located(top), *located(bottom), grid_steps,
+                         k_max), weights
 
 
 def frame_bounds_via_F(params: LatticeParams,
@@ -166,8 +173,7 @@ def frame_bounds_via_F(params: LatticeParams,
     error_bound combines the neglected series tail with a Lipschitz
     grid-resolution term, so it is much looser than the closed forms.
     """
-    rep = grid_extrema_F(params, grid_steps)
-    kk, a, b = _weights(params)
+    rep, (kk, a, b) = _search(params, grid_steps)
     # per axis, x's a with beta then omega's b with alpha: the tail past
     # K, the full sum and the first moment of its weights
     axes = []

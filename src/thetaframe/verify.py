@@ -210,13 +210,13 @@ def _symmetric_center(pts):
 
 
 def _extremum_at_center(track, vals, pts, center, r, maximum):
-    """Assert every off-center value lies strictly beyond the center
-    value: the grid extremum sits at the center."""
+    """Assert every value left of the center lies strictly beyond the
+    center value, so the grid extremum sits at the center; the values are
+    symmetric bit for bit, so the right half would repeat the assertions."""
     ref = vals[center]
-    for i in range(len(pts)):
-        if i != center:
-            gap = sub(ref, vals[i]) if maximum else sub(vals[i], ref)
-            track.add(gap, (r, pts[i]))
+    for i in range(center):
+        gap = sub(ref, vals[i]) if maximum else sub(vals[i], ref)
+        track.add(gap, (r, pts[i]))
 
 
 def _pair_extremum(family, odd, track, theta, config):
@@ -228,8 +228,15 @@ def _pair_extremum(family, odd, track, theta, config):
     frame's a = n^2 beta^2/2 and b = 1/(2 beta^2) are rs and r/s with
     r = n/2 and s = n beta^2, so each value is A/n (theta4) or B/n
     (theta3) along beta at n = 2r, odd giving the odd-n form, with the
-    square lattice at s = 1. The theta3 combination also asserts that the
-    theta_odd product alone peaks at s = 1.
+    square lattice at s = 1. The second factor at s_i is taken at the
+    mirrored point r s_{G-1-i}, which the symmetric-grid precondition
+    puts within 8 ulps of r/s_i.
+
+    The theta3 combination also asserts that the theta_odd product alone
+    peaks at s = 1. Its worst_residual is the smallest absolute slack of
+    both claims: on the default grid the theta_odd product's (7.65e-17,
+    error 3.5e-27), not the combination's (3.7e-9). The worst
+    assertion's name would tell them apart.
     """
     maximum = family == THETA4
     r_values = ODD_MAXIMUM_R if odd and maximum else PRODUCT_R
@@ -237,10 +244,13 @@ def _pair_extremum(family, odd, track, theta, config):
     center = _symmetric_center(pts)
     f, f_odd = theta(family, 0), theta(THETA_ODD, 0)
     for r in r_values:
-        # most arguments repeat on the grid; the table evaluates each once
-        vals = [mul(f(r * s), f(r / s)) for s in pts]
+        # theta once per r s_i; mul's operands commute bit for bit, so
+        # the pairs at mirrored points are equal
+        fs = [f(r * s) for s in pts]
+        vals = [mul(a, b) for a, b in zip(fs, reversed(fs))]
         if odd:
-            odds = [mul(f_odd(r * s), f_odd(r / s)) for s in pts]
+            fs = [f_odd(r * s) for s in pts]
+            odds = [mul(a, b) for a, b in zip(fs, reversed(fs))]
             vals = [sub(a, scale(b, 2.0)) for a, b in zip(vals, odds)]
         _extremum_at_center(track, vals, pts, center, r, maximum)
         if odd and not maximum:

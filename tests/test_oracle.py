@@ -321,6 +321,18 @@ class TestFrameBoundsViaF:
         assert abs(grid.upper - closed.upper) <= grid.error_bound
         assert grid.valid
 
+    def test_weights_computed_once(self, monkeypatch):
+        # the bound's tail and Lipschitz terms reuse the K and weights of
+        # its own grid search, in either engine
+        real, calls = oracle.auto_k_max, []
+        monkeypatch.setattr(oracle, "auto_k_max",
+                            lambda p: calls.append(p) or real(p))
+        for grid in (16, 256):
+            for params in (lattice_params(2, 0.7), lattice_params(3, 0.5)):
+                frame_bounds_via_F(params, grid)
+                assert calls == [params]
+                calls.clear()
+
     def test_error_bound_looser_than_closed(self):
         params = lattice_params(2, 0.7)
         closed = frame_bounds(params)

@@ -264,8 +264,8 @@ RUN_ALL = {
         "ffc8c386408d4330bb0abd7d3e13c5d5"
         "cc7c951938feb46b61c719eb8b40f8dc",
     "odd-combination-minimum":
-        "4071b7c92bf08950314b55fa44bd66ac"
-        "d6328f19d386395f1c35e6f2920ba749",
+        "8a1932c0e92780151bd4a4fcfdca2e33"
+        "4f04e4fe666570368f8bb4393ea6be56",
     "odd-combination-maximum":
         "21114b8b75be375b178d27cd94340d62"
         "5a07171ec89c164d3a75f09b408d99f9",

@@ -68,13 +68,15 @@ class TestRunAll:
 
     def test_theta_calls_of_a_full_run(self, theta_calls):
         # each run evaluates each distinct theta value once, through one
-        # table of its own: the odd combinations reuse the product suites'
-        # values, the log-convexity suite shares s = 10 with the refined
-        # one, and a second run shares nothing with the first
+        # table of its own: the pair suites take theta at r s alone, one
+        # argument per grid point and r, the odd combinations reuse the
+        # product suites' values, the log-convexity suite shares s = 10
+        # with the refined one, and a second run shares nothing with the
+        # first
         for _ in range(2):
             theta_calls.clear()
             run_all()
-            assert len(theta_calls) == 15950
+            assert len(theta_calls) == 14225
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_every_suite_reads_the_table(self, theta_calls, suite):
@@ -187,27 +189,22 @@ class TestProductInequality:
     def test_theta4_max(self):
         assert _run("theta4-product-maximum", product_grid=self.GRID).passed
 
-    @pytest.mark.parametrize("suite,calls", [
-        # 1,779 distinct pair arguments over the four r
-        ("theta3-product-minimum", 1779),
-        ("theta4-product-maximum", 1779),
-        # theta_odd and the family at each of the same arguments
-        ("odd-combination-minimum", 3558),
-        ("odd-combination-maximum", 2678),   # three r
-    ])
-    def test_one_evaluation_per_distinct_pair_argument(self, monkeypatch,
-                                                        suite, calls):
-        # the symmetric grid repeats most r s and r/s arguments
-        real = verify.eval_theta
-        args = []
-
-        def counted(family, s, order):
-            args.append((family, s, order))
-            return real(family, s, order)
-
-        monkeypatch.setattr(verify, "eval_theta", counted)
+    @pytest.mark.parametrize("suite", list(PAIR_IDS))
+    def test_one_evaluation_per_distinct_pair_argument(self, theta_calls,
+                                                        suite):
+        # the pair at s_i takes its second factor at the mirrored point
+        # r s_{G-1-i}, not at r/s_i, so theta is evaluated at r s_j alone,
+        # once each: 1,204 arguments over the four r, 903 over three
+        family = THETA4 if suite.endswith("maximum") else THETA3
+        odd = suite.startswith("odd")
+        r_values = (verify.ODD_MAXIMUM_R if odd and family == THETA4
+                    else verify.PRODUCT_R)
+        pts = VerifyConfig().product_grid.points()
         assert run_all(VerifyConfig(suites=(suite,)))[0].passed
-        assert len(args) == calls
+        assert len(theta_calls) == len(set(theta_calls))
+        assert set(theta_calls) == {
+            (f, r * s, 0) for f in ((family, THETA_ODD) if odd else (family,))
+            for r in r_values for s in pts}
 
 
 class TestOddCombinations:
@@ -265,13 +262,13 @@ class TestNegativeControls:
     perturbed argument r s_k on this grid, so only r fails."""
 
     GRID = GridSpec(1 / 3, 3.0, 21, "log")
+    CASES = [("theta3-product-minimum", THETA3, 0.5, 2.0),
+             ("theta4-product-maximum", THETA4, 1.5, 2.0),
+             ("odd-combination-minimum", THETA_ODD, 3.0, 1.0),
+             ("odd-combination-maximum", THETA4, 1.5, 1.0)]
+    IDS = [PAIR_IDS[case[0]] for case in CASES]
 
-    @pytest.mark.parametrize("suite,family,factor,r", [
-        ("theta3-product-minimum", THETA3, 0.5, 2.0),
-        ("theta4-product-maximum", THETA4, 1.5, 2.0),
-        ("odd-combination-minimum", THETA_ODD, 3.0, 1.0),
-        ("odd-combination-maximum", THETA4, 1.5, 1.0),
-    ], ids=["theta3-product", "theta4-product", "odd-upper", "odd-lower"])
+    @pytest.mark.parametrize("suite,family,factor,r", CASES, ids=IDS)
     def test_perturbed_pair_fails_at_its_point(self, monkeypatch, suite,
                                                family, factor, r):
         pts = self.GRID.points()
@@ -280,6 +277,19 @@ class TestNegativeControls:
         res = _run(suite, product_grid=self.GRID)
         assert res.passed is False
         assert res.worst_location == (r, s_k)
+
+    @pytest.mark.parametrize("suite,family,factor,r", CASES, ids=IDS)
+    def test_perturbed_mirrored_factor_fails(self, monkeypatch, suite,
+                                             family, factor, r):
+        # the suites assert only left of the center; a value at r s_j
+        # right of it enters the pair at the mirrored point s_{G-1-j} as
+        # its second factor, and must fail there
+        pts = self.GRID.points()
+        center = len(pts) // 2
+        _scale_first_call(monkeypatch, family, r * pts[center + 1], factor)
+        res = _run(suite, product_grid=self.GRID)
+        assert res.passed is False
+        assert res.worst_location == (r, pts[center - 1])
 
 
 class TestUncheckedClaims:
