@@ -17,18 +17,12 @@ from dataclasses import asdict
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .theta import DEFAULT_TOL, FAMILIES, TOL_FLOOR, ThetaFamily, eval_theta
+from .theta import FAMILIES, ThetaFamily, eval_theta
 
 
 def _add_format(p):
     p.add_argument("--format", choices=("human", "json"), default="human",
                    help="output format (default human)")
-
-
-def _add_tol(p):
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"evaluation tolerance, {TOL_FLOOR:g} <= tol < 1 "
-                        "(default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,14 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first argument for theta_general")
     p.add_argument("--order", type=int, choices=(0, 1, 2), default=0,
                    help="derivative order in s (default 0)")
-    _add_tol(p)
     _add_format(p)
 
     p = sub.add_parser("bounds", help="closed-form frame bounds A, B")
     p.add_argument("--n", type=int, required=True,
                    help="integer redundancy n >= 1")
     p.add_argument("--beta", type=float, required=True)
-    _add_tol(p)
     _add_format(p)
 
     p = sub.add_parser("sweep", help="tabulate bounds over a beta grid")
@@ -68,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="optional SVG plot path")
     p.add_argument("--column", choices=("A", "B", "ratio"), default="ratio",
                    help="column to plot (default ratio)")
-    _add_tol(p)
 
     p = sub.add_parser("verify", help="run numerical verification suites")
     p.add_argument("--suite", default="all",
@@ -136,12 +127,10 @@ def _fmt12(x: float) -> str:
 
 
 def _cmd_eval(args) -> int:
-    tv = eval_theta(ThetaFamily(args.family, args.z), args.s, args.order,
-                    args.tol)
+    tv = eval_theta(ThetaFamily(args.family, args.z), args.s, args.order)
     if args.format == "json":
         _emit({"command": "eval", "family": args.family, "z": args.z,
-               "s": args.s, "order": args.order, "tol": args.tol,
-               **asdict(tv)})
+               "s": args.s, "order": args.order, **asdict(tv)})
     else:
         print(f"value = {_fmt12(tv.value)} [error bound "
               f"{tv.error_bound:.3e}]")
@@ -151,10 +140,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bounds(args) -> int:
     from .frame import LatticeParams, frame_bounds
-    fb = frame_bounds(LatticeParams(args.n, args.beta), args.tol)
+    fb = frame_bounds(LatticeParams(args.n, args.beta))
     if args.format == "json":
         _emit({"command": "bounds", "n": args.n, "beta": args.beta,
-               "tol": args.tol, **asdict(fb)})
+               **asdict(fb)})
     else:
         print(f"lower = {_fmt12(fb.lower)} [error bound "
               f"{fb.error_bound:.3e}]")
@@ -170,7 +159,7 @@ def _cmd_sweep(args) -> int:
     from .sweep import emit_csv, emit_plot, sweep_beta
     scale = "log" if args.log else "linear"
     grid = GridSpec(args.beta_min, args.beta_max, args.steps, scale)
-    rows = sweep_beta(args.n, grid, args.tol)
+    rows = sweep_beta(args.n, grid)
     plot = ""
     if args.svg is not None:
         # emit_plot checks the rows before it opens a file, so a rejected

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .ball import mul, scale, sub
 from .errors import DomainError, integer, real
-from .theta import DEFAULT_TOL, S_MAX, S_MIN, _check_tol, _thetas
+from .theta import DEFAULT_TOL, S_MAX, S_MIN, _thetas
 
 
 def _theta_args(n: int, beta: float) -> tuple[float, float]:
@@ -119,20 +119,19 @@ def _frame_slopes(n: int, beta: float):
     return _bounds(n, beta, 1e-16, True)
 
 
-def frame_bounds(params: LatticeParams,
-                 tol: float = DEFAULT_TOL) -> FrameBounds:
-    """Bounds of a lattice (validated on creation), tol in [1e-280, 1)."""
+def frame_bounds(params: LatticeParams) -> FrameBounds:
+    """Bounds of a lattice (validated on creation), from theta values at
+    the truncation target DEFAULT_TOL = 1e-12."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    lower, upper, ratio, error_bound = _frame_row(params.n, params.beta,
-                                                  _check_tol(tol))
+    lower, upper, ratio, error_bound = _frame_row(params.n, params.beta)
     return FrameBounds(lower, upper, ratio, error_bound, lower > error_bound)
 
 
-def _frame_row(n, beta, tol):
-    """(A, B, B/A, shared radius) of frame_bounds at a validated lattice
-    and tol; B/A is inf unless A > 0."""
-    (lower, r_lower), (upper, r_upper) = _bounds(n, beta, tol)
+def _frame_row(n, beta):
+    """(A, B, B/A, shared radius) of frame_bounds at a validated lattice;
+    B/A is inf unless A > 0."""
+    (lower, r_lower), (upper, r_upper) = _bounds(n, beta, DEFAULT_TOL)
     return (lower, upper, upper / lower if lower > 0.0 else math.inf,
             max(r_lower, r_upper))
 

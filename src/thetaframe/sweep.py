@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DomainError, RangeError, real
 from .frame import LatticeParams, _frame_row, _frame_slopes, frame_bounds
 from .grids import GridSpec
-from .theta import DEFAULT_TOL, _NEW, _check_tol
+from .theta import _NEW
 
 CSV_HEADER = "beta,A,B,ratio"
 PLOT_COLUMNS = ("A", "B", "ratio")
@@ -66,8 +66,7 @@ class OptimumReport:
     error_bound: float
 
 
-def sweep_beta(n: int, grid: GridSpec,
-               tol: float = DEFAULT_TOL) -> list[SweepRow]:
+def sweep_beta(n: int, grid: GridSpec) -> list[SweepRow]:
     """Tabulate (beta, A, B, B/A) over the grid, in grid order, as
     frame_bounds gives them. a and b, and their rounding, are monotone in
     beta, so the lattices at both ends validate every point."""
@@ -76,12 +75,11 @@ def sweep_beta(n: int, grid: GridSpec,
     points = grid.points()
     for beta in (min(points), max(points)):
         n = LatticeParams(n, beta).n
-    tol = _check_tol(tol)
     rows = [_NEW(SweepRow) for _ in points]
     for row, beta in zip(rows, points):  # as SweepRow(...) fills them, but
         d = row.__dict__  # without four object.__setattr__ calls
         d["beta"] = beta
-        d["lower"], d["upper"], d["ratio"], _ = _frame_row(n, beta, tol)
+        d["lower"], d["upper"], d["ratio"], _ = _frame_row(n, beta)
     return rows
 
 

@@ -52,11 +52,10 @@ S_MIN = 1e-6
 S_MAX = 1e6
 SMALL_S_CUTOFF = 0.25
 TERM_CAP = 10 ** 6
-DEFAULT_TOL = 1e-12
-# smallest accepted tol: an underflowed term is charged R * 5e-324 against
-# tol/2 over the transform's s^{-m-1/2}, 1e15 at s = 1e-6, m = 2, where R
-# is 3e14. theta3 there needs tol >= 3e-294, the most of any family and
-# order on 241 log-spaced s; below that a series runs to TERM_CAP.
+DEFAULT_TOL = 1e-12  # eval_theta's and frame_bounds' truncation target
+# smallest tol of theta4_triple_product, the one public function with a
+# target of its own: every series runs at DEFAULT_TOL, or at 1e-16 for
+# frame's slopes
 TOL_FLOOR = 1e-280
 
 _EPS = math.ulp(1.0)
@@ -153,17 +152,11 @@ class ThetaValue:
     method: EvalMethod
 
 
-def _check_tol(tol: float) -> float:
-    if not (TOL_FLOOR <= (tol := real(tol, "tol")) < 1.0):
-        raise DomainError(f"tol={tol!r} outside [{TOL_FLOOR}, 1)")
-    return tol
-
-
-def _check_domain(s: float, tol: float) -> tuple[float, float]:
+def _check_domain(s: float) -> float:
     if not S_MIN <= (s := real(s, "s")) <= S_MAX:
         raise DomainError(
             f"s={s!r} outside supported domain [{S_MIN}, {S_MAX}]")
-    return s, _check_tol(tol)
+    return s
 
 
 # rows (c0, c1, c2) of Q(p): the weights 1, -p, p^2 of the direct series'
@@ -297,9 +290,10 @@ def _thetas(s: float, order: int, tol: float, odd: int):
 
 
 def eval_theta(family: ThetaFamily, s: float,
-               order: DerivativeOrder | int = DerivativeOrder.VALUE,
-               tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Evaluate a theta family member or its s-derivative.
+               order: DerivativeOrder | int = DerivativeOrder.VALUE
+               ) -> ThetaValue:
+    """Evaluate a theta family member or its s-derivative to the absolute
+    truncation target DEFAULT_TOL = 1e-12; the bound also covers rounding.
 
     Parameters
     ----------
@@ -309,9 +303,6 @@ def eval_theta(family: ThetaFamily, s: float,
         Argument, a real number, not a bool, in [1e-6, 1e6].
     order : int
         Derivative order in s, one of 0, 1, 2; an integer, not a bool.
-    tol : float
-        Absolute truncation target, a real number, not a bool, in
-        [TOL_FLOOR, 1) = [1e-280, 1); the bound also covers rounding.
 
     Returns
     -------
@@ -320,7 +311,7 @@ def eval_theta(family: ThetaFamily, s: float,
     Raises
     ------
     DomainError
-        s or tol outside the supported domain, bad order or family.
+        s outside the supported domain, bad order or family.
     ConvergenceError
         certification failed within the term cap.
     """
@@ -332,20 +323,19 @@ def eval_theta(family: ThetaFamily, s: float,
             f"derivative order must be 0, 1 or 2, got {order!r}") from exc
     if not isinstance(family, ThetaFamily):
         raise DomainError(f"expected ThetaFamily, got {family!r}")
-    if not (s.__class__ is float and tol.__class__ is float
-            and S_MIN <= s <= S_MAX and TOL_FLOOR <= tol < 1.0):
-        s, tol = _check_domain(s, tol)  # converts, or raises for s or tol
+    if not (s.__class__ is float and S_MIN <= s <= S_MAX):
+        s = _check_domain(s)  # converts, or raises
     if s >= SMALL_S_CUTOFF:
         coef, method = None, _DIRECT
-        terms, rest = _series(family.kind, s, order, tol, family.z)
+        terms, rest = _series(family.kind, s, order, DEFAULT_TOL, family.z)
     else:
         # the inner series of the family's reflection at u = lam/s, Q(p)
-        # being P_m(p u), to half of tol, times c / (s^m sqrt(s))
+        # being P_m(p u), to half of the target, times c / (s^m sqrt(s))
         c, lam, inner = _SERIES[family.kind][-1]
         coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
         method = _TRANSFORM
-        terms, rest = _series(inner, lam / s, order, 0.5 * tol / abs(coef),
-                              family.z, True)
+        terms, rest = _series(inner, lam / s, order,
+                              0.5 * DEFAULT_TOL / abs(coef), family.z, True)
     # the same record as ThetaValue(...), without the frozen __init__'s
     # four object.__setattr__ calls
     out = _NEW(ThetaValue)
@@ -362,9 +352,12 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     Factors use expm1 to stay accurate near 1; the neglected factors are
     bounded through |log(1-x)| <= x/(1-x) summed geometrically. Below the
     normal range rounding is absolute, so each of the 3k rounded
-    multiplications adds one subnormal ulp.
+    multiplications adds one subnormal ulp. tol, the absolute truncation
+    target, is a real number, not a bool, in [TOL_FLOOR, 1) = [1e-280, 1).
     """
-    s, tol = _check_domain(s, tol)
+    s = _check_domain(s)
+    if not (TOL_FLOOR <= (tol := real(tol, "tol")) < 1.0):
+        raise DomainError(f"tol={tol!r} outside [{TOL_FLOOR}, 1)")
     q = math.exp(-math.pi * s)
     prod = 1.0
     k = 0

@@ -20,8 +20,8 @@ Both identities follow from differentiating the theta3 reflection formula;
 their own correctness is covered by the identity-residual checks.
 
 Margins and their errors are balls propagated with the rules of ball.py,
-the one place where rounding is accounted for. Every theta value is
-evaluated at the default truncation target DEFAULT_TOL = 1e-12; the
+the one place where rounding is accounted for. Every theta value comes
+from eval_theta at the one truncation target DEFAULT_TOL = 1e-12; the
 inequalities and their r values are fixed, and only the grids vary.
 """
 

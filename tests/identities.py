@@ -1,5 +1,5 @@
-"""Identity residuals of the direct series, and a naive partial sum, for
-the tests.
+"""Identity residuals of the direct series, a naive partial sum, and
+eval_theta's two routes at any truncation target, for the tests.
 
 The small-s transform that eval_theta takes below the cutoff is the very
 identity these residuals measure, so every side here is summed by the
@@ -16,6 +16,25 @@ def direct(kind, s, order=0, tol=1e-12, z=None):
     """The direct series' ball (value, radius) of a family at s, on either
     side of the cutoff: eval_theta's value and bound from s = 1/4 up."""
     return theta._ball(*theta._series(kind, float(s), order, tol, z))
+
+
+def routed(family, s, order=0, tol=1e-12):
+    """eval_theta's ThetaValue with tol in place of its fixed target
+    DEFAULT_TOL: the direct series from the cutoff up, below it the inner
+    series of the family's reflection to half of tol over the coefficient.
+    It keeps the series below 1e-12 under test."""
+    s = float(s)
+    if s >= theta.SMALL_S_CUTOFF:
+        coef, method = None, theta.EvalMethod.DIRECT
+        terms, rest = theta._series(family.kind, s, order, tol, family.z)
+    else:
+        c, lam, inner = theta._SERIES[family.kind][-1]
+        coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
+        method = theta.EvalMethod.TRANSFORM
+        terms, rest = theta._series(inner, lam / s, order,
+                                    0.5 * tol / abs(coef), family.z, True)
+    return theta.ThetaValue(*theta._ball(terms, rest, coef), len(terms),
+                            method)
 
 
 def jacobi_identity_residual(s, tol=1e-12):

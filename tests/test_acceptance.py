@@ -158,10 +158,10 @@ def test_criterion_12_derivatives_match_finite_differences():
             s = rng.uniform(0.1, 3.0)
             h = 1e-5 * max(1.0, s)
             for order in (1, 2):
-                lo = eval_theta(fam, s - h, order - 1, 1e-14).value
-                hi = eval_theta(fam, s + h, order - 1, 1e-14).value
+                lo = eval_theta(fam, s - h, order - 1).value
+                hi = eval_theta(fam, s + h, order - 1).value
                 fd = (hi - lo) / (2.0 * h)
-                got = eval_theta(fam, s, order, 1e-14).value
+                got = eval_theta(fam, s, order).value
                 worst = max(worst, abs(got - fd) / max(1e-30, abs(got)))
     ok = worst < 1e-6
     assert report(12, ok, "derivatives vs central differences, relative",

@@ -37,8 +37,8 @@ def validator():
 class TestParseArgs:
     def test_defaults(self):
         args = parse_args(["bounds", "--n", "2", "--beta", "0.7"])
-        assert args.tol == 1e-12
-        assert args.format == "human"
+        assert vars(args) == {"subcommand": "bounds", "n": 2, "beta": 0.7,
+                              "format": "human"}
 
     def test_sweep_args(self):
         args = parse_args(["sweep", "--n", "2", "--beta-min", "0.4",
@@ -83,11 +83,19 @@ class TestParseArgs:
         assert main(["--help"]) == 0
         assert "thetaframe" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["eval", "bounds", "sweep"])
-    def test_tol_help_states_range(self, capsys, command):
+    @pytest.mark.parametrize("command,argv", [
+        ("eval", ["--family", "theta3", "--s", "1.0"]),
+        ("bounds", ["--n", "2", "--beta", "0.7"]),
+        ("sweep", ["--n", "2", "--beta-min", "0.4", "--beta-max", "1.4",
+                   "--steps", "5", "--out", os.devnull])],
+        ids=["eval", "bounds", "sweep"])
+    def test_help_lists_no_tol(self, capsys, command, argv):
+        # the truncation target is the library's: no command takes --tol
         assert main([command, "--help"]) == 0
-        out = " ".join(capsys.readouterr().out.split())
-        assert "1e-280 <= tol < 1 (default 1e-12)" in out
+        assert "--tol" not in capsys.readouterr().out
+        assert main([command, *argv, "--tol", "1e-12"]) == 2
+        assert "unrecognized arguments: --tol 1e-12" in \
+            capsys.readouterr().err
 
 
 class TestComputationErrors:
@@ -100,10 +108,9 @@ class TestComputationErrors:
         # beta**2 underflows to 0: a domain error, not a traceback
         ["bounds", "--n", "2", "--beta", "1e-200"],
         ["oracle", "--n", "2", "--beta", "1e-170"],
-        # tol below the floor: rejected before any series runs
-        ["eval", "--family", "theta3", "--s", "1e-6", "--order", "2",
-         "--tol", "1e-300"],
-        ["bounds", "--n", "2", "--beta", "0.7", "--tol", "5e-324"],
+        # s above the domain, and a z that is no finite number
+        ["eval", "--family", "theta3", "--s", "2e6", "--order", "2"],
+        ["eval", "--family", "theta_general", "--s", "1.0", "--z", "nan"],
     ])
     def test_domain_errors_exit_1(self, argv, capsys):
         code, out, err = run_main(capsys, argv)
@@ -352,7 +359,7 @@ class TestJsonEqualsLibrary:
         assert doc == {
             "command": "eval", "family": family,
             "z": 0.3 if family == "theta_general" else None, "s": s,
-            "order": order, "tol": 1e-12, "value": tv.value,
+            "order": order, "value": tv.value,
             "error_bound": tv.error_bound, "terms_used": tv.terms_used,
             "method": tv.method.value}
 
@@ -364,7 +371,7 @@ class TestJsonEqualsLibrary:
         validator(doc)
         fb = frame_bounds(lattice_params(n, beta))
         assert doc == {
-            "command": "bounds", "n": n, "beta": beta, "tol": 1e-12,
+            "command": "bounds", "n": n, "beta": beta,
             "lower": fb.lower, "upper": fb.upper,
             "ratio": fb.ratio if math.isfinite(fb.ratio) else None,
             "error_bound": fb.error_bound, "valid": fb.valid}

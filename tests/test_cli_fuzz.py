@@ -59,8 +59,6 @@ def _argv(rng, tmp_path):
         opts["--suite"] = rng.choice(("odd-log-ratio", "bogus", ""))
     if sub == "oracle" and rng.random() < 0.7:
         opts["--grid"] = _pick(rng, rng.choice((8, 16, 7, 4097)))
-    if sub in ("eval", "bounds", "sweep") and rng.random() < 0.3:
-        opts["--tol"] = _pick(rng, rng.choice((1e-12, 1e-6, 1e-15)))
     if sub != "sweep" and rng.random() < 0.3:
         opts["--format"] = rng.choice(("human", "json", "xml"))
     # a flag missing; verify without --suite would run every suite

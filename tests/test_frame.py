@@ -6,8 +6,9 @@ import random
 import pytest
 
 import reference_values as ref
+from identities import routed
 from thetaframe import (THETA3, THETA4, THETA_ODD, DomainError,
-                        FrameBounds, GridSpec, LatticeParams, eval_theta,
+                        FrameBounds, GridSpec, LatticeParams,
                         find_optimal_beta, frame_bounds, frame_bounds_even,
                         frame_bounds_odd, frame_bounds_via_F, grid_extrema_F,
                         janssen_F, lattice_params, sweep_beta)
@@ -163,14 +164,14 @@ def test_slope_containment_against_reference():
 
 
 def _composed(n, beta, tol, slopes):
-    """(A, B) composed from one eval_theta call per family, order and
-    argument with ball.py's rules: the radii that frame's bounds and
-    slopes must not exceed."""
+    """(A, B) composed from one eval_theta value at tol (routed) per
+    family, order and argument with ball.py's rules: the radii that
+    frame's bounds and slopes must not exceed."""
     a = 0.5 * (n * beta) * (n * beta)
     b = 0.5 / (beta * beta)
 
     def ev(family, s, order):
-        tv = eval_theta(family, s, order, tol)
+        tv = routed(family, s, order, tol)
         return tv.value, tv.error_bound
 
     def pair(family):
@@ -187,8 +188,18 @@ def _composed(n, beta, tol, slopes):
     return scale(lo, n), scale(hi, n)
 
 
+def _frame(n, beta, tol):
+    """(lower, upper, error_bound) of frame_bounds, or of its body _bounds
+    at a tol other than frame_bounds' DEFAULT_TOL."""
+    if tol == DEFAULT_TOL:
+        fb = frame_bounds(lattice_params(n, beta))
+        return fb.lower, fb.upper, fb.error_bound
+    (lower, r_lower), (upper, r_upper) = _bounds(n, beta, tol)
+    return lower, upper, max(r_lower, r_upper)
+
+
 def _check_composition(betas_per_n):
-    """frame_bounds (tol 1e-12 and 1e-16) and _frame_slopes contain the
+    """frame_bounds (and its body at tol 1e-16) and _frame_slopes contain the
     50-digit value composed from theta_reference, and no radius is wider
     than the per-family composition's by more than a factor of 1 + 1e-9:
     n = 1-8 at log-spaced beta within 10^1.2 of 1/sqrt(n), which puts a or
@@ -214,14 +225,14 @@ def _check_composition(betas_per_n):
                     return n * (pairs[0] - odd), n * (pairs[1] - odd)
 
                 exact, exact_slopes = truth(False), truth(True)
-            for tol in (1e-12, 1e-16):
-                fb = frame_bounds(lattice_params(n, beta), tol)
+            for tol in (DEFAULT_TOL, 1e-16):
+                lower, upper, radius = _frame(n, beta, tol)
                 lo, hi = _composed(n, beta, tol, False)
-                assert fb.error_bound <= (1 + 1e-9) * max(
+                assert radius <= (1 + 1e-9) * max(
                     lo[1], hi[1]), (n, beta, tol)
-                for got, true in zip((fb.lower, fb.upper), exact):
+                for got, true in zip((lower, upper), exact):
                     assert abs(mp.mpf(got) - true) <= \
-                        mp.mpf(fb.error_bound), (n, beta, tol)
+                        mp.mpf(radius), (n, beta, tol)
             for (got, radius), comp, true in zip(
                     _frame_slopes(n, beta), _composed(n, beta, 1e-16, True),
                     exact_slopes):
@@ -298,19 +309,6 @@ class TestDomain:
             frame_bounds_even(2, 1000.0)
         with pytest.raises(DomainError):
             frame_bounds_even(2, 5e-4)
-
-    def test_bad_tol(self):
-        with pytest.raises(DomainError):
-            frame_bounds(lattice_params(2, 0.7), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [math.nan, 1.0, -1e-3])
-    def test_bad_tol_message(self, tol):
-        # frame_bounds runs eval_theta's tol check, so the wording matches
-        with pytest.raises(DomainError) as want:
-            eval_theta(THETA3, 1.0, 0, tol)
-        with pytest.raises(DomainError) as got:
-            frame_bounds(lattice_params(3, 0.7), tol=tol)
-        assert str(got.value) == str(want.value)
 
     def test_params_type(self):
         with pytest.raises(DomainError):

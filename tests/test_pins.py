@@ -1,5 +1,7 @@
 """Bit pins of eval_theta, theta4_triple_product, sweep_beta,
 frame_bounds, _frame_slopes, find_optimal_beta and run_all.
+eval_theta's series below its target 1e-12 are pinned through
+identities.routed, which is eval_theta at any target.
 
 The mpmath containment tests accept any ball that contains the true
 value, so a last-bit move in a midpoint or a radius passes them. These
@@ -13,6 +15,7 @@ import math
 
 import pytest
 
+from identities import routed
 from thetaframe import (THETA3, THETA4, THETA_ODD, GridSpec, LatticeParams,
                         eval_theta, find_optimal_beta, frame_bounds,
                         general_family, run_all, sweep_beta,
@@ -20,15 +23,14 @@ from thetaframe import (THETA3, THETA4, THETA_ODD, GridSpec, LatticeParams,
 from thetaframe.frame import _frame_slopes
 from thetaframe.theta import SMALL_S_CUTOFF
 
-TOLS = (1e-12, 1e-16, 1e-60, 1e-280)
 FAMILIES = {"theta3": THETA3, "theta4": THETA4, "theta_odd": THETA_ODD,
             "theta_general(0.3)": general_family(0.3),
             "theta_general(0.8125)": general_family(0.8125)}
 
 # (family, tol) -> SHA-256 of one line per s and order 0-2: value and
-# radius as float.hex, terms_used and method, of eval_theta on 97
-# log-spaced s over [1e-6, 1e6], the cutoff and the float below it. The
-# two z put P_z's shifts at an inexact and an exact 1 - z.
+# radius as float.hex, terms_used and method, of eval_theta (routed below
+# 1e-12) on 97 log-spaced s over [1e-6, 1e6], the cutoff and the float
+# below it. The two z put P_z's shifts at an inexact and an exact 1 - z.
 SERIES = {
     ("theta3", 1e-12): "60db6b3213e933703cf20ef025d676b4"
                        "c134b32c69a1c8214afd75ae13f989ba",
@@ -86,17 +88,16 @@ PRODUCT = {
 }
 
 # n -> SHA-256 of one line per row, beta, A, B and B/A as float.hex, of
-# sweep_beta at tol 1e-12 then 1e-16 on 97 log-spaced beta just inside
-# the lattice domain of n
+# sweep_beta on 97 log-spaced beta just inside the lattice domain of n
 SWEEP = {
-    1: "1a13488d7afa01c93792b12d7e99f4d1e382f797090d9d25f765a20fd0b0b1da",
-    2: "0f790abf0d0b23557674bcd3f9f6fbcbbf485379b51a8f79e982be15806440d3",
-    3: "323c4d3fe8a1b5d952298bbf168930b6c2aaf8301ff1f85c8a05b39b87173d15",
-    4: "8b18ea909f3ff24befe5a3d8869a898ef36a295a3d0e6c537f5d5704e769901e",
-    5: "1d1d62466edb449e2d7c12dd8752ecf21e9506df03b0a16dbf81459d073433e3",
-    6: "54f4ae9b79b6ad96028518d0c9be58787241daace9fa8ff8f332674c73650972",
-    7: "237874e6c21b769dbfe06473a19dace0d8aa21467f5d19940682340df7d538cc",
-    8: "cc5c4e8b35a8de023ad9341ae534b575ff60059db2ba6e4a8d649be224c20bbf",
+    1: "cd73dc87f2db8cce96c8e30a0b615800e1e001729600511e09120603cb7f7e25",
+    2: "1da760ac98a2ad75b106d521655c14a494bee18e591807a269e7ee80691bcfab",
+    3: "0f1f19539f64ee992dec5606beef24265ece30db463b517702f6be66d9e64260",
+    4: "6dfa273be3b1814271024014fc8838d2a71ecebd27a6d453d5e16397714ca98b",
+    5: "3cc35358fbc9d373ba883a2e9cb58b51d6e76c2fc955a73c3ee6ae30c81c8fc9",
+    6: "45b54a4488e4caaae908a93e5d1bca7c9e25a5b1675c1dcdabe0583fc4c26d28",
+    7: "f28e74cfd5c18ad183f8d0217932eb00e06ecddc3f83acd85e382979c4ecd34d",
+    8: "26586db12d8ccd05e8b84c8413243e160c6f6339962389e5f597bb7ca459a397",
 }
 
 # (n, beta) -> (lower, upper, ratio, error_bound) of frame_bounds at the
@@ -324,13 +325,28 @@ def _line(tv):
             f"{tv.method.value}")
 
 
+_S_GRID = _log_spaced(1e-6, 1e6, 97) + [
+    SMALL_S_CUTOFF, math.nextafter(SMALL_S_CUTOFF, 0.0)]
+
+
 @pytest.mark.parametrize("kind,tol", list(SERIES))
 def test_series_bits(kind, tol):
     fam = FAMILIES[kind]
-    s_grid = _log_spaced(1e-6, 1e6, 97) + [
-        SMALL_S_CUTOFF, math.nextafter(SMALL_S_CUTOFF, 0.0)]
-    assert _digest(_line(eval_theta(fam, s, order, tol))
-                   for s in s_grid for order in (0, 1, 2)) == SERIES[kind, tol]
+    values = (eval_theta(fam, s, order) if tol == 1e-12
+              else routed(fam, s, order, tol)
+              for s in _S_GRID for order in (0, 1, 2))
+    assert _digest(map(_line, values)) == SERIES[kind, tol]
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_routed_is_eval_theta(kind):
+    # the helper behind the pins below 1e-12 is eval_theta at its target,
+    # bit for bit in value, radius, terms_used and method
+    fam = FAMILIES[kind]
+    for s in _S_GRID:
+        for order in (0, 1, 2):
+            assert _line(routed(fam, s, order)) == \
+                _line(eval_theta(fam, s, order)), (kind, s, order)
 
 
 @pytest.mark.parametrize("tol", list(PRODUCT))
@@ -345,5 +361,4 @@ def test_sweep_bits(n):
     hi = min(math.sqrt(2e6) / n, math.sqrt(5e5)) / 1.000001
     grid = GridSpec(lo, hi, 97, "log")
     assert _digest(" ".join(_hex(r.beta, r.lower, r.upper, r.ratio))
-                   for tol in (1e-12, 1e-16)
-                   for r in sweep_beta(n, grid, tol)) == SWEEP[n]
+                   for r in sweep_beta(n, grid)) == SWEEP[n]

@@ -1,7 +1,10 @@
-"""The public surface of thetaframe, pinned name by name, and the one
-rule for its numeric arguments.
+"""The public surface of thetaframe, pinned name by name and parameter
+by parameter, and the one rule for its numeric arguments.
 
-Adding or removing a public name is then an explicit edit of this test.
+Adding or removing a public name, or a parameter of a public function or
+record, is then an explicit edit of this test. Only
+theta4_triple_product takes a truncation target: every other result is
+computed at the library's one target, theta.DEFAULT_TOL.
 The verify suites have no public function of their own: each runs by its
 name in SUITE_NAMES through run_all(VerifyConfig(...)), which also sets
 its grid. Some names serve the benchmark harness rather than the paper:
@@ -13,7 +16,9 @@ find_optimal_beta raises KeyError. test_bench_harness catches their loss
 only when bench/ is present.
 """
 
+import dataclasses
 import importlib
+import inspect
 import subprocess
 import sys
 from decimal import Decimal
@@ -43,8 +48,54 @@ PUBLIC_NAMES = (
 )
 
 
+# public function or record -> its parameter names
+PUBLIC_PARAMETERS = {
+    "CheckResult": ("name", "passed", "worst_residual", "worst_location",
+                    "points_tested", "low_margin", "informational"),
+    "ExtremaReport": ("max_value", "argmax", "min_value", "argmin",
+                      "grid_steps", "truncation_K"),
+    "FrameBounds": ("lower", "upper", "ratio", "error_bound", "valid"),
+    "GridSpec": ("min", "max", "steps", "scale"),
+    "LatticeParams": ("n", "beta"),
+    "OptimumReport": ("n", "beta_for_max_A", "max_A", "beta_for_min_B",
+                      "min_B", "bracket_width", "error_bound"),
+    "SweepRow": ("beta", "lower", "upper", "ratio"),
+    "ThetaFamily": ("kind", "z"),
+    "ThetaValue": ("value", "error_bound", "terms_used", "method"),
+    "VerifyConfig": ("suites", "monotone_grid", "refined_grid",
+                     "product_grid", "odd_ratio_grid", "logconv_grid",
+                     "conjecture_grid"),
+    "all_passed": ("results",),
+    "auto_k_max": ("params",),
+    "emit_csv": ("rows", "destination"),
+    "emit_plot": ("rows", "destination", "which"),
+    "eval_theta": ("family", "s", "order"),
+    "find_optimal_beta": ("n", "beta_range", "resolution"),
+    "frame_bounds": ("params",),
+    "frame_bounds_even": ("n", "beta"),
+    "frame_bounds_odd": ("n", "beta"),
+    "frame_bounds_via_F": ("params", "grid_steps"),
+    "general_family": ("z",),
+    "grid_extrema_F": ("params", "grid_steps"),
+    "janssen_F": ("x", "omega", "params"),
+    "lattice_params": ("n", "beta"),
+    "log_deriv_ratio_bounds": ("family", "s"),
+    "run_all": ("config",),
+    "sweep_beta": ("n", "grid"),
+    "theta4_triple_product": ("s", "tol"),
+}
+
+
 def test_public_names_pinned():
     assert tuple(sorted(thetaframe.__all__)) == PUBLIC_NAMES
+
+
+def test_public_parameters_pinned():
+    got = {name: tuple(inspect.signature(obj).parameters)
+           for name in thetaframe.__all__
+           if inspect.isfunction(obj := getattr(thetaframe, name))
+           or isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+    assert got == PUBLIC_PARAMETERS
 
 
 
@@ -91,7 +142,6 @@ _P = LatticeParams(2, 0.75)
 _NUMERIC_ARGS = {
     "eval_theta.s": (lambda v: eval_theta(THETA3, v), 0.75, False),
     "eval_theta.order": (lambda v: eval_theta(THETA3, 0.75, v), 1, True),
-    "eval_theta.tol": (lambda v: eval_theta(THETA3, 0.75, 0, v), _TOL, False),
     "theta4_triple_product.s": (theta4_triple_product, 1.5, False),
     "theta4_triple_product.tol": (
         lambda v: theta4_triple_product(1.5, v), _TOL, False),
@@ -102,7 +152,6 @@ _NUMERIC_ARGS = {
         lambda v: (p := LatticeParams(v, 0.5), frame_bounds(p)), 2, True),
     "LatticeParams.beta": (
         lambda v: (p := LatticeParams(2, v), frame_bounds(p)), 0.75, False),
-    "frame_bounds.tol": (lambda v: frame_bounds(_P, v), _TOL, False),
     "GridSpec.min": (lambda v: (g := GridSpec(v, 1.5, 3), g.points()),
                      0.5, False),
     "GridSpec.max": (lambda v: (g := GridSpec(0.5, v, 3), g.points()),
@@ -110,8 +159,6 @@ _NUMERIC_ARGS = {
     "GridSpec.steps": (lambda v: (g := GridSpec(0.5, 1.5, v), g.points()),
                        3, True),
     "sweep_beta.n": (lambda v: sweep_beta(v, GridSpec(0.5, 1.0, 3)), 2, True),
-    "sweep_beta.tol": (lambda v: sweep_beta(2, GridSpec(0.5, 1.0, 3), tol=v),
-                       _TOL, False),
     "find_optimal_beta.n": (
         lambda v: find_optimal_beta(v, (0.5, 1.0), 1e-3), 2, True),
     "find_optimal_beta.beta_range": (

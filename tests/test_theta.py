@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 import reference_values as ref
 from identities import (direct, fact2_residual, jacobi_identity_residual,
-                        theta_odd_poisson_residual)
+                        routed, theta_odd_poisson_residual)
 from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
                         DerivativeOrder, DomainError, EvalMethod, GridSpec,
                         ThetaFamily, ThetaValue, eval_theta, general_family,
                         log_deriv_ratio_bounds, theta4_triple_product)
-from thetaframe import frame, theta
+from thetaframe import theta
 from thetaframe.theta import S_MAX, S_MIN, SMALL_S_CUTOFF, TOL_FLOOR
 
 ULP = math.ulp(1.0)
@@ -245,7 +245,8 @@ def _both_routes(count):
 def _check_thetas(count):
     """_thetas contains the 50-digit theta3, theta4 and, for odd n,
     theta_odd at orders 0-2, tol 1e-12 and 1e-16, on both routes; below
-    the cutoff its theta3 and theta4 are eval_theta's, bit for bit."""
+    the cutoff its theta3 and theta4 are eval_theta's at tol (routed),
+    bit for bit."""
     mp = pytest.importorskip("mpmath")
     for s in _both_routes(count):
         for order in (0, 1, 2):
@@ -253,7 +254,7 @@ def _check_thetas(count):
                     for kind in ("theta3", "theta4", "theta_odd")]
             for tol in (1e-12, 1e-16):
                 same = [(tv.value, tv.error_bound) for tv in
-                        (eval_theta(f, s, order, tol)
+                        (routed(f, s, order, tol)
                          for f in (THETA3, THETA4))]
                 for odd in (0, 1):
                     got = theta._thetas(s, order, tol, odd)
@@ -297,8 +298,9 @@ def test_no_exp_argument_repeats(monkeypatch):
     1/(4s), and repeats one argument at most: -16 pi x, theta_even's
     probe at index 4 and, once theta_odd's tail is checked at probe 3,
     the ratio there, e^{-pi (5^2 - 3^2) x}. The two series do not share
-    it, so each stays a plain single-mode loop. Checked at tol 1e-12 and
-    1e-16; below about 1e-60 a series runs long enough for a ratio's
+    it, so each stays a plain single-mode loop. Checked on eval_theta's
+    routes (routed) at tol 1e-12 and 1e-16, the targets the library
+    uses; below about 1e-60 a series runs long enough for a ratio's
     exponent to equal an earlier term's, which is computed again. P_z,
     the series behind Theta(z, is) below the cutoff, is exempt: its term
     index z + (n + 1) and tail probe index (z + n) + 1 can differ in the
@@ -313,7 +315,7 @@ def test_no_exp_argument_repeats(monkeypatch):
                 for fam in (THETA3, THETA4, THETA_ODD, general_family(0.3)):
                     if fam.z is None or s >= SMALL_S_CUTOFF:
                         rec.args.clear()
-                        eval_theta(fam, s, order, tol)
+                        routed(fam, s, order, tol)
                         # an exp bound outside theta.math records nothing,
                         # and an empty list has no repeats
                         assert rec.args and \
@@ -407,8 +409,8 @@ class TestSeriesStructure:
         assert general_family(1.25).z == 0.25
 
     def test_terms_scale_with_tol(self):
-        loose = eval_theta(THETA3, 0.5, 0, 1e-3)
-        tight = eval_theta(THETA3, 0.5, 0, 1e-15)
+        loose = routed(THETA3, 0.5, 0, 1e-3)
+        tight = routed(THETA3, 0.5, 0, 1e-15)
         assert tight.terms_used >= loose.terms_used
         assert abs(tight.value - loose.value) <= \
             loose.error_bound + tight.error_bound
@@ -420,7 +422,7 @@ class TestSeriesStructure:
         for fam in families:
             for order in (0, 1, 2):
                 for s in GridSpec(1e-6, 1e4, 80, "log").points():
-                    tv = eval_theta(fam, s, order, 1e-12)
+                    tv = eval_theta(fam, s, order)
                     assert tv.error_bound <= 1e-12 * max(1.0, abs(tv.value)), \
                         (fam, order, s, tv)
 
@@ -499,28 +501,26 @@ class TestDomainValidation:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0, math.nan])
     def test_bad_tol(self, tol):
-        with pytest.raises(DomainError):
-            eval_theta(THETA3, 1.0, 0, tol)
+        # the triple product is the one public function taking a target
+        with pytest.raises(DomainError, match="tol="):
+            theta4_triple_product(1.0, tol)
 
     @pytest.mark.parametrize("tol", [math.nextafter(TOL_FLOOR, 0.0), 1e-300,
                                      5e-324])
     def test_tol_below_floor_runs_no_series(self, monkeypatch, tol):
-        # rejected up front: below the floor a series could run to TERM_CAP
-        def no_series(*args):
-            raise AssertionError("a series ran")
-
-        monkeypatch.setattr(theta, "_series", no_series)
-        monkeypatch.setattr(frame, "_thetas", no_series)
-        with pytest.raises(DomainError, match="tol="):
-            eval_theta(THETA3, 1e-6, 2, tol)
+        # the product's target is rejected up front: no factor, and no
+        # series, computes an exp
+        rec = _RecordedExp()
+        monkeypatch.setattr(theta, "math", rec)
         with pytest.raises(DomainError, match="tol="):
             theta4_triple_product(1.0, tol)
-        with pytest.raises(DomainError, match="tol="):
-            frame.frame_bounds(frame.LatticeParams(2, 0.7), tol)
+        assert rec.args == []
 
     def test_every_route_certifies_at_the_floor(self):
         # the smallest certifying tol is about 3e-294 (theta3, s = 1e-6,
-        # order 2); the floor must certify everywhere, with margin
+        # order 2): an underflowed term is charged R * 5e-324 against tol/2
+        # over the transform's s^{-m-1/2}. eval_theta's routes at the floor
+        # must certify everywhere, with margin
         pts = GridSpec(S_MIN, S_MAX, 241, "log").points() + [
             math.nextafter(SMALL_S_CUTOFF, 0.0), SMALL_S_CUTOFF,
             math.nextafter(SMALL_S_CUTOFF, 1.0)]
@@ -528,7 +528,7 @@ class TestDomainValidation:
                     general_family(0.3), general_family(0.5)):
             for order in (0, 1, 2):
                 for s in pts:
-                    tight = eval_theta(fam, s, order, TOL_FLOOR)
+                    tight = routed(fam, s, order, TOL_FLOOR)
                     usual = eval_theta(fam, s, order)
                     assert abs(tight.value - usual.value) <= \
                         tight.error_bound + usual.error_bound, \
@@ -558,7 +558,7 @@ class TestDomainValidation:
     @pytest.mark.parametrize("s", [True, False])
     def test_bool_argument_rejected(self, s):
         for call in (lambda: eval_theta(THETA3, s),
-                     lambda: eval_theta(THETA4, s, 1, 0.0),
+                     lambda: eval_theta(THETA4, s, 1),
                      lambda: theta4_triple_product(s),
                      lambda: log_deriv_ratio_bounds(THETA3, s)):
             with pytest.raises(DomainError, match=f"s={s}"):
