@@ -98,7 +98,6 @@ def test_public_parameters_pinned():
     assert got == PUBLIC_PARAMETERS
 
 
-
 def test_bare_import_loads_no_layer():
     # the namespace is lazy: a fresh `import thetaframe` imports none of
     # its submodules, yet dir() lists every public name, and a submodule
