@@ -6,8 +6,9 @@ A ball is a plain pair (value, radius) that stands for the interval
 (F. Johansson, "Arb: efficient arbitrary-precision midpoint-radius interval
 arithmetic", IEEE Trans. Comput. 2017) reduced to float64. Every rule takes
 pairs and returns a pair that contains the exact result for every pair of
-points of its operands. A record with a bound, such as a ThetaValue, is
-not an operand: a caller passes (tv.value, tv.error_bound).
+points of its operands. A record with a bound (ThetaValue, FrameBounds)
+has more than two fields, so every rule, fsum by a strict zip, raises
+ValueError for it; a caller passes (tv.value, tv.error_bound).
 
 Each rule computes the midpoint in round-to-nearest and a propagated radius
 p (the width the exact operation gives the operand intervals), then widens
@@ -79,5 +80,5 @@ def div(x, y):
 
 def fsum(balls):
     """Sum of balls; the midpoint sum and the radius sum round once each."""
-    values, radii = zip(*balls)
+    values, radii = zip(*balls, strict=True)
     return _rounded(math.fsum(values), math.fsum(radii))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, RangeError
@@ -130,7 +129,7 @@ def _cmd_eval(args) -> int:
     tv = eval_theta(ThetaFamily(args.family, args.z), args.s, args.order)
     if args.format == "json":
         _emit({"command": "eval", "family": args.family, "z": args.z,
-               "s": args.s, "order": args.order, **asdict(tv)})
+               "s": args.s, "order": args.order, **tv._asdict()})
     else:
         print(f"value = {_fmt12(tv.value)} [error bound "
               f"{tv.error_bound:.3e}]")
@@ -143,7 +142,7 @@ def _cmd_bounds(args) -> int:
     fb = frame_bounds(LatticeParams(args.n, args.beta))
     if args.format == "json":
         _emit({"command": "bounds", "n": args.n, "beta": args.beta,
-               **asdict(fb)})
+               **fb._asdict()})
     else:
         print(f"lower = {_fmt12(fb.lower)} [error bound "
               f"{fb.error_bound:.3e}]")
@@ -181,7 +180,7 @@ def _cmd_verify(args) -> int:
     ok = all_passed(results)
     if args.format == "json":
         _emit({"command": "verify", "all_passed": ok,
-               "suites": [asdict(r) for r in results]})
+               "suites": [r._asdict() for r in results]})
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

@@ -19,7 +19,7 @@ a f'(a) f(b) - b f(a) f'(b) in place of f(a) f(b), the same body gives
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ball import mul, scale, sub
 from .errors import DomainError, integer, real
@@ -31,8 +31,8 @@ def _theta_args(n: int, beta: float) -> tuple[float, float]:
     return 0.5 * (n * beta) * (n * beta), 0.5 / (beta * beta)
 
 
-@dataclass(frozen=True)
-class LatticeParams:
+class LatticeParams(NamedTuple("LatticeParams",
+                                [("n", int), ("beta", float)])):
     """A separable lattice alpha Z x beta Z of integer density n.
 
     alpha = 1/(n beta) is derived. n is a positive integer and beta a
@@ -40,13 +40,12 @@ class LatticeParams:
     and b lie in [S_MIN, S_MAX]; they are stored as an int and a float.
     """
 
-    n: int
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (n := integer(self.n, "n")) < 1:
+    def __new__(cls, n: int, beta: float):
+        if (n := integer(n, "n")) < 1:
             raise DomainError(f"n={n!r} must be a positive integer")
-        if not (beta := real(self.beta, "beta")) > 0.0:
+        if not (beta := real(beta, "beta")) > 0.0:
             raise DomainError(f"beta={beta!r} must be a positive real")
         try:
             args = _theta_args(n, beta)
@@ -59,7 +58,10 @@ class LatticeParams:
                 raise DomainError(
                     f"beta={beta!r} puts theta argument {arg!r} outside "
                     f"[{S_MIN}, {S_MAX}]")
-        self.__dict__.update(n=n, beta=beta)  # frozen: no __setattr__
+        return super().__new__(cls, n, beta)
+
+    # so _replace, which calls _make, validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def alpha(self) -> float:
@@ -71,8 +73,7 @@ def lattice_params(n: int, beta: float) -> LatticeParams:
     return LatticeParams(n, beta)
 
 
-@dataclass(frozen=True)
-class FrameBounds:
+class FrameBounds(NamedTuple):
     """Lower/upper frame bounds with a shared absolute error bound.
 
     ratio is upper/lower (math.inf when lower is not usable). valid is
@@ -124,7 +125,7 @@ def frame_bounds(params: LatticeParams) -> FrameBounds:
     the truncation target DEFAULT_TOL = 1e-12."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    lower, upper, ratio, error_bound = _frame_row(params.n, params.beta)
+    lower, upper, ratio, error_bound = _frame_row(*params)
     return FrameBounds(lower, upper, ratio, error_bound, lower > error_bound)
 
 

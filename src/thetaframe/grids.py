@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, integer, real
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple("GridSpec", [("min", float), ("max", float),
+                                       ("steps", int), ("scale", str)])):
     """A one-dimensional grid of sample points.
 
     Parameters
@@ -23,23 +23,24 @@ class GridSpec:
         ``"linear"`` or ``"log"``.
     """
 
-    min: float
-    max: float
-    steps: int
-    scale: str = "linear"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.scale not in ("linear", "log"):
-            raise DomainError(f"unknown grid scale {self.scale!r}")
-        if (steps := integer(self.steps, "grid steps")) < 2:
+    def __new__(cls, min: float, max: float, steps: int,
+                scale: str = "linear"):
+        if scale not in ("linear", "log"):
+            raise DomainError(f"unknown grid scale {scale!r}")
+        if (steps := integer(steps, "grid steps")) < 2:
             raise DomainError("grid needs at least 2 points")
-        lo = real(self.min, "grid endpoints min")
-        hi = real(self.max, "grid endpoints max")
+        lo = real(min, "grid endpoints min")
+        hi = real(max, "grid endpoints max")
         if not (lo < hi):
             raise DomainError("grid endpoints must satisfy min < max")
-        if self.scale == "log" and lo <= 0.0:
+        if scale == "log" and lo <= 0.0:
             raise DomainError("log grid requires min > 0")
-        self.__dict__.update(steps=steps, min=lo, max=hi)  # frozen
+        return super().__new__(cls, lo, hi, steps, scale)
+
+    # so _replace, which calls _make, validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def points(self) -> list[float]:
         """Return the grid points, endpoints exact."""

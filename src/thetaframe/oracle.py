@@ -25,7 +25,7 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, integer, real
 from .frame import FrameBounds, LatticeParams
@@ -37,8 +37,7 @@ _MAX_GRID_STEPS = 4096
 _PURE_MAX_STEPS = 128
 
 
-@dataclass(frozen=True)
-class ExtremaReport:
+class ExtremaReport(NamedTuple):
     """Grid extrema of F over {i/grid_steps : 0 <= i < grid_steps}^2."""
 
     max_value: float

@@ -17,12 +17,11 @@ import functools
 import math
 import os
 import stat
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, RangeError, real
 from .frame import LatticeParams, _frame_row, _frame_slopes, frame_bounds
 from .grids import GridSpec
-from .theta import _NEW
 
 CSV_HEADER = "beta,A,B,ratio"
 PLOT_COLUMNS = ("A", "B", "ratio")
@@ -35,8 +34,7 @@ _MARGIN_T = 20.0
 _MARGIN_B = 60.0
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One tabulated point: bounds and their ratio at a given beta."""
 
     beta: float
@@ -45,8 +43,7 @@ class SweepRow:
     ratio: float
 
 
-@dataclass(frozen=True)
-class OptimumReport:
+class OptimumReport(NamedTuple):
     """Locations and values of the A-maximum and B-minimum for one n.
 
     Both optimizers are reported at the log-midpoint of one bracket of
@@ -75,12 +72,7 @@ def sweep_beta(n: int, grid: GridSpec) -> list[SweepRow]:
     points = grid.points()
     for beta in (min(points), max(points)):
         n = LatticeParams(n, beta).n
-    rows = [_NEW(SweepRow) for _ in points]
-    for row, beta in zip(rows, points):  # as SweepRow(...) fills them, but
-        d = row.__dict__  # without four object.__setattr__ calls
-        d["beta"] = beta
-        d["lower"], d["upper"], d["ratio"], _ = _frame_row(n, beta)
-    return rows
+    return [SweepRow(beta, *_frame_row(n, beta)[:3]) for beta in points]
 
 
 def find_optimal_beta(n: int, beta_range: tuple[float, float],
@@ -103,8 +95,7 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     if not (hasattr(beta_range, "__len__") and len(beta_range) == 2):
         raise DomainError(f"beta_range={beta_range!r} must be (lo, hi)")
     # lattices at both ends put every midpoint in the theta domain
-    lo, hi = (LatticeParams(n, beta) for beta in beta_range)
-    n, lo, hi = lo.n, lo.beta, hi.beta
+    (n, lo), (_, hi) = (LatticeParams(n, beta) for beta in beta_range)
     if n == 1:
         raise DomainError("n=1 has A = 0 at every beta: no maximum")
     root = 1.0 / math.sqrt(n)
@@ -183,7 +174,7 @@ def emit_csv(rows: list[SweepRow], destination) -> None:
             and all(isinstance(r, SweepRow) for r in rows)):
         raise DomainError("rows must be a non-empty list or tuple of SweepRow")
     text = ("%.16e,%.16e,%.16e,%.16e\n" * len(rows)) % tuple(
-        [v for r in rows for v in (r.beta, r.lower, r.upper, r.ratio)])
+        [v for row in rows for v in row])
     text = text.replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
     _write(destination, f"{CSV_HEADER}\n{text}".encode("utf-8"))
 

@@ -42,8 +42,8 @@ like the other series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 from . import ball
 from .errors import ConvergenceError, DomainError, real
@@ -77,9 +77,8 @@ class EvalMethod(str, Enum):
 
 
 # for eval_theta: an Enum class attribute read costs about 0.12 us, and
-# DerivativeOrder(order) 0.4 us more than a _BY_ORDER index; _NEW saves
-# object.__new__'s attribute read on each record (sweep rows too)
-_BY_ORDER, _NEW = tuple(DerivativeOrder), object.__new__
+# DerivativeOrder(order) 0.4 us more than a _BY_ORDER index
+_BY_ORDER = tuple(DerivativeOrder)
 _DIRECT, _TRANSFORM = EvalMethod.DIRECT, EvalMethod.TRANSFORM
 
 
@@ -103,8 +102,8 @@ _SERIES = {
 FAMILIES = tuple(kind for kind, row in _SERIES.items() if row[-1])
 
 
-@dataclass(frozen=True)
-class ThetaFamily:
+class ThetaFamily(NamedTuple("ThetaFamily",
+                              [("kind", str), ("z", float | None)])):
     """Selects a theta variant.
 
     kind is one of FAMILIES. The general family needs the fixed first
@@ -112,19 +111,22 @@ class ThetaFamily:
     every other family takes no z. Anything else is a DomainError.
     """
 
-    kind: str
-    z: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise DomainError(f"unknown theta family {self.kind!r}")
-        if self.kind != "theta_general":
-            if self.z is not None:
-                raise DomainError(f"{self.kind} takes no z, got {self.z!r}")
-            return
-        # a tiny negative z rounds up to 1.0 on the first reduction, which
-        # the second maps to 0
-        object.__setattr__(self, "z", real(self.z, "z") % 1.0 % 1.0)
+    def __new__(cls, kind: str, z: float | None = None):
+        if kind not in FAMILIES:
+            raise DomainError(f"unknown theta family {kind!r}")
+        if kind != "theta_general":
+            if z is not None:
+                raise DomainError(f"{kind} takes no z, got {z!r}")
+        else:
+            # a tiny negative z rounds up to 1.0 on the first reduction,
+            # which the second maps to 0
+            z = real(z, "z") % 1.0 % 1.0
+        return super().__new__(cls, kind, z)
+
+    # so _replace, which calls _make, validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 THETA3 = ThetaFamily("theta3")
@@ -137,8 +139,7 @@ def general_family(z: float) -> ThetaFamily:
     return ThetaFamily("theta_general", z)
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(NamedTuple):
     """A computed value with an absolute error bound.
 
     The true mathematical value lies in [value - error_bound,
@@ -325,24 +326,21 @@ def eval_theta(family: ThetaFamily, s: float,
         raise DomainError(f"expected ThetaFamily, got {family!r}")
     if not (s.__class__ is float and S_MIN <= s <= S_MAX):
         s = _check_domain(s)  # converts, or raises
+    kind, z = family
     if s >= SMALL_S_CUTOFF:
         coef, method = None, _DIRECT
-        terms, rest = _series(family.kind, s, order, DEFAULT_TOL, family.z)
+        terms, rest = _series(kind, s, order, DEFAULT_TOL, z)
     else:
         # the inner series of the family's reflection at u = lam/s, Q(p)
         # being P_m(p u), to half of the target, times c / (s^m sqrt(s))
-        c, lam, inner = _SERIES[family.kind][-1]
+        c, lam, inner = _SERIES[kind][-1]
         coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
         method = _TRANSFORM
         terms, rest = _series(inner, lam / s, order,
-                              0.5 * DEFAULT_TOL / abs(coef), family.z, True)
-    # the same record as ThetaValue(...), without the frozen __init__'s
-    # four object.__setattr__ calls
-    out = _NEW(ThetaValue)
-    d = out.__dict__
-    d["value"], d["error_bound"] = _ball(terms, rest, coef)
-    d["terms_used"], d["method"] = len(terms), method
-    return out
+                              0.5 * DEFAULT_TOL / abs(coef), z, True)
+    value, bound = _ball(terms, rest, coef)
+    # as ThetaValue._make builds it, skipping the Python-level __new__
+    return tuple.__new__(ThetaValue, (value, bound, len(terms), method))
 
 
 def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:

@@ -28,8 +28,8 @@ inequalities and their r values are fixed, and only the grids vary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, partial
+from typing import NamedTuple
 
 from .ball import add, div, fsum, mul, neg, scale, sub
 from .errors import DomainError
@@ -44,8 +44,7 @@ PRODUCT_R = (0.5, 1.0, 2.0, 5.0)
 ODD_MAXIMUM_R = (1.0, 2.0, 5.0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification suite.
 
     worst_residual is the smallest margin-minus-error over every assertion
@@ -316,8 +315,11 @@ def _theta4_ratio_conjecture(track, theta, config):
     return len(pts)
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class VerifyConfig(NamedTuple("VerifyConfig", [
+        ("suites", tuple[str, ...] | None), ("monotone_grid", GridSpec),
+        ("refined_grid", GridSpec), ("product_grid", GridSpec),
+        ("odd_ratio_grid", GridSpec), ("logconv_grid", GridSpec),
+        ("conjecture_grid", GridSpec)])):
     """Suite selection and grids for run_all.
 
     suites=None runs every suite in SUITE_NAMES, a non-empty list or tuple
@@ -327,28 +329,34 @@ class VerifyConfig:
     only the grids are settable.
     """
 
-    suites: tuple[str, ...] | None = None
-    monotone_grid: GridSpec = GridSpec(0.05, 20.0, 1000, "log")
-    refined_grid: GridSpec = GridSpec(0.05, 10.0, 500, "log")
-    product_grid: GridSpec = GridSpec(1.0 / 3.0, 3.0, 301, "log")
-    odd_ratio_grid: GridSpec = GridSpec(1e-3, 10.0, 1250, "log")
-    logconv_grid: GridSpec = GridSpec(0.1, 10.0, 200, "log")
-    conjecture_grid: GridSpec = GridSpec(0.5, 5.0, 200, "linear")
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, grid in vars(self).items():
-            if name != "suites" and not isinstance(grid, GridSpec):
+    def __new__(cls, suites=None,
+                monotone_grid=GridSpec(0.05, 20.0, 1000, "log"),
+                refined_grid=GridSpec(0.05, 10.0, 500, "log"),
+                product_grid=GridSpec(1.0 / 3.0, 3.0, 301, "log"),
+                odd_ratio_grid=GridSpec(1e-3, 10.0, 1250, "log"),
+                logconv_grid=GridSpec(0.1, 10.0, 200, "log"),
+                conjecture_grid=GridSpec(0.5, 5.0, 200, "linear")):
+        grids = (monotone_grid, refined_grid, product_grid, odd_ratio_grid,
+                 logconv_grid, conjecture_grid)
+        for name, grid in zip(cls._fields[1:], grids):
+            if not isinstance(grid, GridSpec):
                 raise DomainError(f"{name}={grid!r} must be a GridSpec")
-        if self.suites is not None:
-            if not (isinstance(self.suites, (list, tuple)) and self.suites):
-                raise DomainError(f"suites={self.suites!r} must be None or a "
+        if suites is not None:
+            if not (isinstance(suites, (list, tuple)) and suites):
+                raise DomainError(f"suites={suites!r} must be None or a "
                                   "non-empty list or tuple of suite names")
-            object.__setattr__(self, "suites", tuple(self.suites))
-            unknown = [s for s in self.suites if s not in SUITE_NAMES]
+            suites = tuple(suites)
+            unknown = [s for s in suites if s not in SUITE_NAMES]
             if unknown:
                 raise DomainError(
                     f"unknown suites {unknown!r}; "
                     f"valid names: {list(SUITE_NAMES)!r}")
+        return super().__new__(cls, suites, *grids)
+
+    # so _replace, which calls _make, validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 # suite name -> body(track, theta table, config), which returns the

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetaframe import THETA3, eval_theta
+from thetaframe import THETA3, eval_theta, frame_bounds, lattice_params
 from thetaframe.ball import add, div, fsum, mul, neg, scale, sub
 
 DRAWS = 1000
@@ -115,17 +115,21 @@ def test_fsum_contains_corners():
 
 
 def test_theta_values_are_not_operands():
-    """A ThetaValue is a record, not a ball: every rule rejects it with
-    TypeError, in each operand place, so a wrong operand is never read
-    silently. (tv.value, tv.error_bound) is the operand."""
+    """A ThetaValue or a FrameBounds is a record, not a ball: every rule
+    rejects it with ValueError, in each operand place, so a wrong operand
+    is never read silently, though a record is a tuple. (tv.value,
+    tv.error_bound) is the operand."""
     t = eval_theta(THETA3, 1.0)
     pair = (t.value, t.error_bound)
+    fb = frame_bounds(lattice_params(2, 0.7))
     calls = [(rule, args) for rule in (add, sub, mul, div)
              for args in ((t, pair), (pair, t))]
     calls += [(neg, (t,)), (scale, (t, 2.0)), (fsum, ([t, pair],)),
               (fsum, ([pair, t],))]
+    calls += [(add, (fb, pair)), (mul, (pair, fb)), (neg, (fb,)),
+              (fsum, ([fb, pair],)), (fsum, ([pair, fb],))]
     for rule, args in calls:
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             rule(*args)
     p = mul(pair, pair)
     assert p[0] == t.value * t.value

@@ -16,9 +16,10 @@ find_optimal_beta raises KeyError. test_bench_harness catches their loss
 only when bench/ is present.
 """
 
-import dataclasses
+import copy
 import importlib
 import inspect
+import pickle
 import subprocess
 import sys
 from decimal import Decimal
@@ -28,11 +29,11 @@ import numpy as np
 import pytest
 
 import thetaframe
-from thetaframe import (THETA3, THETA4, DomainError, GridSpec, LatticeParams,
-                        eval_theta, find_optimal_beta, frame_bounds,
-                        general_family, grid_extrema_F, janssen_F,
-                        log_deriv_ratio_bounds, sweep_beta,
-                        theta4_triple_product)
+from thetaframe import (THETA3, THETA4, CheckResult, DomainError, GridSpec,
+                        LatticeParams, VerifyConfig, eval_theta,
+                        find_optimal_beta, frame_bounds, general_family,
+                        grid_extrema_F, janssen_F, log_deriv_ratio_bounds,
+                        sweep_beta, theta4_triple_product)
 
 PUBLIC_NAMES = (
     "CheckResult", "ConvergenceError", "DerivativeOrder", "DomainError",
@@ -91,10 +92,12 @@ def test_public_names_pinned():
 
 
 def test_public_parameters_pinned():
+    # records are the tuple subclasses with _fields (named tuples)
     got = {name: tuple(inspect.signature(obj).parameters)
            for name in thetaframe.__all__
            if inspect.isfunction(obj := getattr(thetaframe, name))
-           or isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+           or isinstance(obj, type) and issubclass(obj, tuple)
+           and hasattr(obj, "_fields")}
     assert got == PUBLIC_PARAMETERS
 
 
@@ -187,3 +190,48 @@ def test_numeric_argument_rule(name):
         good.append(np.int64(plain))
     for value in good:
         assert repr(call(value)) == want, value
+
+
+# record -> (a call that makes one, and for a record that validates its
+# fields a field and a value its checks reject)
+_RECORDS = {
+    "ThetaFamily": (lambda: general_family(-1e-20), ("kind", "theta5")),
+    "ThetaValue": (lambda: eval_theta(THETA3, 0.75), None),
+    "LatticeParams": (lambda: _P, ("beta", -1.0)),
+    "FrameBounds": (lambda: frame_bounds(_P), None),
+    "GridSpec": (lambda: GridSpec(0.5, 1.5, 3, "log"), ("steps", 1)),
+    "SweepRow": (lambda: sweep_beta(2, GridSpec(0.5, 1.0, 2))[0], None),
+    "OptimumReport": (lambda: find_optimal_beta(2, (0.5, 1.0), 1e-3), None),
+    "ExtremaReport": (lambda: grid_extrema_F(_P, 8), None),
+    "CheckResult": (lambda: CheckResult("x", True, 1.0, (0.5, 1.0), 2), None),
+    "VerifyConfig": (lambda: VerifyConfig(suites=["odd-log-ratio"]),
+                     ("suites", ["no-such-suite"])),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_validation_cannot_be_skipped(name):
+    # pickle and copy rebuild a record through its constructor, so they
+    # give back an equal record (general_family(-1e-20)'s z stays 0.0,
+    # not 1.0); the constructor, _make and _replace all reject a bad
+    # field with the same DomainError
+    make, bad = _RECORDS[name]
+    record = make()
+    assert type(record) is getattr(thetaframe, name)
+    assert name != "ThetaFamily" or record.z == 0.0
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                  copy.deepcopy(record)):
+        assert type(again) is type(record) and again == record
+    if bad is None:
+        return
+    field, value = bad
+    values = [value if f == field else v
+              for f, v in zip(record._fields, record)]
+    messages = []
+    for build in (lambda: type(record)(*values),
+                  lambda: type(record)._make(values),
+                  lambda: record._replace(**{field: value})):
+        with pytest.raises(DomainError) as info:
+            build()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1, messages
