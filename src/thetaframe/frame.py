@@ -13,7 +13,7 @@ Error bounds on the theta factors are propagated through the products and
 differences with the rules of ball.py, the one place where rounding is
 accounted for, so callers can trust inequalities between bounds. With
 a f'(a) f(b) - b f(a) f'(b) in place of f(a) f(b), the same body gives
-(beta/2) dA/dbeta and (beta/2) dB/dbeta.
+(beta/2) dA/dbeta and (beta/2) dB/dbeta under the same truncation rule.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .ball import mul, scale, sub
 from .errors import DomainError, integer, real
-from .theta import DEFAULT_TOL, S_MAX, S_MIN, _thetas
+from .theta import S_MAX, S_MIN, _thetas
 
 
 def _theta_args(n: int, beta: float) -> tuple[float, float]:
@@ -88,16 +88,16 @@ class FrameBounds(NamedTuple):
     valid: bool
 
 
-def _bounds(n, beta, tol, slopes=False):
+def _bounds(n, beta, slopes=False):
     """(A, B) as balls, n pair(theta4) and n pair(theta3), less 2n
     pair(theta_odd) for odd n, from the theta balls at a and b. pair(f)
     is f(a) f(b), or with slopes a f'(a) f(b) - b f(a) f'(b), which is
     (beta/2) d/dbeta [f(a) f(b)] as da/dbeta = 2a/beta, db/dbeta = -2b/beta.
     """
     a, b = _theta_args(n, beta)
-    fa, fb = _thetas(a, 0, tol, n % 2), _thetas(b, 0, tol, n % 2)
+    fa, fb = _thetas(a, 0, n % 2), _thetas(b, 0, n % 2)
     if slopes:
-        da, db = _thetas(a, 1, tol, n % 2), _thetas(b, 1, tol, n % 2)
+        da, db = _thetas(a, 1, n % 2), _thetas(b, 1, n % 2)
         hi, lo, *odd = [sub(mul(scale(d, a), g), mul(f, scale(h, b)))
                         for d, g, f, h in zip(da, fb, fa, db)]
     else:
@@ -109,20 +109,9 @@ def _bounds(n, beta, tol, slopes=False):
     return scale(lo, n), scale(hi, n)
 
 
-def _frame_slopes(n: int, beta: float):
-    """Balls (value, radius) of (beta/2) dA/dbeta and (beta/2) dB/dbeta at
-    a validated lattice, with the theta arguments rounded as frame_bounds
-    rounds them.
-
-    Near the optimum the slopes are tiny, so a 1e-12 truncation target
-    would hide their sign (1e-10 from it at n = 5); 1e-16 leaves rounding.
-    """
-    return _bounds(n, beta, 1e-16, True)
-
-
 def frame_bounds(params: LatticeParams) -> FrameBounds:
-    """Bounds of a lattice (validated on creation), from theta values at
-    the truncation target DEFAULT_TOL = 1e-12."""
+    """Bounds of a lattice (validated on creation), from theta values
+    whose truncation is below their rounding."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
     lower, upper, ratio, error_bound = _frame_row(*params)
@@ -132,7 +121,7 @@ def frame_bounds(params: LatticeParams) -> FrameBounds:
 def _frame_row(n, beta):
     """(A, B, B/A, shared radius) of frame_bounds at a validated lattice;
     B/A is inf unless A > 0."""
-    (lower, r_lower), (upper, r_upper) = _bounds(n, beta, DEFAULT_TOL)
+    (lower, r_lower), (upper, r_upper) = _bounds(n, beta)
     return (lower, upper, upper / lower if lower > 0.0 else math.inf,
             max(r_lower, r_upper))
 

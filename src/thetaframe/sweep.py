@@ -20,7 +20,7 @@ import stat
 from typing import NamedTuple
 
 from .errors import DomainError, RangeError, real
-from .frame import LatticeParams, _frame_row, _frame_slopes, frame_bounds
+from .frame import LatticeParams, _bounds, _frame_row, frame_bounds
 from .grids import GridSpec
 
 CSV_HEADER = "beta,A,B,ratio"
@@ -84,13 +84,15 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     [lo, hi] holds a critical point of each; lo moves only to
     certified-left, hi only to certified-right points. Illinois steps come
     first if both range ends are certified, up to an uncertain probe
-    (about 10 slope evaluations a call, half of bisection's); then each
-    end bisects in log beta until hi - lo <= resolution or it closes in
-    on uncertain signs. Each beta's signs are computed once. A range end
-    that still bounds the bracket must have certified signs, else
-    RangeError. The range must contain 1/sqrt(n), where both optima
-    provably lie; n = 1, where A vanishes identically, has no maximum and
-    is rejected. max_A and min_B come with frame_bounds' error_bound.
+    (about 10 slope evaluations a call, half of bisection's), stepping
+    once off the first one inside the bracket, down by the resolution in
+    log beta; then each end bisects in log beta until hi - lo <=
+    resolution or it closes in on uncertain signs. Each beta's signs are
+    computed once. A range end that still bounds the bracket must have
+    certified signs, else RangeError. The range must contain 1/sqrt(n),
+    where both optima provably lie; n = 1, where A vanishes identically,
+    has no maximum and is rejected. max_A and min_B come with
+    frame_bounds' error_bound.
     """
     if not (hasattr(beta_range, "__len__") and len(beta_range) == 2):
         raise DomainError(f"beta_range={beta_range!r} must be (lo, hi)")
@@ -109,7 +111,7 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     def side(beta):
         """(-1 left of both optima, +1 right of them, 0 if uncertain;
         the A-slope over its radius)."""
-        (sa, ra), (sb, rb) = _frame_slopes(n, beta)
+        (sa, ra), (sb, rb) = _bounds(n, beta, True)
         return (-1 if sa - ra > 0.0 and sb + rb < 0.0 else
                 1 if sa + ra < 0.0 and sb - rb > 0.0 else 0), sa / ra
 
@@ -118,11 +120,16 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     # its radius, nearly linear near the optimum and flat far off (bisection)
     if side(lo)[0] == -1 and side(hi)[0] == 1:
         (x0, f0), (x1, f1) = [(math.log(b), side(b)[1]) for b in (lo, hi)]
-        run = 0  # signed count of the last probes on one side
+        run, stepped = 0, False  # run: signed count of same-side probes
         while hi - lo > resolution:
             x = x1 - f1 * (x1 - x0) / (f1 - f0)
             beta = math.exp(x)
             here, f = side(beta) if lo < beta < hi else (0, 0.0)
+            if not (here or stepped) and lo < beta < hi:
+                # as 1/sqrt(n) on a symmetric window: step off it once
+                stepped, x = True, x - resolution
+                beta = math.exp(x)
+                here, f = side(beta) if lo < beta < hi else (0, 0.0)
             if not here:
                 break
             run = run + here if run * here > 0 else here

@@ -9,9 +9,10 @@ Evaluates
 
 together with first and second derivatives in s (term factors -pi k^2 and
 pi^2 k^4; theta_odd uses (2k+1)^2 in place of k^2). Every result carries an
-absolute error bound covering both series truncation and floating-point
-rounding, so downstream inequality checks can demand margins that beat the
-bound honestly.
+absolute error bound covering both series truncation, stopped within one
+ulp of each series' leading term, and floating-point rounding, so
+downstream inequality checks can demand margins that beat the bound
+honestly.
 
 Below s = SMALL_S_CUTOFF every family and every order is routed through a
 modular relation of the form g(s) = c s^{-1/2} h(lam/s):
@@ -52,10 +53,9 @@ S_MIN = 1e-6
 S_MAX = 1e6
 SMALL_S_CUTOFF = 0.25
 TERM_CAP = 10 ** 6
-DEFAULT_TOL = 1e-12  # eval_theta's and frame_bounds' truncation target
-# smallest tol of theta4_triple_product, the one public function with a
-# target of its own: every series runs at DEFAULT_TOL, or at 1e-16 for
-# frame's slopes
+# floor of a series' truncation target where its leading term underflows,
+# and the smallest tol of theta4_triple_product, the one public function
+# with a target of its own
 TOL_FLOOR = 1e-280
 
 _EPS = math.ulp(1.0)
@@ -180,8 +180,8 @@ _PLANS = {kind: [[((step,) if first == (0,) else first, step, expo,
           for kind, (first, step, weight, expo, sign, _) in _SERIES.items()}
 
 
-def _series(kind: str, s: float, order: int, target: float,
-            z: float | None = None, reflected: bool = False):
+def _series(kind: str, s: float, order: int, z: float | None = None,
+            reflected: bool = False):
     """Series weight * sum_i sign_i Q(p_i) e^{-p_i s}, p_i = pi i^2, of a
     family (or of P_z), with Q(p) = c0 + c1 p + c2 p^2 the order's row of
     _MONOMIALS, or of _P_ROWS at p s when reflected.
@@ -190,9 +190,12 @@ def _series(kind: str, s: float, order: int, target: float,
     (p'/p)^m for p' >= p and the row's degree m, so along a progression
     the rest after each step is at most the next bound weight R e^{-p s}
     times 1/(1-q), q bounding every later ratio. The loop stops at the
-    first step whose summed tail bound is within the absolute target; q is
-    computed only once the next bound alone is. For integer indices that
-    next bound's e^{-p s} is the next term's, so it is computed once.
+    first step whose summed tail bound is within eps times the leading
+    term's bound weight, |head| if nonzero, else the largest R e^{-p s} of
+    step 0 as its terms come (TOL_FLOOR where that underflows), so
+    truncation stays below rounding; q is computed only once the next
+    bound alone is. For integer indices that next bound's e^{-p s} is the
+    next term's, so it is computed once.
 
     Rounding: each term is charged (slack factor * p_i s + 10 + 4k) ulp of
     weight R(p_i) e^{-p_i s}, 30 i more under a cosine, k counting the
@@ -210,6 +213,7 @@ def _series(kind: str, s: float, order: int, target: float,
         c1, a1 = c1 * s, a1 * s
         c2, a2 = c2 * s * s, a2 * s * s
     terms = [] if head is None else [head]
+    target = _EPS * abs(head) if head else TOL_FLOOR
     shifted = first is None
     if shifted:
         first = (z, 1.0 - z)
@@ -225,6 +229,8 @@ def _series(kind: str, s: float, order: int, target: float,
                 p = pi * (i * i)
                 x, R = p * s, (a2 * p + a1) * p + a0
                 e = exp(-x)
+                if not (n or head) and R * e * _EPS > target:
+                    target = R * e * _EPS
             t = ((c2 * p + c1) * p + c0) * e
             w = expo * x + extra
             if cosine:
@@ -264,26 +270,23 @@ def _ball(terms, rest, c=None):
     return value, abs(c) * bound + 4.0 * _EPS * abs(value) + _EPS * abs(value)
 
 
-def _thetas(s: float, order: int, tol: float, odd: int):
+def _thetas(s: float, order: int, odd: int):
     """theta3, theta4 and, if odd, theta_odd at s and one order as balls,
     each one fsum over the signed terms of the even- and odd-index series
-    E and O, both to half of tol over the coefficient: E + O, E - O and O
-    at s from the cutoff up; below it c E, c O and (c/2)(E - O) at 1/(4s)
-    with c = s^{-1/2-m}, so theta3 and theta4 are eval_theta's there."""
-    if s >= SMALL_S_CUTOFF:
-        c, x, t = None, s, 0.5 * tol
-    else:
-        c = 1.0 / ((1.0, s, s * s)[order] * math.sqrt(s))
-        x, t = 0.25 / s, 0.5 * tol / c
-    reflected = c is not None
-    ev, e_rest = _series("theta_even", x, order, t, None, reflected)
-    od, o_rest = _series("theta_odd", x, order, t, None, reflected)
+    E and O: E + O, E - O and O at s from the cutoff up; below it c E, c O
+    and (c/2)(E - O) at 1/(4s) with c = s^{-1/2-m}, so theta3 and theta4
+    are eval_theta's there."""
+    reflected = s < SMALL_S_CUTOFF
+    x = 0.25 / s if reflected else s
+    ev, e_rest = _series("theta_even", x, order, None, reflected)
+    od, o_rest = _series("theta_odd", x, order, None, reflected)
     rest = e_rest + o_rest
-    if c is None:
+    if not reflected:
         out = [_ball(ev + od, rest), _ball(ev + [-v for v in od], rest)]
         if odd:
             out.append(_ball(od, o_rest))
     else:
+        c = 1.0 / ((1.0, s, s * s)[order] * math.sqrt(s))
         out = [_ball(ev, e_rest, c), _ball(od, o_rest, c)]
         if odd:
             out.append(_ball(ev + [-v for v in od], rest, 0.5 * c))
@@ -293,8 +296,9 @@ def _thetas(s: float, order: int, tol: float, odd: int):
 def eval_theta(family: ThetaFamily, s: float,
                order: DerivativeOrder | int = DerivativeOrder.VALUE
                ) -> ThetaValue:
-    """Evaluate a theta family member or its s-derivative to the absolute
-    truncation target DEFAULT_TOL = 1e-12; the bound also covers rounding.
+    """Evaluate a theta family member or its s-derivative; the error bound
+    covers truncation, kept within one ulp of the series' leading term,
+    and rounding.
 
     Parameters
     ----------
@@ -329,21 +333,19 @@ def eval_theta(family: ThetaFamily, s: float,
     kind, z = family
     if s >= SMALL_S_CUTOFF:
         coef, method = None, _DIRECT
-        terms, rest = _series(kind, s, order, DEFAULT_TOL, z)
+        terms, rest = _series(kind, s, order, z)
     else:
-        # the inner series of the family's reflection at u = lam/s, Q(p)
-        # being P_m(p u), to half of the target, times c / (s^m sqrt(s))
+        # the reflection's inner series at u = lam/s, Q(p) = P_m(p u)
         c, lam, inner = _SERIES[kind][-1]
         coef = c / ((1.0, s, s * s)[order] * math.sqrt(s))
         method = _TRANSFORM
-        terms, rest = _series(inner, lam / s, order,
-                              0.5 * DEFAULT_TOL / abs(coef), z, True)
+        terms, rest = _series(inner, lam / s, order, z, True)
     value, bound = _ball(terms, rest, coef)
     # as ThetaValue._make builds it, skipping the Python-level __new__
     return tuple.__new__(ThetaValue, (value, bound, len(terms), method))
 
 
-def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
+def theta4_triple_product(s: float, tol: float = 1e-12) -> ThetaValue:
     """theta4 via its infinite product.
 
     theta4(s) = prod_{k>=1} (1 - e^{-2 k pi s}) (1 - e^{-(2k-1) pi s})^2.
@@ -377,8 +379,8 @@ def theta4_triple_product(s: float, tol: float = DEFAULT_TOL) -> ThetaValue:
 
 def log_deriv_ratio_bounds(family: ThetaFamily,
                            s: float) -> tuple[float, float]:
-    """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd} at
-    DEFAULT_TOL, with its propagated error bound. DomainError where f
+    """g(s) = s f'(s) / f(s) for f in {theta3, theta4, theta_odd} from
+    eval_theta, with its propagated error bound. DomainError where f
     underflows: theta_odd above s ~ 236.8, theta4 below s ~ 1.055e-3."""
     if not isinstance(family, ThetaFamily) or family.kind == "theta_general":
         raise DomainError(

@@ -21,7 +21,7 @@ their own correctness is covered by the identity-residual checks.
 
 Margins and their errors are balls propagated with the rules of ball.py,
 the one place where rounding is accounted for. Every theta value comes
-from eval_theta at the one truncation target DEFAULT_TOL = 1e-12; the
+from eval_theta, whose truncation is below its rounding; the
 inequalities and their r values are fixed, and only the grids vary.
 """
 
@@ -325,8 +325,8 @@ class VerifyConfig(NamedTuple("VerifyConfig", [
     suites=None runs every suite in SUITE_NAMES, a non-empty list or tuple
     of names only those, still in registry order; anything else is a
     DomainError.
-    The inequalities, their r values and the truncation target are fixed;
-    only the grids are settable.
+    The inequalities and their r values are fixed; only the grids are
+    settable.
     """
 
     __slots__ = ()

@@ -62,7 +62,7 @@ def test_criterion_03_triple_product_agreement():
     worst = 0.0
     for s in GridSpec(0.1, 10.0, 100, "log").points():
         p = theta4_triple_product(s, 1e-16)
-        d = direct("theta4", s, 0, 1e-16)[0]
+        d = direct("theta4", s)[0]
         worst = max(worst, abs(p.value - d) / abs(d))
     ok = worst < 1e-12
     assert report(3, ok, "triple product vs direct series, relative",
@@ -75,7 +75,7 @@ def test_criterion_04_odd_poisson_residual():
     for _ in range(50):
         rs = math.exp(rng.uniform(math.log(0.2), math.log(10.0)))
         r = math.exp(rng.uniform(-1.0, 1.0))
-        worst = max(worst, theta_odd_poisson_residual(r, rs / r, tol=1e-14))
+        worst = max(worst, theta_odd_poisson_residual(r, rs / r))
     ok = worst < 1e-12
     assert report(4, ok, "odd-series Poisson relation residual",
                   f"worst={worst:.3e} over 50 random (r, s)")

@@ -89,7 +89,7 @@ class TestParseArgs:
                    "--steps", "5", "--out", os.devnull])],
         ids=["eval", "bounds", "sweep"])
     def test_help_lists_no_tol(self, capsys, command, argv):
-        # the truncation target is the library's: no command takes --tol
+        # truncation has no target to set: no command takes --tol
         assert main([command, "--help"]) == 0
         assert "--tol" not in capsys.readouterr().out
         assert main([command, *argv, "--tol", "1e-12"]) == 2
@@ -445,8 +445,8 @@ class TestHumanOutput:
          "value = 1.08643481121 [error bound 5.538e-16]\n"
          "terms = 4  method = direct-series\n"),
         (["bounds", "--n", "3", "--beta", "0.5"],
-         "lower = 2.81306928791 [error bound 9.732e-14]\n"
-         "upper = 3.18563163027 [error bound 9.732e-14]\n"
+         "lower = 2.81306928791 [error bound 4.276e-15]\n"
+         "upper = 3.18563163027 [error bound 4.276e-15]\n"
          "ratio = 1.13243980302\n"
          "valid = true\n"),
         (["verify", "--suite", "theta3-product-minimum"],

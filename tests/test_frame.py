@@ -6,15 +6,13 @@ import random
 import pytest
 
 import reference_values as ref
-from identities import routed
 from thetaframe import (THETA3, THETA4, THETA_ODD, DomainError,
-                        FrameBounds, GridSpec, LatticeParams,
+                        FrameBounds, GridSpec, LatticeParams, eval_theta,
                         find_optimal_beta, frame_bounds, frame_bounds_even,
                         frame_bounds_odd, frame_bounds_via_F, grid_extrema_F,
                         janssen_F, lattice_params, sweep_beta)
 from thetaframe.ball import mul, scale, sub
-from thetaframe.frame import _bounds, _frame_slopes
-from thetaframe.theta import DEFAULT_TOL
+from thetaframe.frame import _bounds
 
 ULP = math.ulp(1.0)
 
@@ -58,13 +56,13 @@ class TestFrozenBounds:
     def test_critical_density_ball_holds_exact_zero(self):
         # A is exactly 0 at n = 1 for every beta, so A's own ball must
         # contain 0 across the admissible range, beta^2 in [2e-6, 5e5].
-        # |A| / r_A reaches 0.998 here: cutting A's radius by more than
-        # about 0.2% fails this test
+        # |A| / r_A reaches 0.193 here, at beta = 9.98: cutting A's radius
+        # about 5x fails this test
         lo, hi = 0.5 * math.log(2e-6) + 1e-12, 0.5 * math.log(5e5) - 1e-12
         for k in range(2000):
             beta = math.exp(lo + (hi - lo) * k / 1999)
             LatticeParams(1, beta)  # admissible
-            (a, r_a), _ = _bounds(1, beta, DEFAULT_TOL)
+            (a, r_a), _ = _bounds(1, beta)
             assert abs(a) <= r_a, beta
 
     def test_upper_coincidence(self):
@@ -148,7 +146,7 @@ def test_slope_containment_against_reference():
     for _ in range(60):
         n = rng.randint(2, 8)
         beta = n ** -0.5 * 10.0 ** rng.uniform(-1.0, 1.0)
-        slopes = _frame_slopes(n, beta)
+        slopes = _bounds(n, beta, True)
         a = 0.5 * (n * beta) * (n * beta)
         b = 0.5 / (beta * beta)
         with mp.workdps(50):
@@ -163,15 +161,15 @@ def test_slope_containment_against_reference():
                     (n, beta, got, true)
 
 
-def _composed(n, beta, tol, slopes):
-    """(A, B) composed from one eval_theta value at tol (routed) per
-    family, order and argument with ball.py's rules: the radii that
-    frame's bounds and slopes must not exceed."""
+def _composed(n, beta, slopes):
+    """(A, B) composed from one eval_theta value per family, order and
+    argument with ball.py's rules: the radii that frame's bounds and
+    slopes must not exceed."""
     a = 0.5 * (n * beta) * (n * beta)
     b = 0.5 / (beta * beta)
 
     def ev(family, s, order):
-        tv = routed(family, s, order, tol)
+        tv = eval_theta(family, s, order)
         return tv.value, tv.error_bound
 
     def pair(family):
@@ -188,22 +186,12 @@ def _composed(n, beta, tol, slopes):
     return scale(lo, n), scale(hi, n)
 
 
-def _frame(n, beta, tol):
-    """(lower, upper, error_bound) of frame_bounds, or of its body _bounds
-    at a tol other than frame_bounds' DEFAULT_TOL."""
-    if tol == DEFAULT_TOL:
-        fb = frame_bounds(lattice_params(n, beta))
-        return fb.lower, fb.upper, fb.error_bound
-    (lower, r_lower), (upper, r_upper) = _bounds(n, beta, tol)
-    return lower, upper, max(r_lower, r_upper)
-
-
 def _check_composition(betas_per_n):
-    """frame_bounds (and its body at tol 1e-16) and _frame_slopes contain the
-    50-digit value composed from theta_reference, and no radius is wider
-    than the per-family composition's by more than a factor of 1 + 1e-9:
-    n = 1-8 at log-spaced beta within 10^1.2 of 1/sqrt(n), which puts a or
-    b on either side of the cutoff."""
+    """frame_bounds and the slopes of _bounds contain the 50-digit value
+    composed from theta_reference, and no radius is wider than the
+    per-family composition's by more than a factor of 1 + 1e-9: n = 1-8
+    at log-spaced beta within 10^1.2 of 1/sqrt(n), which puts a or b on
+    either side of the cutoff."""
     mp = pytest.importorskip("mpmath")
     kinds = ("theta4", "theta3", "theta_odd")
     for n in range(1, 9):
@@ -225,16 +213,15 @@ def _check_composition(betas_per_n):
                     return n * (pairs[0] - odd), n * (pairs[1] - odd)
 
                 exact, exact_slopes = truth(False), truth(True)
-            for tol in (DEFAULT_TOL, 1e-16):
-                lower, upper, radius = _frame(n, beta, tol)
-                lo, hi = _composed(n, beta, tol, False)
-                assert radius <= (1 + 1e-9) * max(
-                    lo[1], hi[1]), (n, beta, tol)
-                for got, true in zip((lower, upper), exact):
-                    assert abs(mp.mpf(got) - true) <= \
-                        mp.mpf(radius), (n, beta, tol)
+            fb = frame_bounds(lattice_params(n, beta))
+            lo, hi = _composed(n, beta, False)
+            assert fb.error_bound <= (1 + 1e-9) * max(lo[1], hi[1]), \
+                (n, beta)
+            for got, true in zip((fb.lower, fb.upper), exact):
+                assert abs(mp.mpf(got) - true) <= mp.mpf(fb.error_bound), \
+                    (n, beta)
             for (got, radius), comp, true in zip(
-                    _frame_slopes(n, beta), _composed(n, beta, 1e-16, True),
+                    _bounds(n, beta, True), _composed(n, beta, True),
                     exact_slopes):
                 assert radius <= (1 + 1e-9) * comp[1], (n, beta)
                 assert abs(mp.mpf(got) - true) <= mp.mpf(radius), (n, beta)

@@ -1,7 +1,5 @@
 """Bit pins of eval_theta, theta4_triple_product, sweep_beta,
-frame_bounds, _frame_slopes, find_optimal_beta and run_all.
-eval_theta's series below its target 1e-12 are pinned through
-identities.routed, which is eval_theta at any target.
+frame_bounds, the slopes of frame._bounds, find_optimal_beta and run_all.
 
 The mpmath containment tests accept any ball that contains the true
 value, so a last-bit move in a midpoint or a radius passes them. These
@@ -15,63 +13,32 @@ import math
 
 import pytest
 
-from identities import routed
 from thetaframe import (THETA3, THETA4, THETA_ODD, GridSpec, LatticeParams,
                         eval_theta, find_optimal_beta, frame_bounds,
                         general_family, run_all, sweep_beta,
                         theta4_triple_product)
-from thetaframe.frame import _frame_slopes
+from thetaframe.frame import _bounds
 from thetaframe.theta import SMALL_S_CUTOFF
 
 FAMILIES = {"theta3": THETA3, "theta4": THETA4, "theta_odd": THETA_ODD,
             "theta_general(0.3)": general_family(0.3),
             "theta_general(0.8125)": general_family(0.8125)}
 
-# (family, tol) -> SHA-256 of one line per s and order 0-2: value and
-# radius as float.hex, terms_used and method, of eval_theta (routed below
-# 1e-12) on 97 log-spaced s over [1e-6, 1e6], the cutoff and the float
-# below it. The two z put P_z's shifts at an inexact and an exact 1 - z.
+# family -> SHA-256 of one line per s and order 0-2: value and radius as
+# float.hex, terms_used and method, of eval_theta on 97 log-spaced s over
+# [1e-6, 1e6], the cutoff and the float below it. The two z put P_z's
+# shifts at an inexact and an exact 1 - z.
 SERIES = {
-    ("theta3", 1e-12): "60db6b3213e933703cf20ef025d676b4"
-                       "c134b32c69a1c8214afd75ae13f989ba",
-    ("theta3", 1e-16): "9af012159eed98f3c27eef2efe3adbc8"
-                       "854acb53dd99cf4b388d4784c60c652d",
-    ("theta3", 1e-60): "0fe9fb979bddc1dceafabdf9411d309e"
-                       "fb1dcf798a3abfb13c408bbac2f1c39a",
-    ("theta3", 1e-280): "704c40126e6d9869ecba4e55b4b93b86"
-                        "fc08742bcc5c7b223082c5250a5a1478",
-    ("theta4", 1e-12): "7d090153815c9a78b18963a67119af41"
-                       "2337fb9163c6c054394e2994370c8a0d",
-    ("theta4", 1e-16): "49acd9fb960d45bd618d8a1ae078684e"
-                       "c726c102ec50df9009e4c4c698044d16",
-    ("theta4", 1e-60): "ba87e6b1ef02839a1897ac73f51b1f20"
-                       "6407a7cd33c3a75adc225edb978f8d34",
-    ("theta4", 1e-280): "8a2a1226c137d1393502079655a7575b"
-                        "ff0da82de7fe3d63d281c114aac775df",
-    ("theta_odd", 1e-12): "dc696117b55778c90ed12a7c2620af28"
-                          "cd594443621fa54d2d3271db722e1df3",
-    ("theta_odd", 1e-16): "1f0829b5c6c9fb30d4e963646776c661"
-                          "d7cdb12ecacb509a23658026802ffcde",
-    ("theta_odd", 1e-60): "ba2c3ed072daaed0dd00b1cb0f24621e"
-                          "02ad536760c5d17480bcc2f9e402be26",
-    ("theta_odd", 1e-280): "41c327bda69dfd8ca5fbd9328a7f28a6"
-                           "985dfc22404d5bd558cf65782a483bab",
-    ("theta_general(0.3)", 1e-12): "6569cc6d4e93d749eddc612426c3fc4f"
-                                   "196f5c75edf0aada2f417bfd9a1407da",
-    ("theta_general(0.3)", 1e-16): "9520d5a564efe457b9ca27cb92b6b082"
-                                   "6b468768840a154572633d18ca31089b",
-    ("theta_general(0.3)", 1e-60): "a19b6aef5dcc24332612801a523164d5"
-                                   "5b0cf7644cc04a163b3dca869e4783b4",
-    ("theta_general(0.3)", 1e-280): "0c10b393158fe1338e8d87f00407b67d"
-                                    "32de57dc909b577852ec0f7f507f676e",
-    ("theta_general(0.8125)", 1e-12): "ac1305c44dbff8a2e8c03ede42698039"
-                                      "480bb5760f6484c77983a4cf62dea24a",
-    ("theta_general(0.8125)", 1e-16): "69016df62980602b8259113ed2cc8a50"
-                                      "e2ab5c71951cf47a0483346eca478d0c",
-    ("theta_general(0.8125)", 1e-60): "2a7823ad8f33fc6970c8289d8c92fc8a"
-                                      "ef7a40cdf54b6abe1d5f6c78f2629a5d",
-    ("theta_general(0.8125)", 1e-280): "cdb2052ec2c6de14c8c8aec5c81392dc"
-                                       "07b1f08184a35e351adaccb1f27df588",
+    "theta3": "9af012159eed98f3c27eef2efe3adbc8"
+              "854acb53dd99cf4b388d4784c60c652d",
+    "theta4": "b49e7992c56216bb5e50a2bd3b188063"
+              "712f026eedbac31fb38f9dea9688f02e",
+    "theta_odd": "553460111db86634f717950984014b88"
+                 "0abbd4137d8804eeb0923ee1aad60373",
+    "theta_general(0.3)": "9520d5a564efe457b9ca27cb92b6b082"
+                          "6b468768840a154572633d18ca31089b",
+    "theta_general(0.8125)": "e8738be8bf8c0a4c90a865ca34ea8f8b"
+                             "8ec0aba56df34bace2b07bd278c6ea72",
 }
 
 # tol -> SHA-256 of theta4_triple_product's lines, as SERIES's, on 61
@@ -90,23 +57,23 @@ PRODUCT = {
 # n -> SHA-256 of one line per row, beta, A, B and B/A as float.hex, of
 # sweep_beta on 97 log-spaced beta just inside the lattice domain of n
 SWEEP = {
-    1: "cd73dc87f2db8cce96c8e30a0b615800e1e001729600511e09120603cb7f7e25",
-    2: "1da760ac98a2ad75b106d521655c14a494bee18e591807a269e7ee80691bcfab",
-    3: "0f1f19539f64ee992dec5606beef24265ece30db463b517702f6be66d9e64260",
-    4: "6dfa273be3b1814271024014fc8838d2a71ecebd27a6d453d5e16397714ca98b",
-    5: "3cc35358fbc9d373ba883a2e9cb58b51d6e76c2fc955a73c3ee6ae30c81c8fc9",
-    6: "45b54a4488e4caaae908a93e5d1bca7c9e25a5b1675c1dcdabe0583fc4c26d28",
-    7: "f28e74cfd5c18ad183f8d0217932eb00e06ecddc3f83acd85e382979c4ecd34d",
-    8: "26586db12d8ccd05e8b84c8413243e160c6f6339962389e5f597bb7ca459a397",
+    1: "96592ea21ac6deefb512b31eb2f21b0712b2cf5a1e52090e199a3443c7d75b32",
+    2: "149d08febb6305b8fc4ed3f6f0c0c3e18301400693964e53171057fb340ba367",
+    3: "4363334e501333d1c1cbab6af39d819ad8facb75594d5719e2803032a98459ee",
+    4: "994d69b11f6685a600171c3dd3a18465c364f9f744a96b76e69c39c025f87d64",
+    5: "5a3f0866d2d397e35bde6c229a890c5249799375552a6296d3ced8de95173498",
+    6: "69a050c92b5ee77ad095b90cf50e7b91ed7d1181c6d20b166cb8a7951aacaf7f",
+    7: "f7d2dd33ba60c15a4b13cb23f35be2fe8044640980abcc0d3ce49bba1f7b968b",
+    8: "6e46ccd1e4de64724d781e3f1c3bcb0f34bd712cbacbcf4fb9d6d47c17c02488",
 }
 
-# (n, beta) -> (lower, upper, ratio, error_bound) of frame_bounds at the
-# default tol, then (value, radius) of the (beta/2) dA/dbeta ball and of
-# the (beta/2) dB/dbeta ball of _frame_slopes. beta runs near 1/sqrt(n)
-# for n = 1-9 (a and b on the direct route), at both ends of the beta
-# domain for n = 1, 2, 3, 6, 9 (one argument at the top of the theta
-# domain, the other at the bottom, transformed), at a = 0.1 for n = 2, 5
-# and 7 and at b = 0.1 for n = 4 and 8 (one argument transformed).
+# (n, beta) -> (lower, upper, ratio, error_bound) of frame_bounds, then
+# (value, radius) of the (beta/2) dA/dbeta ball and of the (beta/2)
+# dB/dbeta ball of _bounds' slopes. beta runs near 1/sqrt(n) for n = 1-9
+# (a and b on the direct route), at both ends of the beta domain for
+# n = 1, 2, 3, 6, 9 (one argument at the top of the theta domain, the
+# other at the bottom, transformed), at a = 0.1 for n = 2, 5 and 7 and
+# at b = 0.1 for n = 4 and 8 (one argument transformed).
 FRAME = {
     (1, 1.001): (
         ("-0x1.0000000000000p-54", "0x1.ab546a9c7ebcep+0", "inf",
@@ -121,8 +88,8 @@ FRAME = {
     (3, 0.5779276194588153): (
         ("0x1.7213c606d185cp+1", "0x1.8dacc4a1e8dbfp+1",
          "0x1.1317313494359p+0", "0x1.1c6c2e897cad0p-48"),
-        ("-0x1.ebb961c0e6071p-9", "0x1.b1ba7480da0c5p-49",
-         "0x1.f085446d613cfp-9", "0x1.c06b6248f9c8ap-49")),
+        ("-0x1.ebb961c0e60d1p-9", "0x1.952fec934bd6ap-49",
+         "0x1.f085446d6142fp-9", "0x1.a2df20d64ad06p-49")),
     (4, 0.5005): (
         ("0x1.fc2eaf8235547p+1", "0x1.01ea7c4c7a09ap+2",
          "0x1.03da7f96ed2d3p+0", "0x1.0cbeba228a407p-48"),
@@ -223,23 +190,23 @@ FRAME = {
 # n -> (beta_for_max_A, max_A, beta_for_min_B, min_B, bracket_width,
 # error_bound) of find_optimal_beta(n, (0.3, 1.5), 1e-10)
 OPTIMA = {
-    2: ("0x1.6a09e66794256p-1", "0x1.ab54359ab5344p+0", "0x1.6a09e66794256p-1",
-        "0x1.2e2acd2eea498p+1", "0x1.7e8d600000000p-34",
-        "0x1.f1e8990c61d3ep-49"),
-    3: ("0x1.279a7458d8676p-1", "0x1.7213e57b32d49p+1", "0x1.279a7458d8676p-1",
-        "0x1.8daca4defbc06p+1", "0x1.001a000000000p-34",
-        "0x1.1c6b934029f44p-48"),
-    4: ("0x1.000000002a4aep-1", "0x1.fc2ec024e8972p+1", "0x1.000000002a4aep-1",
-        "0x1.01ea73fe2271dp+2", "0x1.9411300000000p-34",
+    2: ("0x1.6a09e667a602bp-1", "0x1.ab54359ab5344p+0", "0x1.6a09e667a602bp-1",
+        "0x1.2e2acd2eea497p+1", "0x1.3712200000000p-34",
+        "0x1.f1e8990c61d3bp-49"),
+    3: ("0x1.279a74596361dp-1", "0x1.7213e57b32d48p+1", "0x1.279a74596361dp-1",
+        "0x1.8daca4defbc04p+1", "0x1.8176c00000000p-34",
+        "0x1.1c6b934029f42p-48"),
+    4: ("0x1.ffffffffc86dcp-2", "0x1.fc2ec024e8973p+1", "0x1.ffffffffc86dcp-2",
+        "0x1.01ea73fe2271dp+2", "0x1.48a9f00000000p-34",
         "0x1.0cbe8c192e930p-48"),
-    5: ("0x1.c9f25c5b5dbb6p-2", "0x1.3f80be8361544p+2", "0x1.c9f25c5b5dbb6p-2",
-        "0x1.407f283407e72p+2", "0x1.45fb400000000p-34",
+    5: ("0x1.c9f25c5b9d736p-2", "0x1.3f80be8361544p+2", "0x1.c9f25c5b9d736p-2",
+        "0x1.407f283407e72p+2", "0x1.8d16800000000p-35",
         "0x1.93d293f3a4bacp-48"),
     6: ("0x1.a20bd70144ebcp-2", "0x1.7fe0452d174a7p+2", "0x1.a20bd70144ebcp-2",
         "0x1.801fbc228e625p+2", "0x1.04d3d00000000p-34",
         "0x1.8104a348e7ccap-48"),
-    7: ("0x1.83091e6b13329p-2", "0x1.bff84dcf8204ep+2", "0x1.83091e6b13329p-2",
-        "0x1.c007b21f91ee7p+2", "0x1.286e000000000p-34",
+    7: ("0x1.83091e6b0ec55p-2", "0x1.bff84dcf8204ep+2", "0x1.83091e6b0ec55p-2",
+        "0x1.c007b21f91ee7p+2", "0x1.1f87c00000000p-34",
         "0x1.1823969fa2083p-47"),
     8: ("0x1.6a09e6687c3f7p-2", "0x1.fffe2bf03f357p+2", "0x1.6a09e6687c3f7p-2",
         "0x1.0000ea084b5ebp+3", "0x1.1105f00000000p-34",
@@ -271,8 +238,8 @@ RUN_ALL = {
         "21114b8b75be375b178d27cd94340d62"
         "5a07171ec89c164d3a75f09b408d99f9",
     "odd-log-ratio":
-        "d8a1e7d2eb7f97ff4ed630b93249228a"
-        "580c972f115d48c4136b6294039454d2",
+        "920624dbc0b8db429f7fde8339e085d8"
+        "f3cfbc4bb087ac81e70508c1c253a2f7",
     "exp-sum-log-convexity":
         "deb3f6a199c5b314d6200ce0a99abfc1"
         "dc3408b5e1e343824edbc45d38f32736",
@@ -289,7 +256,7 @@ def _hex(*xs):
 @pytest.mark.parametrize("n,beta", list(FRAME))
 def test_frame_bits(n, beta):
     fb = frame_bounds(LatticeParams(n, beta))
-    (sa, ra), (sb, rb) = _frame_slopes(n, beta)
+    (sa, ra), (sb, rb) = _bounds(n, beta, True)
     assert (_hex(fb.lower, fb.upper, fb.ratio, fb.error_bound),
             _hex(sa, ra, sb, rb)) == FRAME[n, beta]
 
@@ -329,24 +296,11 @@ _S_GRID = _log_spaced(1e-6, 1e6, 97) + [
     SMALL_S_CUTOFF, math.nextafter(SMALL_S_CUTOFF, 0.0)]
 
 
-@pytest.mark.parametrize("kind,tol", list(SERIES))
-def test_series_bits(kind, tol):
+@pytest.mark.parametrize("kind", list(SERIES))
+def test_series_bits(kind):
     fam = FAMILIES[kind]
-    values = (eval_theta(fam, s, order) if tol == 1e-12
-              else routed(fam, s, order, tol)
-              for s in _S_GRID for order in (0, 1, 2))
-    assert _digest(map(_line, values)) == SERIES[kind, tol]
-
-
-@pytest.mark.parametrize("kind", list(FAMILIES))
-def test_routed_is_eval_theta(kind):
-    # the helper behind the pins below 1e-12 is eval_theta at its target,
-    # bit for bit in value, radius, terms_used and method
-    fam = FAMILIES[kind]
-    for s in _S_GRID:
-        for order in (0, 1, 2):
-            assert _line(routed(fam, s, order)) == \
-                _line(eval_theta(fam, s, order)), (kind, s, order)
+    assert _digest(_line(eval_theta(fam, s, order))
+                   for s in _S_GRID for order in (0, 1, 2)) == SERIES[kind]
 
 
 @pytest.mark.parametrize("tol", list(PRODUCT))

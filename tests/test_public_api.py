@@ -3,8 +3,8 @@ by parameter, and the one rule for its numeric arguments.
 
 Adding or removing a public name, or a parameter of a public function or
 record, is then an explicit edit of this test. Only
-theta4_triple_product takes a truncation target: every other result is
-computed at the library's one target, theta.DEFAULT_TOL.
+theta4_triple_product takes a truncation target: every other result
+stops its series within one ulp of the leading term.
 The verify suites have no public function of their own: each runs by its
 name in SUITE_NAMES through run_all(VerifyConfig(...)), which also sets
 its grid. Some names serve the benchmark harness rather than the paper:

@@ -18,6 +18,19 @@ from thetaframe import (DomainError, GridSpec, LatticeParams, OptimumReport,
                         sweep_beta)
 
 
+def _slope_betas(monkeypatch):
+    """The list that the betas of find_optimal_beta's slope evaluations
+    are appended to, in order."""
+    real, betas = sweep._bounds, []
+
+    def counted(n, beta, *args):
+        betas.append(beta)
+        return real(n, beta, *args)
+
+    monkeypatch.setattr(sweep, "_bounds", counted)
+    return betas
+
+
 class TestFindOptimalBeta:
     @pytest.mark.parametrize("n,rng", [(2, (0.3, 1.5)), (3, (0.3, 1.5)),
                                        (4, (0.2, 1.2))])
@@ -108,32 +121,40 @@ class TestFindOptimalBeta:
         # the Illinois steps and then lo and hi, bisecting through the
         # same midpoints, close in on the zone of uncertain signs some
         # 1e-15 from the root without evaluating any beta twice
-        real = sweep._frame_slopes
-        betas = []
-
-        def counted(n, beta):
-            betas.append(beta)
-            return real(n, beta)
-
-        monkeypatch.setattr(sweep, "_frame_slopes", counted)
+        betas = _slope_betas(monkeypatch)
         root = 1 / math.sqrt(n)
         rep = find_optimal_beta(n, (0.3 * root, 2 * root), 1e-300)
         assert len(betas) == len(set(betas))
         assert rep.bracket_width < 1e-14
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("resolution,most", [(1e-6, 6), (1e-10, 10)])
+    def test_symmetric_window_steps_off_the_root(self, monkeypatch, n,
+                                                 resolution, most):
+        # on (r/2.5, 2.5r) the first Illinois probe lands on r = 1/sqrt(n),
+        # whose signs are uncertain; stepping off it once by the resolution
+        # ends the search in a few evaluations, not by bisecting from the
+        # window's ends
+        betas = _slope_betas(monkeypatch)
+        root = 1 / math.sqrt(n)
+        rep = find_optimal_beta(n, (root / 2.5, root * 2.5), resolution)
+        assert len(betas) <= most
+        assert rep.bracket_width <= resolution
+        assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
+
     def test_illinois_steps_halve_the_evaluations(self, monkeypatch):
         # windows like the lattice benchmark's, ends 10^0.1 to 10^0.5 from
         # 1/sqrt(n): bisection alone took 19.8 slope evaluations a call.
         # The bracket's ends are the innermost certified betas evaluated
-        real = sweep._frame_slopes
+        real = sweep._bounds
         slopes = {}
 
-        def recorded(n, beta):
+        def recorded(n, beta, *args):
             assert beta not in slopes
-            slopes[beta] = real(n, beta)
+            slopes[beta] = real(n, beta, *args)
             return slopes[beta]
 
-        monkeypatch.setattr(sweep, "_frame_slopes", recorded)
+        monkeypatch.setattr(sweep, "_bounds", recorded)
         rng = random.Random(21)
         counts = []
         for k in range(70):

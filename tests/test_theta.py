@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_values as ref
 from identities import (direct, fact2_residual, jacobi_identity_residual,
-                        routed, theta_odd_poisson_residual)
+                        theta_odd_poisson_residual)
 from thetaframe import (THETA3, THETA4, THETA_ODD, ConvergenceError,
                         DerivativeOrder, DomainError, EvalMethod, GridSpec,
                         ThetaFamily, ThetaValue, eval_theta, general_family,
@@ -242,27 +242,24 @@ def _both_routes(count):
 
 def _check_thetas(count):
     """_thetas contains the 50-digit theta3, theta4 and, for odd n,
-    theta_odd at orders 0-2, tol 1e-12 and 1e-16, on both routes; below
-    the cutoff its theta3 and theta4 are eval_theta's at tol (routed),
-    bit for bit."""
+    theta_odd at orders 0-2, on both routes; below the cutoff its theta3
+    and theta4 are eval_theta's, bit for bit."""
     mp = pytest.importorskip("mpmath")
     for s in _both_routes(count):
         for order in (0, 1, 2):
             want = [ref.theta_reference(kind, s, order)
                     for kind in ("theta3", "theta4", "theta_odd")]
-            for tol in (1e-12, 1e-16):
-                same = [(tv.value, tv.error_bound) for tv in
-                        (routed(f, s, order, tol)
-                         for f in (THETA3, THETA4))]
-                for odd in (0, 1):
-                    got = theta._thetas(s, order, tol, odd)
-                    assert len(got) == 2 + odd
-                    with mp.workdps(50):
-                        for (g, r_g), true in zip(got, want):
-                            assert abs(mp.mpf(g) - true) <= mp.mpf(r_g), \
-                                (s, order, tol, odd)
-                    if s < SMALL_S_CUTOFF:
-                        assert got[:2] == same, (s, order, tol)
+            same = [(tv.value, tv.error_bound) for tv in
+                    (eval_theta(f, s, order) for f in (THETA3, THETA4))]
+            for odd in (0, 1):
+                got = theta._thetas(s, order, odd)
+                assert len(got) == 2 + odd
+                with mp.workdps(50):
+                    for (g, r_g), true in zip(got, want):
+                        assert abs(mp.mpf(g) - true) <= mp.mpf(r_g), \
+                            (s, order, odd)
+                if s < SMALL_S_CUTOFF:
+                    assert got[:2] == same, (s, order)
 
 
 def test_thetas_contain_reference():
@@ -297,36 +294,37 @@ def test_no_exp_argument_repeats(monkeypatch):
     probe at index 4 and, once theta_odd's tail is checked at probe 3,
     the ratio there, e^{-pi (5^2 - 3^2) x}. The two series do not share
     it, so each stays a plain single-mode loop. Checked on eval_theta's
-    routes (routed) at tol 1e-12 and 1e-16, the targets the library
-    uses; below about 1e-60 a series runs long enough for a ratio's
-    exponent to equal an earlier term's, which is computed again. P_z,
-    the series behind Theta(z, is) below the cutoff, is exempt: its term
-    index z + (n + 1) and tail probe index (z + n) + 1 can differ in the
-    last bit, so both are computed."""
+    routes; a series run on to an absolute 1e-60 would be long enough for
+    a ratio's exponent to equal an earlier term's, which is computed
+    again. P_z, the series behind
+    Theta(z, is) below the cutoff, is exempt: its term index z + (n + 1)
+    and tail probe index (z + n) + 1 can differ in the last bit, so both
+    are computed."""
     rec = _RecordedExp()
     monkeypatch.setattr(theta, "math", rec)
     shared = 0
     for s in _both_routes(150):
         x = s if s >= SMALL_S_CUTOFF else 0.25 / s
         for order in (0, 1, 2):
-            for tol in (1e-12, 1e-16):
-                for fam in (THETA3, THETA4, THETA_ODD, general_family(0.3)):
-                    if fam.z is None or s >= SMALL_S_CUTOFF:
-                        rec.args.clear()
-                        routed(fam, s, order, tol)
-                        # an exp bound outside theta.math records nothing,
-                        # and an empty list has no repeats
-                        assert rec.args and \
-                            len(set(rec.args)) == len(rec.args), \
-                            (fam, s, order, tol, rec.args)
-                for odd in (0, 1):
+            for fam in (THETA3, THETA4, THETA_ODD, general_family(0.3)):
+                if fam.z is None or s >= SMALL_S_CUTOFF:
                     rec.args.clear()
-                    theta._thetas(s, order, tol, odd)
-                    repeats = len(rec.args) - len(set(rec.args))
-                    assert repeats == rec.args.count(-math.pi * 16 * x) - 1 \
-                        <= 1, (s, order, tol, odd, rec.args)
-                    shared += repeats
+                    eval_theta(fam, s, order)
+                    # an exp bound outside theta.math records nothing,
+                    # and an empty list has no repeats
+                    assert rec.args and \
+                        len(set(rec.args)) == len(rec.args), \
+                        (fam, s, order, rec.args)
+            for odd in (0, 1):
+                rec.args.clear()
+                theta._thetas(s, order, odd)
+                repeats = len(rec.args) - len(set(rec.args))
+                assert repeats == rec.args.count(-math.pi * 16 * x) - 1 \
+                    <= 1, (s, order, odd, rec.args)
+                shared += repeats
     assert shared
+
+
 @pytest.mark.slow
 def test_triple_product_deep_sweep():
     """theta4_triple_product from s = 1e-5 to 1e-3, where its cost grows
@@ -406,13 +404,6 @@ class TestSeriesStructure:
         assert a.value == b.value == c.value
         assert general_family(1.25).z == 0.25
 
-    def test_terms_scale_with_tol(self):
-        loose = routed(THETA3, 0.5, 0, 1e-3)
-        tight = routed(THETA3, 0.5, 0, 1e-15)
-        assert tight.terms_used >= loose.terms_used
-        assert abs(tight.value - loose.value) <= \
-            loose.error_bound + tight.error_bound
-
     def test_error_bound_meets_target(self):
         # bound <= tol * max(1, |value|) over the whole routing range
         families = (THETA3, THETA4, THETA_ODD, general_family(0.3),
@@ -443,7 +434,7 @@ class TestTripleProduct:
     def test_matches_series(self):
         for s in GridSpec(0.1, 10.0, 30, "log").points():
             p = theta4_triple_product(s, 1e-14)
-            d, r_d = direct("theta4", s, 0, 1e-14)
+            d, r_d = direct("theta4", s)
             assert abs(p.value - d) <= p.error_bound + r_d
             assert p.method is EvalMethod.PRODUCT
             assert p.terms_used >= 1
@@ -484,6 +475,22 @@ class TestResiduals:
         assert theta_odd_poisson_residual(1.0, 1.0) < 1e-12
         assert theta_odd_poisson_residual(2.0, 0.3) < 1e-12
 
+    def test_residuals_at_rounding(self):
+        # the points of acceptance criteria 01, 02 and 04: with truncation
+        # below one ulp of each series' leading term, what is left of the
+        # identity residuals is rounding
+        worst = 0.0
+        for s in GridSpec(0.05, 20.0, 100, "log").points():
+            worst = max(worst, jacobi_identity_residual(s)
+                        / eval_theta(THETA3, 1.0 / s).value,
+                        fact2_residual(s))
+        rng = random.Random(20260815)
+        for _ in range(50):
+            rs = math.exp(rng.uniform(math.log(0.2), math.log(10.0)))
+            r = math.exp(rng.uniform(-1.0, 1.0))
+            worst = max(worst, theta_odd_poisson_residual(r, rs / r))
+        assert worst <= 1e-14
+
     def test_poisson_domain(self):
         with pytest.raises(DomainError):
             theta_odd_poisson_residual(0.0, 1.0)
@@ -514,11 +521,11 @@ class TestDomainValidation:
             theta4_triple_product(1.0, tol)
         assert rec.args == []
 
-    def test_every_route_certifies_at_the_floor(self):
-        # the smallest certifying tol is about 3e-294 (theta3, s = 1e-6,
-        # order 2): an underflowed term is charged R * 5e-324 against tol/2
-        # over the transform's s^{-m-1/2}. eval_theta's routes at the floor
-        # must certify everywhere, with margin
+    def test_every_route_stops_within_ten_terms(self):
+        # each series stops within one ulp of its leading term's bound
+        # weight, or at TOL_FLOOR where that weight underflows (theta_odd
+        # at 1e6, theta4's reflection at 1e-6): every route over the
+        # domain and at the cutoff certifies in a handful of terms
         pts = GridSpec(S_MIN, S_MAX, 241, "log").points() + [
             math.nextafter(SMALL_S_CUTOFF, 0.0), SMALL_S_CUTOFF,
             math.nextafter(SMALL_S_CUTOFF, 1.0)]
@@ -526,11 +533,8 @@ class TestDomainValidation:
                     general_family(0.3), general_family(0.5)):
             for order in (0, 1, 2):
                 for s in pts:
-                    tight = routed(fam, s, order, TOL_FLOOR)
-                    usual = eval_theta(fam, s, order)
-                    assert abs(tight.value - usual.value) <= \
-                        tight.error_bound + usual.error_bound, \
-                        (fam, order, s)
+                    tv = eval_theta(fam, s, order)
+                    assert tv.terms_used <= 10, (fam, order, s, tv)
 
     def test_bad_order(self):
         with pytest.raises(DomainError):
