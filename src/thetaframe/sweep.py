@@ -2,18 +2,18 @@
 
 For fixed redundancy n the closed-form bounds A(beta) and B(beta) are
 unimodal with a common extremum at beta = 1/sqrt(n) (the square lattice):
-A peaks there and B dips there. sweep_beta tabulates the bounds over a
-grid; find_optimal_beta encloses both optimizers in a bracket whose ends
-carry certified opposite signs of dA/dbeta and of dB/dbeta, by Illinois
-steps, then bisection, on those signs (interval bisection: Moore, Kearfott
-& Cloud, Introduction to Interval Analysis, SIAM 2009). The bracket
-certifies a critical point of each bound, not the extremum over the whole
-range. emit_csv / emit_plot write byte-reproducible artifacts.
+A peaks there and B dips there. beta -> 1/(n beta) swaps the two theta
+arguments, so both bounds are symmetric in log beta about 1/sqrt(n), a
+critical point of each for every n. sweep_beta tabulates the bounds over
+a grid; find_optimal_beta encloses both optimizers in a bracket built
+outward from 1/sqrt(n), whose ends carry certified opposite signs of
+dA/dbeta and of dB/dbeta. The bracket certifies a critical point of each
+bound, not the extremum over the whole range. emit_csv / emit_plot write
+byte-reproducible artifacts.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import stat
@@ -49,9 +49,11 @@ class OptimumReport(NamedTuple):
     Both optimizers are reported at the log-midpoint of one bracket of
     width bracket_width, at whose ends the signs of dA/dbeta and dB/dbeta
     are certified opposite: the bracket holds a critical point of A and
-    one of B. The width may exceed the requested resolution where those
-    signs became uncertain first. max_A and min_B, A and B there, are
-    each within error_bound.
+    one of B. The width is half the requested resolution where those
+    signs are certified a quarter of it either side of 1/sqrt(n); it is
+    wider where they are uncertain that close, and narrower where the
+    range is. max_A and min_B, A and B there, are each within
+    error_bound.
     """
 
     n: int
@@ -79,24 +81,21 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
                       resolution: float) -> OptimumReport:
     """Enclose the beta maximizing A and the beta minimizing B.
 
-    Narrows the range on the certified signs of dA/dbeta and dB/dbeta,
-    keeping A rising and B falling at lo and the reverse at hi, so
-    [lo, hi] holds a critical point of each; lo moves only to
-    certified-left, hi only to certified-right points. Illinois steps come
-    first if both range ends are certified, up to an uncertain probe
-    (about 10 slope evaluations a call, half of bisection's), stepping
-    once off the first one inside the bracket, down by the resolution in
-    log beta; then each end bisects in log beta until hi - lo <=
-    resolution or it closes in on uncertain signs. Each beta's signs are
-    computed once. A range end that still bounds the bracket must have
-    certified signs, else RangeError. The range must contain 1/sqrt(n),
-    where both optima provably lie; n = 1, where A vanishes identically,
-    has no maximum and is rejected. max_A and min_B come with
-    frame_bounds' error_bound.
+    Works outward from 1/sqrt(n), where both optima provably lie and
+    which the range must contain. Each end starts max(resolution/4,
+    ulp(1/sqrt(n))) from it and doubles that offset until the signs there
+    are certified: A rising and B falling at lo, the reverse at hi, so
+    [lo, hi] holds a critical point of each. Where the signs are
+    certified at the first offset, as for n = 2 to 64 at resolutions down
+    to 5e-15, a call takes 2 slope evaluations and the width is
+    resolution/2. An offset that passes a range end stops at that end,
+    whose signs must then be certified the right way, else RangeError.
+    n = 1, where A vanishes identically, has no maximum and is rejected.
+    max_A and min_B come with frame_bounds' error_bound.
     """
     if not (hasattr(beta_range, "__len__") and len(beta_range) == 2):
         raise DomainError(f"beta_range={beta_range!r} must be (lo, hi)")
-    # lattices at both ends put every midpoint in the theta domain
+    # lattices at both ends put all betas between in the theta domain
     (n, lo), (_, hi) = (LatticeParams(n, beta) for beta in beta_range)
     if n == 1:
         raise DomainError("n=1 has A = 0 at every beta: no maximum")
@@ -107,55 +106,26 @@ def find_optimal_beta(n: int, beta_range: tuple[float, float],
     if not (resolution := real(resolution, "resolution")) > 0.0:
         raise DomainError(f"resolution must be positive, got {resolution!r}")
 
-    @functools.cache  # per call: the phases may revisit a beta
     def side(beta):
-        """(-1 left of both optima, +1 right of them, 0 if uncertain;
-        the A-slope over its radius)."""
+        """-1 left of both optima, +1 right of them, 0 if uncertain."""
         (sa, ra), (sb, rb) = _bounds(n, beta, True)
         return (-1 if sa - ra > 0.0 and sb + rb < 0.0 else
-                1 if sa + ra < 0.0 and sb - rb > 0.0 else 0), sa / ra
+                1 if sa + ra < 0.0 and sb - rb > 0.0 else 0)
 
-    # Illinois steps (Dowell & Jarratt, BIT 1971): regula falsi in log beta,
-    # halving the weight of an end kept twice in a row, on the A-slope over
-    # its radius, nearly linear near the optimum and flat far off (bisection)
-    if side(lo)[0] == -1 and side(hi)[0] == 1:
-        (x0, f0), (x1, f1) = [(math.log(b), side(b)[1]) for b in (lo, hi)]
-        run, stepped = 0, False  # run: signed count of same-side probes
-        while hi - lo > resolution:
-            x = x1 - f1 * (x1 - x0) / (f1 - f0)
-            beta = math.exp(x)
-            here, f = side(beta) if lo < beta < hi else (0, 0.0)
-            if not (here or stepped) and lo < beta < hi:
-                # as 1/sqrt(n) on a symmetric window: step off it once
-                stepped, x = True, x - resolution
-                beta = math.exp(x)
-                here, f = side(beta) if lo < beta < hi else (0, 0.0)
-            if not here:
-                break
-            run = run + here if run * here > 0 else here
-            if here < 0:
-                lo, x0, f0, f1 = beta, x, f, f1 * (0.5 if run < -1 else 1.0)
-            else:
-                hi, x1, f1, f0 = beta, x, f, f0 * (0.5 if run > 1 else 1.0)
-
-    def squeeze(keep, other, want):
-        """Bisect between keep, a range end or a point of side want, and
-        other, a point not known to be; returns the last keep."""
-        while abs(other - keep) > resolution:
-            mid = math.sqrt(keep * other)
-            if mid in (keep, other):
-                break
-            if side(mid)[0] == want:
-                keep = mid
-            else:
-                other = mid
-        return keep
-
-    bracket = squeeze(lo, hi, -1), squeeze(hi, lo, 1)
+    bracket = []
     for end, want in ((lo, -1), (hi, 1)):
-        if end in bracket and side(end)[0] != want:
-            raise RangeError(f"slope signs at the range end beta = {end!r} "
-                             "are not certified; widen the range")
+        offset = max(0.25 * resolution, math.ulp(root))
+        while want * (beta := root + want * offset) < want * end:
+            if side(beta) == want:
+                break
+            offset *= 2.0
+        else:
+            if side(end) != want:
+                raise RangeError(f"slope signs at the range end beta = "
+                                 f"{end!r} are not certified; widen the "
+                                 "range")
+            beta = end
+        bracket.append(beta)
     lo, hi = bracket
     beta = math.sqrt(lo * hi)
     fb = frame_bounds(LatticeParams(n, beta))

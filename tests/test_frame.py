@@ -94,6 +94,21 @@ class TestStructure:
         assert abs(a.lower - b.lower) <= a.error_bound + b.error_bound
         assert abs(a.upper - b.upper) <= a.error_bound + b.error_bound
 
+    def test_reparam_negates_slopes(self):
+        # swapping a and b negates (beta/2) dA/dbeta and (beta/2) dB/dbeta,
+        # so 1/sqrt(n) is a critical point of both bounds for every n:
+        # find_optimal_beta builds its bracket outward from there. Each
+        # slope ball and its mirror's must overlap once negated
+        rng = random.Random(35)
+        for _ in range(6000):
+            n = rng.randint(2, 8)
+            lo = max(math.sqrt(2e-6) / n, math.sqrt(0.5e-6)) * (1 + 1e-12)
+            hi = min(math.sqrt(2e6) / n, math.sqrt(0.5e6)) * (1 - 1e-12)
+            beta = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            for (s, r), (t, q) in zip(_bounds(n, beta, True),
+                                      _bounds(n, 1.0 / (n * beta), True)):
+                assert abs(s + t) <= r + q, (n, beta)
+
     def test_square_lattice_ratio_decreases_with_n(self):
         ratios = [frame_bounds(lattice_params(n, n ** -0.5)).ratio
                   for n in (2, 3, 4)]

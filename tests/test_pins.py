@@ -190,26 +190,26 @@ FRAME = {
 # n -> (beta_for_max_A, max_A, beta_for_min_B, min_B, bracket_width,
 # error_bound) of find_optimal_beta(n, (0.3, 1.5), 1e-10)
 OPTIMA = {
-    2: ("0x1.6a09e667a602bp-1", "0x1.ab54359ab5344p+0", "0x1.6a09e667a602bp-1",
-        "0x1.2e2acd2eea497p+1", "0x1.3712200000000p-34",
-        "0x1.f1e8990c61d3bp-49"),
-    3: ("0x1.279a74596361dp-1", "0x1.7213e57b32d48p+1", "0x1.279a74596361dp-1",
-        "0x1.8daca4defbc04p+1", "0x1.8176c00000000p-34",
+    2: ("0x1.6a09e667f3bccp-1", "0x1.ab54359ab5344p+0", "0x1.6a09e667f3bccp-1",
+        "0x1.2e2acd2eea498p+1", "0x1.b7ce000000000p-35",
+        "0x1.f1e8990c61d3ep-49"),
+    3: ("0x1.279a74590331dp-1", "0x1.7213e57b32d48p+1", "0x1.279a74590331dp-1",
+        "0x1.8daca4defbc04p+1", "0x1.b7ce000000000p-35",
         "0x1.1c6b934029f42p-48"),
-    4: ("0x1.ffffffffc86dcp-2", "0x1.fc2ec024e8973p+1", "0x1.ffffffffc86dcp-2",
-        "0x1.01ea73fe2271dp+2", "0x1.48a9f00000000p-34",
-        "0x1.0cbe8c192e930p-48"),
-    5: ("0x1.c9f25c5b9d736p-2", "0x1.3f80be8361544p+2", "0x1.c9f25c5b9d736p-2",
-        "0x1.407f283407e72p+2", "0x1.8d16800000000p-35",
-        "0x1.93d293f3a4bacp-48"),
-    6: ("0x1.a20bd70144ebcp-2", "0x1.7fe0452d174a7p+2", "0x1.a20bd70144ebcp-2",
-        "0x1.801fbc228e625p+2", "0x1.04d3d00000000p-34",
-        "0x1.8104a348e7ccap-48"),
-    7: ("0x1.83091e6b0ec55p-2", "0x1.bff84dcf8204ep+2", "0x1.83091e6b0ec55p-2",
-        "0x1.c007b21f91ee7p+2", "0x1.1f87c00000000p-34",
-        "0x1.1823969fa2083p-47"),
-    8: ("0x1.6a09e6687c3f7p-2", "0x1.fffe2bf03f357p+2", "0x1.6a09e6687c3f7p-2",
-        "0x1.0000ea084b5ebp+3", "0x1.1105f00000000p-34",
+    4: ("0x1.0000000000000p-1", "0x1.fc2ec024e8973p+1", "0x1.0000000000000p-1",
+        "0x1.01ea73fe2271cp+2", "0x1.b7ce000000000p-35",
+        "0x1.0cbe8c192e92fp-48"),
+    5: ("0x1.c9f25c5bfedd9p-2", "0x1.3f80be8361544p+2", "0x1.c9f25c5bfedd9p-2",
+        "0x1.407f283407e73p+2", "0x1.b7ce000000000p-35",
+        "0x1.93d293f3a4bafp-48"),
+    6: ("0x1.a20bd700c2c3fp-2", "0x1.7fe0452d174a6p+2", "0x1.a20bd700c2c3fp-2",
+        "0x1.801fbc228e626p+2", "0x1.b7ce000000000p-35",
+        "0x1.8104a348e7cccp-48"),
+    7: ("0x1.83091e6a7f7e6p-2", "0x1.bff84dcf8204fp+2", "0x1.83091e6a7f7e6p-2",
+        "0x1.c007b21f91ee8p+2", "0x1.b7ce000000000p-35",
+        "0x1.1823969fa2084p-47"),
+    8: ("0x1.6a09e667f3bccp-2", "0x1.fffe2bf03f356p+2", "0x1.6a09e667f3bccp-2",
+        "0x1.0000ea084b5ebp+3", "0x1.b7ce000000000p-35",
         "0x1.0008f196e9dd8p-47"),
 }
 

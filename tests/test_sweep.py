@@ -56,12 +56,17 @@ class TestFindOptimalBeta:
         assert rep.min_B == pytest.approx(ref.B_2_SQRT2, abs=1e-8)
 
     def test_boundary_extremum_raises(self):
-        # an end of the window that still bounds the final bracket must
-        # carry certified slope signs; one ulp from the root they are not
+        # a range end that an offset from the root passes bounds the
+        # bracket, and its slope signs must be certified: at resolution
+        # 0.1 both first offsets (0.025) pass 0.70 and 0.72, which are;
+        # one ulp from the root they are not
         root = 1 / math.sqrt(2)
         rep = find_optimal_beta(2, (0.70, 5.0), 1e-6)
         assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
         assert abs(rep.beta_for_min_B - root) <= rep.bracket_width
+        rep = find_optimal_beta(2, (0.70, 0.72), 0.1)
+        assert rep.bracket_width == 0.72 - 0.70
+        assert rep.beta_for_max_A == math.sqrt(0.70 * 0.72)
         for rng in ((math.nextafter(root, 0), 1.5),
                     (0.3, math.nextafter(root, 1))):
             with pytest.raises(RangeError):
@@ -95,8 +100,9 @@ class TestFindOptimalBeta:
 
     @pytest.mark.parametrize("n", [2, 5, 8, 18])
     def test_uncertain_signs_stop_the_bisection(self, n):
-        # no bracket reaches 1e-300: the bisection stops where a slope
-        # sign is no longer certified, some 1e-15 wide, and keeps the root
+        # no bracket reaches 1e-300: each end starts one ulp from the root
+        # and doubles its offset past the zone of uncertain slope signs,
+        # some 1e-15 wide, so the bracket keeps the root
         root = 1 / math.sqrt(n)
         rep = find_optimal_beta(n, (0.3 * root, 2 * root), 1e-300)
         assert rep.bracket_width > 1e-300
@@ -106,10 +112,10 @@ class TestFindOptimalBeta:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("factor", [2.5, 10.0])
     def test_uncertain_midpoint_keeps_bisecting(self, n, factor):
-        # lo hi = 1/n puts the first midpoint at the root, where the slope
-        # signs are uncertain; the bracket used to stop there, as wide as
-        # the window. Each end now closes in on it to the resolution, and
-        # the uncertain zone, some 1e-15 wide, adds next to nothing
+        # lo hi = 1/n centres the window on the root in log beta, where
+        # the slope signs are uncertain. The ends start a quarter of the
+        # resolution either side of it, past the uncertain zone some
+        # 1e-15 wide
         root = 1 / math.sqrt(n)
         rep = find_optimal_beta(n, (root / factor, root * factor), 1e-9)
         assert rep.bracket_width <= 2.5e-9
@@ -118,34 +124,21 @@ class TestFindOptimalBeta:
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_one_slope_evaluation_per_beta(self, monkeypatch, n):
-        # the Illinois steps and then lo and hi, bisecting through the
-        # same midpoints, close in on the zone of uncertain signs some
-        # 1e-15 from the root without evaluating any beta twice
+        # lo and hi move outward from the root through distinct betas to
+        # just past the zone of uncertain signs some 1e-15 from it,
+        # without evaluating any beta twice
         betas = _slope_betas(monkeypatch)
         root = 1 / math.sqrt(n)
         rep = find_optimal_beta(n, (0.3 * root, 2 * root), 1e-300)
         assert len(betas) == len(set(betas))
         assert rep.bracket_width < 1e-14
 
-    @pytest.mark.parametrize("n", [2, 5, 8])
-    @pytest.mark.parametrize("resolution,most", [(1e-6, 6), (1e-10, 10)])
-    def test_symmetric_window_steps_off_the_root(self, monkeypatch, n,
-                                                 resolution, most):
-        # on (r/2.5, 2.5r) the first Illinois probe lands on r = 1/sqrt(n),
-        # whose signs are uncertain; stepping off it once by the resolution
-        # ends the search in a few evaluations, not by bisecting from the
-        # window's ends
-        betas = _slope_betas(monkeypatch)
-        root = 1 / math.sqrt(n)
-        rep = find_optimal_beta(n, (root / 2.5, root * 2.5), resolution)
-        assert len(betas) <= most
-        assert rep.bracket_width <= resolution
-        assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
-
-    def test_illinois_steps_halve_the_evaluations(self, monkeypatch):
+    def test_two_slope_evaluations_per_call(self, monkeypatch):
         # windows like the lattice benchmark's, ends 10^0.1 to 10^0.5 from
-        # 1/sqrt(n): bisection alone took 19.8 slope evaluations a call.
-        # The bracket's ends are the innermost certified betas evaluated
+        # r = 1/sqrt(n), and (r/2.5, 2.5r): the signs a quarter of the
+        # resolution either side of r are certified, so a call evaluates
+        # the slopes there and nowhere else. The bracket's ends are the
+        # innermost certified betas evaluated
         real = sweep._bounds
         slopes = {}
 
@@ -156,23 +149,22 @@ class TestFindOptimalBeta:
 
         monkeypatch.setattr(sweep, "_bounds", recorded)
         rng = random.Random(21)
-        counts = []
-        for k in range(70):
-            n = 2 + k % 7
+        calls = [(2 + k % 7, 10 ** -rng.uniform(0.1, 0.5),
+                  10 ** rng.uniform(0.1, 0.5), 1e-6) for k in range(70)]
+        calls += [(n, 1 / 2.5, 2.5, res) for n in range(2, 9)
+                  for res in (1e-6, 1e-10)]
+        for n, low, high, resolution in calls:
             root = 1 / math.sqrt(n)
-            window = (root * 10 ** -rng.uniform(0.1, 0.5),
-                      root * 10 ** rng.uniform(0.1, 0.5))
             slopes.clear()
-            rep = find_optimal_beta(n, window, 1e-6)
-            counts.append(len(slopes))
+            rep = find_optimal_beta(n, (root * low, root * high), resolution)
+            assert len(slopes) == 2
             lo = max(b for b, ((sa, ra), (sb, rb)) in slopes.items()
                      if sa - ra > 0.0 and sb + rb < 0.0)
             hi = min(b for b, ((sa, ra), (sb, rb)) in slopes.items()
                      if sa + ra < 0.0 and sb - rb > 0.0)
             assert lo < root < hi
-            assert hi - lo == rep.bracket_width <= 1e-6
+            assert hi - lo == rep.bracket_width <= resolution
             assert rep.beta_for_max_A == math.sqrt(lo * hi)
-        assert sum(counts) / len(counts) <= 12
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_error_bound_contains_reference(self, n):
