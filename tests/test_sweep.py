@@ -133,7 +133,22 @@ class TestFindOptimalBeta:
         assert len(betas) == len(set(betas))
         assert rep.bracket_width < 1e-14
 
-    def test_two_slope_evaluations_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("resolution,most", [(1e-6, 6), (1e-10, 10)])
+    def test_symmetric_window_steps_off_the_root(self, monkeypatch, n,
+                                                 resolution, most):
+        # (r/2.5, 2.5r) centres the window on r = 1/sqrt(n) in log beta,
+        # where the slope signs are uncertain; the ends step off r by a
+        # quarter of the resolution and end the search in a few
+        # evaluations, not by closing in from the window's ends
+        betas = _slope_betas(monkeypatch)
+        root = 1 / math.sqrt(n)
+        rep = find_optimal_beta(n, (root / 2.5, root * 2.5), resolution)
+        assert len(betas) <= most
+        assert rep.bracket_width <= resolution
+        assert abs(rep.beta_for_max_A - root) <= rep.bracket_width
+
+    def test_illinois_steps_halve_the_evaluations(self, monkeypatch):
         # windows like the lattice benchmark's, ends 10^0.1 to 10^0.5 from
         # r = 1/sqrt(n), and (r/2.5, 2.5r): the signs a quarter of the
         # resolution either side of r are certified, so a call evaluates
