@@ -76,7 +76,7 @@ def lattice_params(n: int, beta: float) -> LatticeParams:
 class FrameBounds(NamedTuple):
     """Lower/upper frame bounds with a shared absolute error bound.
 
-    ratio is upper/lower (math.inf when lower is not usable). valid is
+    ratio is upper/lower, math.inf unless lower > 0. valid is
     lower > error_bound, the larger radius: often upper's rounding, so
     valid can be False although lower's own ball excludes 0.
     """
@@ -109,21 +109,25 @@ def _bounds(n, beta, slopes=False):
     return scale(lo, n), scale(hi, n)
 
 
+def _frame_record(lower, upper, error_bound):
+    """FrameBounds from A, B and their shared error bound: the one place
+    where ratio and valid are derived, as FrameBounds' docstring says."""
+    ratio = upper / lower if lower > 0.0 else math.inf
+    return FrameBounds(lower, upper, ratio, error_bound, lower > error_bound)
+
+
 def frame_bounds(params: LatticeParams) -> FrameBounds:
     """Bounds of a lattice (validated on creation), from theta values
     whose truncation is below their rounding."""
     if not isinstance(params, LatticeParams):
         raise DomainError(f"expected LatticeParams, got {params!r}")
-    lower, upper, ratio, error_bound = _frame_row(*params)
-    return FrameBounds(lower, upper, ratio, error_bound, lower > error_bound)
+    return _frame_row(*params)
 
 
 def _frame_row(n, beta):
-    """(A, B, B/A, shared radius) of frame_bounds at a validated lattice;
-    B/A is inf unless A > 0."""
+    """frame_bounds at a validated lattice."""
     (lower, r_lower), (upper, r_upper) = _bounds(n, beta)
-    return (lower, upper, upper / lower if lower > 0.0 else math.inf,
-            max(r_lower, r_upper))
+    return _frame_record(lower, upper, max(r_lower, r_upper))
 
 
 def _parity_bounds(n, beta, parity):

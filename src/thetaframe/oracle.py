@@ -28,7 +28,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, integer, real
-from .frame import FrameBounds, LatticeParams
+from .frame import FrameBounds, LatticeParams, _frame_record
 
 _TAIL_TARGET = 1e-13
 _MAX_GRID_STEPS = 4096
@@ -187,9 +187,5 @@ def frame_bounds_via_F(params: LatticeParams,
     lip_x = n * 2.0 * math.pi * moment_x * full_w
     lip_w = n * 2.0 * math.pi * moment_w * full_x
     h = 1.0 / rep.grid_steps
-    error_bound = tail + 0.5 * h * (lip_x + lip_w)
-    lower = rep.min_value
-    upper = rep.max_value
-    ratio = upper / lower if lower > 0.0 else math.inf
-    return FrameBounds(lower, upper, ratio, error_bound,
-                       lower > error_bound)
+    return _frame_record(rep.min_value, rep.max_value,
+                         tail + 0.5 * h * (lip_x + lip_w))

@@ -185,6 +185,16 @@ def _fmt(v):
     return f"{v:.3f}"
 
 
+def _line(x1, y1, x2, y2):
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+            f'y2="{_fmt(y2)}" stroke="black" stroke-width="1"/>')
+
+
+def _text(x, y, size, anchor, body):
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="monospace" '
+            f'font-size="{size}" text-anchor="{anchor}">{body}</text>')
+
+
 def emit_plot(rows: list[SweepRow], destination, which: str) -> None:
     """Write an 800x600 SVG of one column (A, B or ratio) against beta.
 
@@ -206,10 +216,11 @@ def emit_plot(rows: list[SweepRow], destination, which: str) -> None:
     (x0, x1), (y0, y1) = _span(xs), _span(ys)
     px_w = _SVG_W - _MARGIN_L - _MARGIN_R
     px_h = _SVG_H - _MARGIN_T - _MARGIN_B
+    base = _SVG_H - _MARGIN_B
 
     def to_px(x, y):
         return (_MARGIN_L + (x - x0) / (x1 - x0) * px_w,
-                _SVG_H - _MARGIN_B - (y - y0) / (y1 - y0) * px_h)
+                base - (y - y0) / (y1 - y0) * px_h)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
@@ -222,32 +233,16 @@ def emit_plot(rows: list[SweepRow], destination, which: str) -> None:
     ]
     for i in range(5):
         fx = x0 + (x1 - x0) * i / 4.0
-        px, _ = to_px(fx, y0)
-        parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(_SVG_H - _MARGIN_B)}" '
-                     f'x2="{_fmt(px)}" '
-                     f'y2="{_fmt(_SVG_H - _MARGIN_B + 6)}" '
-                     'stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(px)}" '
-                     f'y="{_fmt(_SVG_H - _MARGIN_B + 22)}" '
-                     'font-family="monospace" font-size="12" '
-                     f'text-anchor="middle">{fx:.6g}</text>')
         fy = y0 + (y1 - y0) * i / 4.0
-        _, py = to_px(x0, fy)
-        parts.append(f'<line x1="{_fmt(_MARGIN_L - 6)}" y1="{_fmt(py)}" '
-                     f'x2="{_fmt(_MARGIN_L)}" y2="{_fmt(py)}" '
-                     'stroke="black" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(_MARGIN_L - 10)}" '
-                     f'y="{_fmt(py + 4)}" font-family="monospace" '
-                     'font-size="12" '
-                     f'text-anchor="end">{fy:.6g}</text>')
+        px, py = to_px(fx, fy)
+        parts += [_line(px, base, px, base + 6),
+                  _text(px, base + 22, 12, "middle", f"{fx:.6g}"),
+                  _line(_MARGIN_L - 6, py, _MARGIN_L, py),
+                  _text(_MARGIN_L - 10, py + 4, 12, "end", f"{fy:.6g}")]
     points = " ".join(["%.3f,%.3f" % to_px(x, y) for x, y in zip(xs, ys)])
-    parts.append(f'<polyline points="{points}" fill="none" stroke="blue" '
-                 'stroke-width="1.5"/>')
-    parts.append(f'<text x="{_fmt(_MARGIN_L + px_w / 2.0)}" '
-                 f'y="{_fmt(_SVG_H - 16)}" font-family="monospace" '
-                 'font-size="14" text-anchor="middle">beta</text>')
-    parts.append(f'<text x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T - 4)}" '
-                 'font-family="monospace" font-size="14" '
-                 f'text-anchor="start">{which}(beta)</text>')
-    parts.append("</svg>")
+    parts += [f'<polyline points="{points}" fill="none" stroke="blue" '
+              'stroke-width="1.5"/>',
+              _text(_MARGIN_L + px_w / 2.0, _SVG_H - 16, 14, "middle", "beta"),
+              _text(_MARGIN_L, _MARGIN_T - 4, 14, "start", f"{which}(beta)"),
+              "</svg>"]
     _write(destination, ("\n".join(parts) + "\n").encode("utf-8"))

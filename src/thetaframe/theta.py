@@ -360,12 +360,7 @@ def theta4_triple_product(s: float, tol: float = 1e-12) -> ThetaValue:
         raise DomainError(f"tol={tol!r} outside [{TOL_FLOOR}, 1)")
     q = math.exp(-math.pi * s)
     prod = 1.0
-    k = 0
-    while True:
-        k += 1
-        if k > TERM_CAP:
-            raise ConvergenceError(
-                f"product at s={s} not certified within {TERM_CAP} factors")
+    for k in range(1, TERM_CAP + 1):
         a = -math.expm1(-2.0 * k * math.pi * s)
         b = -math.expm1(-(2.0 * k - 1.0) * math.pi * s)
         prod *= a * b * b
@@ -373,6 +368,9 @@ def theta4_triple_product(s: float, tol: float = 1e-12) -> ThetaValue:
         delta = 3.0 * qq / ((1.0 - q) * (1.0 - qq))
         if delta <= 0.25 * tol:
             break
+    else:
+        raise ConvergenceError(
+            f"product at s={s} not certified within {TERM_CAP} factors")
     bound = prod * (delta + 15.0 * k * _EPS + _EPS) + 3 * k * _TINY
     return ThetaValue(prod, bound, k, EvalMethod.PRODUCT)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from functools import cache, partial
+from itertools import pairwise
 from typing import NamedTuple
 
 from .ball import add, div, fsum, mul, neg, scale, sub
@@ -132,11 +133,9 @@ def _monotone_log_ratio(family, track, theta, config):
     """
     pts = config.monotone_grid.points()
     reflect = family == THETA3
-    args = [1.0 / s if reflect and s < 1.0 else s for s in pts]
     g = theta(family)
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        ga, gb = g(args[i]), g(args[i + 1])
+    gs = [g(1.0 / s if reflect and s < 1.0 else s) for s in pts]
+    for (a, ga), (b, gb) in pairwise(zip(pts, gs)):
         if not reflect or b <= 1.0:  # theta4, or g3(1/a) - g3(1/b)
             margin = sub(ga, gb)
         elif a >= 1.0:
@@ -145,12 +144,12 @@ def _monotone_log_ratio(family, track, theta, config):
             margin = add(add(gb, _HALF), ga)
         track.add(margin, (a, b),
                   magnitude=abs(ga[0]) + abs(gb[0]) + 1e-300)
-    for s, x in zip(pts, args):
+    for s, gx in zip(pts, gs):
         if reflect:
-            track.add(neg(g(x)), s)
-            track.add(add(g(x), _HALF), s)
+            track.add(neg(gx), s)
+            track.add(add(gx, _HALF), s)
         else:
-            track.add(g(x), s)
+            track.add(gx, s)
     return len(pts)
 
 
@@ -208,14 +207,14 @@ def _symmetric_center(pts):
     return len(pts) // 2
 
 
-def _extremum_at_center(track, vals, pts, center, r, maximum):
-    """Assert every value left of the center lies strictly beyond the
-    center value, so the grid extremum sits at the center; the values are
+def _extremum_at_center(track, half, pts, r, maximum):
+    """Assert every value of half, the pair values up to the grid's center,
+    lies strictly beyond its last, the center value; the values are
     symmetric bit for bit, so the right half would repeat the assertions."""
-    ref = vals[center]
-    for i in range(center):
-        gap = sub(ref, vals[i]) if maximum else sub(vals[i], ref)
-        track.add(gap, (r, pts[i]))
+    *left, ref = half
+    for s, v in zip(pts, left):
+        gap = sub(ref, v) if maximum else sub(v, ref)
+        track.add(gap, (r, s))
 
 
 def _pair_extremum(family, odd, track, theta, config):
@@ -229,7 +228,8 @@ def _pair_extremum(family, odd, track, theta, config):
     (theta3) along beta at n = 2r, odd giving the odd-n form, with the
     square lattice at s = 1. The second factor at s_i is taken at the
     mirrored point r s_{G-1-i}, which the symmetric-grid precondition
-    puts within 8 ulps of r/s_i.
+    puts within 8 ulps of r/s_i. theta is read once per r s_i, and as mul
+    commutes bit for bit only the pairs up to the center are multiplied.
 
     The theta3 combination also asserts that the theta_odd product alone
     peaks at s = 1. Its worst_residual is the smallest absolute slack of
@@ -240,20 +240,18 @@ def _pair_extremum(family, odd, track, theta, config):
     maximum = family == THETA4
     r_values = ODD_MAXIMUM_R if odd and maximum else PRODUCT_R
     pts = config.product_grid.points()
-    center = _symmetric_center(pts)
+    half = _symmetric_center(pts) + 1
     f, f_odd = theta(family, 0), theta(THETA_ODD, 0)
     for r in r_values:
-        # theta once per r s_i; mul's operands commute bit for bit, so
-        # the pairs at mirrored points are equal
         fs = [f(r * s) for s in pts]
-        vals = [mul(a, b) for a, b in zip(fs, reversed(fs))]
+        vals = [mul(a, b) for a, b in zip(fs[:half], reversed(fs))]
         if odd:
             fs = [f_odd(r * s) for s in pts]
-            odds = [mul(a, b) for a, b in zip(fs, reversed(fs))]
+            odds = [mul(a, b) for a, b in zip(fs[:half], reversed(fs))]
             vals = [sub(a, scale(b, 2.0)) for a, b in zip(vals, odds)]
-        _extremum_at_center(track, vals, pts, center, r, maximum)
+        _extremum_at_center(track, vals, pts, r, maximum)
         if odd and not maximum:
-            _extremum_at_center(track, odds, pts, center, r, maximum=True)
+            _extremum_at_center(track, odds, pts, r, maximum=True)
     return len(r_values) * len(pts)
 
 
@@ -269,13 +267,13 @@ def _lemma_odd_ratio(track, theta, config):
         raise DomainError("grid must span [1e-3, 10]")
     pts = s_grid.points()
     g = theta(THETA_ODD)
-    for s in pts:  # every point, so a lone one above 1/4 is evaluated too
-        gs = g(s)
+    gs, g1 = [g(s) for s in pts], g(1.0)  # every s, even a lone one above 1/4
+    for s, gx in zip(pts, gs):
         if s <= 0.25:
-            track.add(sub(gs, g(1.0)), s)
-    upper = [s for s in pts if s >= 0.25]
-    for a, b in zip(upper, upper[1:]):
-        track.add(sub(g(a), g(b)), (a, b))
+            track.add(sub(gx, g1), s)
+    upper = [(s, gx) for s, gx in zip(pts, gs) if s >= 0.25]
+    for (a, ga), (b, gb) in pairwise(upper):
+        track.add(sub(ga, gb), (a, b))
     gap, r_gap = add(g(1e-3), _HALF)
     # |x| has the radius of x
     track.add(sub(_exact(0.05), (abs(gap), r_gap)), 1e-3)
@@ -288,7 +286,8 @@ def _logconvexity(track, theta, config):
     pts = config.logconv_grid.points()
     f, d, w = (theta(THETA3, m) for m in range(3))
     for s in pts:
-        resid, r_resid = sub(mul(w(s), f(s)), mul(d(s), d(s)))
+        d_s = d(s)
+        resid, r_resid = sub(mul(w(s), f(s)), mul(d_s, d_s))
         track.add(_exact(resid + r_resid), s)
     return len(pts)
 

@@ -251,6 +251,39 @@ def test_bounds_and_slopes_within_composition_dense():
     _check_composition(400)
 
 
+def test_balls_contain_the_bounds_at_the_exact_beta():
+    """_bounds' balls of A and B and of their slopes contain the 50-digit
+    values at a = n^2 beta^2/2 and b = 1/(2 beta^2) taken exactly from the
+    float beta, not at the rounded a and b that frame evaluates. 6 seeded
+    beta per n = 1-8 put a or b in [1.06e-3, 1/4], where |s theta'/theta|
+    is largest (about pi/(4s)), so rounding the argument moves theta most.
+    """
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(20160301)
+    kinds = ("theta4", "theta3", "theta_odd")
+    for n in range(1, 9):
+        for j in range(6):
+            x = math.exp(rng.uniform(math.log(1.06e-3), math.log(0.25)))
+            beta = math.sqrt(2.0 * x) / n if j % 2 else (2.0 * x) ** -0.5
+            with mp.workdps(50):
+                a = (n * mp.mpf(beta)) ** 2 / 2
+                b = 1 / (2 * mp.mpf(beta) ** 2)
+                f = {(k, s, m): ref.theta_reference(k, s, m)
+                     for k in kinds[:2 + n % 2] for s in (a, b)
+                     for m in (0, 1)}
+                pairs = [(f[k, a, 0] * f[k, b, 0],
+                          a * f[k, a, 1] * f[k, b, 0]
+                          - b * f[k, a, 0] * f[k, b, 1])
+                         for k in kinds[:2 + n % 2]]
+                for slopes in (False, True):
+                    p4, p3, *odd = (p[slopes] for p in pairs)
+                    odd = 2 * odd[0] if odd else 0
+                    truth = (n * (p4 - odd), n * (p3 - odd))
+                    for (got, radius), true in zip(
+                            _bounds(n, beta, slopes), truth):
+                        assert abs(got - true) <= radius, (n, beta, slopes)
+
+
 class TestLatticeParams:
     def test_constructor_fills_alpha(self):
         for n, beta in ((4, 0.5), (3, 0.5), (7, 0.3)):

@@ -1,11 +1,12 @@
 """Bit pins of eval_theta, theta4_triple_product, sweep_beta,
-frame_bounds, the slopes of frame._bounds, find_optimal_beta and run_all.
+frame_bounds, the slopes of frame._bounds, find_optimal_beta, run_all and
+emit_plot.
 
 The mpmath containment tests accept any ball that contains the true
 value, so a last-bit move in a midpoint or a radius passes them. These
 pins fail on it: each float is pinned as its float.hex text, a table of
-results as the SHA-256 of their lines, and each record of run_all() as
-the SHA-256 of its repr.
+results as the SHA-256 of their lines, each record of run_all() as the
+SHA-256 of its repr and each SVG as the SHA-256 of its bytes.
 """
 
 import hashlib
@@ -14,8 +15,8 @@ import math
 import pytest
 
 from thetaframe import (THETA3, THETA4, THETA_ODD, GridSpec, LatticeParams,
-                        eval_theta, find_optimal_beta, frame_bounds,
-                        general_family, run_all, sweep_beta,
+                        SweepRow, emit_plot, eval_theta, find_optimal_beta,
+                        frame_bounds, general_family, run_all, sweep_beta,
                         theta4_triple_product)
 from thetaframe.frame import _bounds
 from thetaframe.theta import SMALL_S_CUTOFF
@@ -249,6 +250,33 @@ RUN_ALL = {
 }
 
 
+# rows -> the rows emit_plot draws: a linear sweep for n = 2, a log one
+# for n = 3, and two rows whose A, B and ratio columns are constant
+PLOT_ROWS = {
+    "n2-linear": lambda: sweep_beta(2, GridSpec(0.4, 1.4, 101)),
+    "n3-log": lambda: sweep_beta(3, GridSpec(0.1, 2.0, 33, "log")),
+    "constant": lambda: [SweepRow(0.5, 1.0, 2.0, 2.0),
+                         SweepRow(0.6, 1.0, 2.0, 2.0)],
+}
+
+# (rows, column) -> SHA-256 of the SVG bytes emit_plot writes
+PLOT = {
+    ("n2-linear", "A"): "3bc74ae31dcc7b0e2b9b0ca53e700498"
+                        "485254c165e7810c36ffc313873cb2fd",
+    ("n2-linear", "B"): "84d9344b57a6416ed99276edfec1e275"
+                        "b843c75089f581aab4ab337c0a423064",
+    ("n2-linear", "ratio"): "def896b5921731be5dc639b1394954d8"
+                            "074840093d0407d028bb71e8c78edae7",
+    ("n3-log", "A"): "7f70686772fe8ccce6cb74e92d111afb"
+                     "30d38b0be66f6cd2d5052328b658ccde",
+    ("constant", "A"): "5f09a8b22b8688d42eb4bb2f32061793"
+                       "8a6612068df9853f02a105291e23ff9e",
+    ("constant", "B"): "2df98b0661cc09d7687dcca88c01f952"
+                       "c00c9c829790f2e2e97f49248fe4c328",
+    ("constant", "ratio"): "4a863db9a4b9f39ead24665a156a2e83"
+                           "296b08e42785961c354b7cb15060813b",
+}
+
 def _hex(*xs):
     return tuple(map(float.hex, xs))
 
@@ -316,3 +344,11 @@ def test_sweep_bits(n):
     grid = GridSpec(lo, hi, 97, "log")
     assert _digest(" ".join(_hex(r.beta, r.lower, r.upper, r.ratio))
                    for r in sweep_beta(n, grid)) == SWEEP[n]
+
+
+@pytest.mark.parametrize("rows,column", list(PLOT),
+                         ids=["-".join(key) for key in PLOT])
+def test_plot_bits(tmp_path, rows, column):
+    out = tmp_path / "plot.svg"
+    emit_plot(PLOT_ROWS[rows](), out, column)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT[rows, column]

@@ -221,7 +221,7 @@ def test_series_tail_bounds_through_majorant():
     # index-3 term, ~0.4
     mp = pytest.importorskip("mpmath")
     s = 1.0 / (8.0 * math.pi)
-    v, b = theta._ball(*theta._series("theta3", s, 1, 1e-12, reflected=True))
+    v, b = theta._ball(*theta._series("theta3", s, 1, reflected=True))
     with mp.workdps(50):
         y = [mp.pi * k * k * mp.mpf(s) for k in range(-40, 41)]
         true = sum((t - mp.mpf(0.5)) * mp.exp(-t) for t in y)
